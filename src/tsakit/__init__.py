@@ -13,9 +13,10 @@ from .armodel import (AicRow, AicTable, ArModel, RandomWalkMoments,
                       psi_weights, random_walk_moments, select_order_aic,
                       simulate_ar, simulate_random_walk, unit_root_flags)
 from .correlation import AcfEstimate, sample_acf, theoretical_ar_acf
-from .errors import (DegenerateFitError, DuplicateMonthError, IngestionError,
-                     InsufficientDataError, InvalidArgumentError,
-                     MalformedRowError, MissingInputError, MonthGapError,
+from .errors import (ConvergenceError, DegenerateFitError, DuplicateMonthError,
+                     IngestionError, InsufficientDataError,
+                     InvalidArgumentError, MalformedRowError,
+                     MissingInputError, MonthGapError,
                      NonStationaryModelError, PipelineStageError, TsaError,
                      ZeroVarianceError)
 from .pipeline import (AnalysisReport, PipelineConfig, histogram_data,

@@ -1,11 +1,15 @@
 """Small dense linear-algebra kernels: pivoted solve, Householder least squares,
 and a Durand-Kerner polynomial root finder. Sized for the tiny systems this
-toolkit needs (order <= a few dozen)."""
+toolkit needs (order <= a few dozen).
+
+The root finder updates every root at once from the pairwise difference matrix
+(O(n^2) memory, fine at these orders) and raises ConvergenceError instead of
+returning an unconverged iterate."""
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateFitError
+from .errors import ConvergenceError, DegenerateFitError
 
 
 def solve_linear_system(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -66,7 +70,11 @@ def polynomial_roots(coeffs: np.ndarray, max_iter: int = 800,
                      tol: float = 1e-13) -> np.ndarray:
     """All complex roots of c_0 + c_1 z + ... + c_n z^n (Durand-Kerner iteration).
 
-    ``coeffs`` is low-order first with a non-zero leading coefficient.
+    ``coeffs`` is low-order first with a non-zero leading coefficient. Each
+    iteration updates all roots together: z_i -= p(z_i) / prod_{j != i}(z_i - z_j).
+    Raises ConvergenceError, carrying the iteration count and the largest
+    |p(z_i)| of the last iterate, if the update has not settled within
+    ``max_iter`` iterations.
     """
     c = np.asarray(coeffs, dtype=complex)
     degree = c.size - 1
@@ -87,14 +95,18 @@ def polynomial_roots(coeffs: np.ndarray, max_iter: int = 800,
             out = out * v + coef
         return out
 
+    diagonal = np.diag_indices(degree)
     for _ in range(max_iter):
         values = poly_at(z)
-        delta = np.zeros_like(z)
-        for i in range(degree):
-            others = np.delete(z, i)
-            denom = np.prod(z[i] - others) if degree > 1 else 1.0 + 0j
-            delta[i] = values[i] / denom
+        # A unit diagonal drops the j == i factor; multiplying by 1+0j is exact,
+        # so each product equals the one over the other roots alone.
+        diff = z[:, None] - z[None, :]
+        diff[diagonal] = 1.0
+        delta = values / diff.prod(axis=1)
         z = z - delta
         if np.abs(delta).max() < tol * max(1.0, float(np.abs(z).max())):
-            break
-    return z
+            return z
+    residual = float(np.abs(poly_at(z)).max() * abs(c[-1]))
+    raise ConvergenceError(
+        f"Durand-Kerner did not converge in {max_iter} iterations "
+        f"(max |p(z)| = {residual:.3g})", iterations=max_iter, residual=residual)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,7 +28,12 @@ UNIT_ROOT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ArModel:
-    """AR(p) model x_t - mean = sum_j phi_j (x_{t-j} - mean) + w_t."""
+    """AR(p) model x_t - mean = sum_j phi_j (x_{t-j} - mean) + w_t.
+
+    The characteristic roots are solved once per model, on first use, and
+    shared by ``characteristic_roots``, ``is_stationary`` and
+    ``unit_root_flags`` (and so by every caller of those).
+    """
 
     phi: tuple[float, ...]
     sigma2: float
@@ -46,6 +52,17 @@ class ArModel:
     @property
     def order(self) -> int:
         return len(self.phi)
+
+    @cached_property
+    def _roots(self) -> np.ndarray:
+        # cached_property stores into the instance __dict__, bypassing the
+        # frozen __setattr__; __eq__ and __hash__ see only the fields.
+        if self.order == 0:
+            roots = np.empty(0, dtype=complex)
+        else:
+            roots = polynomial_roots(np.concatenate(([1.0], -np.asarray(self.phi))))
+        roots.flags.writeable = False
+        return roots
 
 
 @dataclass(frozen=True)
@@ -223,25 +240,23 @@ def _aic_row(k: int, sigma2: float, n: int) -> AicRow:
 
 
 def characteristic_roots(model: ArModel) -> np.ndarray:
-    """Roots of phi(z) = 1 - phi_1 z - ... - phi_p z^p (empty for p = 0)."""
-    if model.order == 0:
-        return np.empty(0, dtype=complex)
-    coeffs = np.concatenate(([1.0], -np.asarray(model.phi)))
-    return polynomial_roots(coeffs)
+    """Roots of phi(z) = 1 - phi_1 z - ... - phi_p z^p (empty for p = 0).
+
+    Returns a copy of the model's cached roots, so callers may modify it.
+    """
+    return model._roots.copy()
 
 
 def is_stationary(model: ArModel) -> bool:
     """True when every characteristic root lies strictly outside the unit circle."""
     if model.order == 0:
         return True
-    moduli = np.abs(characteristic_roots(model))
-    return bool(moduli.min() > 1.0 + UNIT_ROOT_TOL)
+    return bool(np.abs(model._roots).min() > 1.0 + UNIT_ROOT_TOL)
 
 
 def unit_root_flags(model: ArModel) -> np.ndarray:
     """Boolean flag per root: modulus within UNIT_ROOT_TOL of the unit circle."""
-    moduli = np.abs(characteristic_roots(model))
-    return np.abs(moduli - 1.0) <= UNIT_ROOT_TOL
+    return np.abs(np.abs(model._roots) - 1.0) <= UNIT_ROOT_TOL
 
 
 def psi_weights(model: ArModel, count: int) -> np.ndarray:

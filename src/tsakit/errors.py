@@ -21,6 +21,19 @@ class DegenerateFitError(TsaError, ArithmeticError):
     """An estimator broke down numerically (rank deficiency, |reflection| >= 1)."""
 
 
+class ConvergenceError(TsaError, ArithmeticError):
+    """An iterative routine reached its iteration limit without converging.
+
+    ``iterations`` is the number of iterations run and ``residual`` the
+    routine's measure of how far the last iterate is from a solution.
+    """
+
+    def __init__(self, message: str, iterations: int, residual: float):
+        super().__init__(message)
+        self.iterations = iterations
+        self.residual = residual
+
+
 class NonStationaryModelError(TsaError, ValueError):
     """An operation that requires a stationary model received one with roots on
     or inside the unit circle."""

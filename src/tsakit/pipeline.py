@@ -132,8 +132,8 @@ def qq_plot_data(x: Sequence[float]) -> list[tuple[float, float]]:
     n = arr.size
     if n < 3:
         raise InsufficientDataError(f"QQ plot needs at least 3 points, got {n}")
-    theoretical = [norm_ppf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
-    return list(zip(theoretical, arr.tolist()))
+    theoretical = norm_ppf((np.arange(1, n + 1) - 0.375) / (n + 0.25))
+    return list(zip(theoretical.tolist(), arr.tolist()))
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,8 @@ def histogram_data(x: Sequence[float], bins: Union[int, str] = "auto") -> Histog
         counts = np.array([n])
     else:
         edges = np.linspace(lo, hi, n_bins + 1)
-        counts = np.zeros(n_bins, dtype=int)
         idx = np.minimum(((arr - lo) / (hi - lo) * n_bins).astype(int), n_bins - 1)
-        for i in idx:
-            counts[i] += 1
+        counts = np.bincount(idx, minlength=n_bins)
     mean = float(arr.mean())
     var = float(arr.var(ddof=1)) if n > 1 else 0.0
     if var > 0.0:

@@ -29,8 +29,8 @@ def normal_sf(x: float) -> float:
 
 
 # Acklam's rational approximation to the inverse normal CDF. Relative accuracy
-# about 1.15e-9 on its own; the scalar wrapper below refines it to near machine
-# precision with one Halley step against erfc.
+# about 1.15e-9 on its own; norm_ppf refines it to near machine precision with
+# one Halley step against erfc.
 _ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
              1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
@@ -68,19 +68,38 @@ def _acklam(p):
     return x
 
 
-def norm_ppf(p: float) -> float:
-    """Inverse standard normal CDF, refined to near machine precision."""
-    if not 0.0 < p < 1.0:
-        raise InvalidArgumentError(f"norm_ppf requires 0 < p < 1, got {p}")
-    x = float(_acklam(p))
+# numpy has no erfc, and np.exp can differ from math.exp in the last bit, so
+# norm_ppf applies the ``math`` functions element by element: a quantile then
+# does not depend on whether it was computed alone or within an array.
+_math_erfc = np.vectorize(math.erfc, otypes=[float])
+_math_exp = np.vectorize(math.exp, otypes=[float])
+
+
+def norm_ppf(p):
+    """Inverse standard normal CDF, refined to near machine precision.
+
+    Takes a float (returns a float) or an array of probabilities (returns an
+    array of the same shape, each element equal to its scalar result).
+    """
+    arr = np.asarray(p, dtype=float)
+    inside = (arr > 0.0) & (arr < 1.0)
+    if not inside.all():
+        raise InvalidArgumentError(
+            f"norm_ppf requires 0 < p < 1, got {float(arr[~inside][0])}")
+    x = _acklam(arr)
     # One Halley step: e = Phi(x) - p, u = e / phi(x).
-    e = normal_cdf(x) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    e = 0.5 * _math_erfc(-x / math.sqrt(2.0)) - arr
+    u = e * math.sqrt(2.0 * math.pi) * _math_exp(x * x / 2.0)
+    x = x - u / (1.0 + x * u / 2.0)
+    return float(x) if arr.ndim == 0 else x
 
 
 def norm_ppf_array(p: np.ndarray) -> np.ndarray:
-    """Vectorized inverse normal CDF (Acklam approximation, ~1e-9 accuracy)."""
+    """Vectorized inverse normal CDF (Acklam approximation, ~1e-9 accuracy).
+
+    Deliberately unrefined: ``rng.normals`` and the Shapiro-Wilk scores are
+    defined by these exact values.
+    """
     p = np.asarray(p, dtype=float)
     if np.any((p <= 0.0) | (p >= 1.0)):
         raise InvalidArgumentError("norm_ppf_array requires all p in (0, 1)")

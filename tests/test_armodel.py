@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tsakit import rng
+from tsakit._linalg import polynomial_roots
 from tsakit.armodel import (AicTable, ArModel, RandomWalkSpec,
                             characteristic_roots, default_burn_in,
                             fit_ar_least_squares, fit_ar_yule_walker,
@@ -9,8 +10,9 @@ from tsakit.armodel import (AicTable, ArModel, RandomWalkSpec,
                             select_order_aic, simulate_ar,
                             simulate_random_walk, unit_root_flags)
 from tsakit.correlation import autocovariance
-from tsakit.errors import (DegenerateFitError, InvalidArgumentError,
-                           NonStationaryModelError)
+from tsakit.errors import (ConvergenceError, DegenerateFitError,
+                           InvalidArgumentError, NonStationaryModelError,
+                           TsaError)
 from tsakit.stattests import jarque_bera
 
 
@@ -174,6 +176,77 @@ class TestCharacteristicRoots:
     def test_fitted_ar11_roots_outside_unit_circle(self, fitted_ar11):
         moduli = np.abs(characteristic_roots(fitted_ar11))
         assert moduli.min() > 1.0
+
+    def test_mutating_returned_roots_leaves_cache_intact(self):
+        model = ArModel(phi=(0.5, 0.3), sigma2=1.0)
+        before = characteristic_roots(model)
+        returned = characteristic_roots(model)
+        returned[:] = 0.0
+        assert characteristic_roots(model).tobytes() == before.tobytes()
+        assert is_stationary(model)
+        assert unit_root_flags(model).tolist() == [False, False]
+
+    def test_cache_is_invisible_to_equality_and_hash(self):
+        solved = ArModel(phi=(0.5, 0.3), sigma2=1.0)
+        characteristic_roots(solved)
+        fresh = ArModel(phi=(0.5, 0.3), sigma2=1.0)
+        assert solved == fresh
+        assert hash(solved) == hash(fresh)
+
+
+def _durand_kerner_loop(coeffs, max_iter=800, tol=1e-13):
+    """Reference: the per-root Durand-Kerner update the vectorized one replaced."""
+    c = np.asarray(coeffs, dtype=complex)
+    degree = c.size - 1
+    monic = c / c[-1]
+    radius = 1.0 + float(np.abs(monic[:-1]).max())
+    angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
+    z = radius * np.exp(1j * angles)
+    for _ in range(max_iter):
+        values = np.full_like(z, monic[-1])
+        for coef in monic[-2::-1]:
+            values = values * z + coef
+        delta = np.zeros_like(z)
+        for i in range(degree):
+            others = np.delete(z, i)
+            denom = np.prod(z[i] - others) if degree > 1 else 1.0 + 0j
+            delta[i] = values[i] / denom
+        z = z - delta
+        if np.abs(delta).max() < tol * max(1.0, float(np.abs(z).max())):
+            return z
+    raise AssertionError("reference iteration did not converge")
+
+
+def _stable_ar_polynomial(p: int, seed: int) -> np.ndarray:
+    """1 - phi_1 z - ... - phi_p z^p built from reflection coefficients with
+    0.2 <= |kappa| <= 0.8, so every root lies outside the unit circle."""
+    draw = np.random.default_rng(seed)
+    phi = np.empty(0)
+    for kappa in draw.uniform(0.2, 0.8, p) * draw.choice([-1.0, 1.0], p):
+        phi = np.concatenate((phi - kappa * phi[::-1], [kappa]))
+    return np.concatenate(([1.0], -phi))
+
+
+class TestPolynomialRoots:
+    def test_bit_identical_to_per_root_loop_on_fitted_ar11(self, fitted_ar11):
+        coeffs = np.concatenate(([1.0], -np.asarray(fitted_ar11.phi)))
+        assert (polynomial_roots(coeffs).tobytes()
+                == _durand_kerner_loop(coeffs).tobytes())
+
+    @pytest.mark.parametrize("p", range(1, 41))
+    def test_bit_identical_to_per_root_loop_on_stable_polynomials(self, p):
+        coeffs = _stable_ar_polynomial(p, seed=p)
+        assert (polynomial_roots(coeffs).tobytes()
+                == _durand_kerner_loop(coeffs).tobytes())
+
+    def test_non_convergence_raises_with_iterations_and_residual(self):
+        coeffs = _stable_ar_polynomial(11, seed=11)
+        with pytest.raises(ConvergenceError) as info:
+            polynomial_roots(coeffs, max_iter=1)
+        err = info.value
+        assert isinstance(err, TsaError) and isinstance(err, ArithmeticError)
+        assert err.iterations == 1
+        assert np.isfinite(err.residual) and err.residual > 0.0
 
 
 class TestPsiWeights:

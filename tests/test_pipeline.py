@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tsakit import rng
+from tsakit._linalg import polynomial_roots
 from tsakit.cli import main as cli_main
 from tsakit.errors import (DuplicateMonthError, InsufficientDataError,
                            MalformedRowError, MissingInputError, MonthGapError,
@@ -124,6 +125,12 @@ class TestQqPlotData:
         with pytest.raises(InsufficientDataError):
             qq_plot_data([1.0, 2.0])
 
+    @pytest.mark.parametrize("n", [3, 67, 4000])
+    def test_quantiles_match_scalar_norm_ppf(self, n):
+        pairs = qq_plot_data(np.arange(n, dtype=float))
+        scalar = [norm_ppf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
+        assert [t for t, _ in pairs] == pytest.approx(scalar, rel=1e-15, abs=0.0)
+
 
 class TestHistogramData:
     def test_sturges_for_64(self):
@@ -134,6 +141,16 @@ class TestHistogramData:
         for n in (10, 64, 333):
             hist = histogram_data(rng.normals(52, n))
             assert int(hist.counts.sum()) == n
+
+    def test_counts_match_per_element_loop(self):
+        for n in (2, 64, 333, 4000):
+            x = rng.normals(55, n)
+            hist = histogram_data(x)
+            lo, hi, n_bins = x.min(), x.max(), hist.counts.size
+            expected = np.zeros(n_bins, dtype=int)
+            for i in np.minimum(((x - lo) / (hi - lo) * n_bins).astype(int), n_bins - 1):
+                expected[i] += 1
+            assert hist.counts.tolist() == expected.tolist()
 
     def test_degenerate_range_flagged(self):
         hist = histogram_data([3.0, 3.0, 3.0])
@@ -165,6 +182,19 @@ class TestRunPipeline:
         assert body["decisions"]["daniell_spans"] == [3, 3]
         assert body["decisions"]["truncate_head"] == 2
         assert "kpss_lag" in body["decisions"]
+
+    def test_roots_solved_once_per_run(self, default_config, monkeypatch):
+        import tsakit.armodel
+
+        calls = []
+
+        def counting(coeffs, *args, **kwargs):
+            calls.append(len(coeffs))
+            return polynomial_roots(coeffs, *args, **kwargs)
+
+        monkeypatch.setattr(tsakit.armodel, "polynomial_roots", counting)
+        run_pipeline(default_config)
+        assert calls == [12]  # the selected AR(11): 1 - phi_1 z - ... - phi_11 z^11
 
     def test_emitted_lengths_follow_stage_order(self, tmp_path):
         n = 40

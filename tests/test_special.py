@@ -25,7 +25,7 @@ class TestNormal:
         assert norm_ppf(0.025) == pytest.approx(-1.959963984540054, abs=1e-9)
 
     def test_ppf_domain(self):
-        for bad in (0.0, 1.0, -0.1, 1.5):
+        for bad in (0.0, 1.0, -0.1, 1.5, float("nan"), np.array([0.5, 1.0])):
             with pytest.raises(InvalidArgumentError):
                 norm_ppf(bad)
 

@@ -23,8 +23,7 @@ from .pipeline import (AnalysisReport, PipelineConfig, histogram_data,
                        ingest_csv, qq_plot_data, run_pipeline, write_outputs)
 from .regression import (Censoring, LinearTrendFit, PValue, f_distribution_sf,
                          fit_linear_trend, t_distribution_sf)
-from .series import (DifferenceSpec, Period, TimeSeries, demean,
-                     detrend_linear, difference, integrate)
+from .series import Period, TimeSeries, demean, difference, integrate
 from .spectral import (DftResult, EstimatorKind, SpectrumEstimate, ar_psd,
                        daniell_smooth, dft, inverse_dft, periodogram)
 from .stattests import (HypothesisTestResult, chi_square_sf, jarque_bera,

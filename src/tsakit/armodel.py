@@ -117,6 +117,10 @@ def levinson_durbin(gamma: Sequence[float], order: int) -> tuple[list[np.ndarray
 
     Returns (phis, variances): ``phis[k]`` holds the order-k coefficient vector
     and ``variances[k]`` the innovation variance, for k = 0..order.
+
+    A reflection coefficient with |kappa| >= 1 at order k raises
+    ``DegenerateFitError``; its ``variances`` attribute holds the innovation
+    variances of orders 0..k-1, which the recursion had completed.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.size < order + 1:
@@ -131,8 +135,10 @@ def levinson_durbin(gamma: Sequence[float], order: int) -> tuple[list[np.ndarray
         num = gamma[k] - float(phi @ gamma[k - 1:0:-1]) if k > 1 else gamma[1]
         kappa = num / v
         if not math.isfinite(kappa) or abs(kappa) >= 1.0:
-            raise DegenerateFitError(
+            exc = DegenerateFitError(
                 f"reflection coefficient magnitude >= 1 at order {k} (got {kappa})")
+            exc.variances = variances
+            raise exc
         phi = np.concatenate((phi - kappa * phi[::-1], [kappa]))
         v *= 1.0 - kappa * kappa
         phis.append(phi.copy())
@@ -192,31 +198,26 @@ def select_order_aic(x: Sequence[float], max_order: int,
     if method not in ("yule_walker", "least_squares"):
         raise InvalidArgumentError(f"unknown estimator {method!r}")
 
-    rows: list[AicRow] = []
     if method == "yule_walker":
         gamma = autocovariance(arr, max_order)
         if gamma[0] <= 0.0:
             raise ZeroVarianceError("AIC scan requires a non-constant series")
-        # A degenerate reflection at order j breaks orders j and above only;
-        # earlier orders keep their valid rows.
-        failure: Optional[Exception] = None
-        variances: list[float] = []
-        for k in range(max_order + 1):
-            if failure is None:
-                try:
-                    _, variances = levinson_durbin(gamma, k)
-                except DegenerateFitError as exc:
-                    failure = exc
-            if failure is None:
-                rows.append(_aic_row(k, variances[k], n))
-            else:
-                rows.append(AicRow(order=k, sigma2=None, aic=None,
-                                   error=str(failure)))
+        # One recursion yields every order's variance. A degenerate reflection
+        # at order j breaks orders j and above only; earlier orders keep their
+        # valid rows.
+        try:
+            _, variances = levinson_durbin(gamma, max_order)
+            error = None
+        except DegenerateFitError as exc:
+            variances, error = exc.variances, str(exc)
+        rows = [_aic_row(k, v, n) for k, v in enumerate(variances)]
+        rows += [AicRow(order=k, sigma2=None, aic=None, error=error)
+                 for k in range(len(variances), max_order + 1)]
     else:
         centered = arr - arr.mean()
         sigma2_0 = float((centered ** 2).mean())
-        rows.append(_aic_row(0, sigma2_0, n) if sigma2_0 > 0.0 else
-                    AicRow(order=0, sigma2=None, aic=None, error="zero variance"))
+        rows = [_aic_row(0, sigma2_0, n) if sigma2_0 > 0.0 else
+                AicRow(order=0, sigma2=None, aic=None, error="zero variance")]
         for k in range(1, max_order + 1):
             try:
                 model = fit_ar_least_squares(arr, k)

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
@@ -34,6 +35,7 @@ from .special import norm_ppf
 from .stattests import jarque_bera, kpss_level, shapiro_wilk
 
 REPORT_FORMAT_VERSION = "1"
+AR_PSD_GRID = 257
 
 FIGURE_FILES = (
     "fig_trend.csv",
@@ -57,9 +59,7 @@ class PipelineConfig:
     ar_estimator: str = "yule_walker"
     daniell_spans: tuple[int, ...] = (3, 3)
     kpss_lag: Union[int, str] = "auto"
-    ar_psd_grid: int = 257
     seed: int = 0
-    report_format_version: str = REPORT_FORMAT_VERSION
 
     def __post_init__(self):
         if self.truncate_head < 0:
@@ -73,7 +73,7 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig) -> TimeSeries:
     path = Path(path)
     if not path.exists():
         raise MissingInputError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -88,7 +88,6 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig) -> TimeSeries:
 
         periods: list[Period] = []
         values: list[float] = []
-        seen: set[Period] = set()
         for line_number, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -107,9 +106,10 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig) -> TimeSeries:
             if value < 0:
                 raise MalformedRowError(
                     f"count must be non-negative, got {value}", line_number)
-            if period in seen:
-                raise DuplicateMonthError(str(period))
             if periods:
+                # Periods so far are contiguous, so a repeat lies in [first, last].
+                if periods[0] <= period <= periods[-1]:
+                    raise DuplicateMonthError(str(period))
                 expected = periods[-1].plus_months(1)
                 if period != expected:
                     if period > expected:
@@ -117,7 +117,6 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig) -> TimeSeries:
                     raise MalformedRowError(
                         f"periods must be increasing, got {period} after {periods[-1]}",
                         line_number)
-            seen.add(period)
             periods.append(period)
             values.append(float(value))
 
@@ -192,11 +191,11 @@ class AnalysisReport:
 
 def _fingerprint(path: Union[str, Path], x: TimeSeries) -> dict:
     digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
-    periods = x.periods()
+    start = x.start_period
     return {
         "row_count": len(x),
-        "first_period": periods[0] if periods else None,
-        "last_period": periods[-1] if periods else None,
+        "first_period": str(start) if start else None,
+        "last_period": str(start.plus_months(len(x) - 1)) if start else None,
         "sha256": digest,
     }
 
@@ -292,7 +291,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
                      lambda: periodogram(centered.values, demean=True))
     smooth_spec = stage("spectral",
                         lambda: daniell_smooth(raw_spec, config.daniell_spans))
-    ar_spec = stage("spectral", lambda: ar_psd(model, config.ar_psd_grid))
+    ar_spec = stage("spectral", lambda: ar_psd(model, AR_PSD_GRID))
 
     acf = stage("sacf", lambda: sample_acf(centered.values,
                                            min(24, n_diff - 1)))
@@ -300,7 +299,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     hist = stage("figure-data", lambda: histogram_data(centered.values))
 
     body = {
-        "report_format_version": config.report_format_version,
+        "report_format_version": REPORT_FORMAT_VERSION,
         "toolkit_version": _toolkit_version,
         "dataset": _fingerprint(config.input_path, x),
         "trend": _trend_section(fit),
@@ -319,11 +318,11 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         },
         "spectra": {
             "raw_periodogram": {"file": "fig_spectrum_np.csv",
-                                "parameters": _jsonable(raw_spec.parameters)},
+                                "parameters": raw_spec.parameters},
             "smoothed": {"file": "fig_spectrum_np.csv",
-                         "parameters": _jsonable(smooth_spec.parameters)},
+                         "parameters": smooth_spec.parameters},
             "ar_parametric": {"file": "fig_spectrum_ar.csv",
-                              "parameters": _jsonable(ar_spec.parameters)},
+                              "parameters": ar_spec.parameters},
         },
         "decisions": {
             "ar_estimator": config.ar_estimator,
@@ -343,20 +342,6 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     figures = _figure_rows(x, fit, centered, acf, hist, qq, raw_spec,
                            smooth_spec, ar_spec)
     return AnalysisReport(body=body, figures=figures)
-
-
-def _jsonable(params: dict) -> dict:
-    out = {}
-    for key, value in params.items():
-        if isinstance(value, (np.integer,)):
-            out[key] = int(value)
-        elif isinstance(value, (np.floating,)):
-            out[key] = float(value)
-        elif isinstance(value, tuple):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
 
 
 def _figure_rows(x, fit, centered, acf, hist, qq, raw_spec, smooth_spec,
@@ -407,21 +392,36 @@ def _figure_rows(x, fit, centered, acf, hist, qq, raw_spec, smooth_spec,
 
 
 def write_outputs(report: AnalysisReport, output_dir: Union[str, Path]) -> list[Path]:
-    """Write report.json and every figure CSV; returns the written paths."""
+    """Write report.json and every figure CSV; returns the written paths.
+
+    Every file is first written under a temporary name in ``output_dir`` and
+    renamed into place only once all of them are complete, so a failed write
+    leaves the directory's existing files untouched.
+    """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    report_path = out / "report.json"
-    report_path.write_text(report.to_json(), encoding="utf-8")
-    written.append(report_path)
-    for name, rows in report.figures.items():
-        path = out / name
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            for row in rows:
-                writer.writerow([_format_cell(cell) for cell in row])
-        written.append(path)
-    return written
+    staged: list[tuple[Path, Path]] = []  # (temporary, final)
+
+    def open_staged(name: str, **kwargs):
+        temporary = out / f".{name}.{os.getpid()}.tmp"
+        staged.append((temporary, out / name))
+        return open(temporary, "w", encoding="utf-8", **kwargs)
+
+    try:
+        with open_staged("report.json") as fh:
+            fh.write(report.to_json())
+        for name, rows in report.figures.items():
+            with open_staged(name, newline="") as fh:
+                writer = csv.writer(fh)
+                for row in rows:
+                    writer.writerow([_format_cell(cell) for cell in row])
+        for temporary, final in staged:
+            os.replace(temporary, final)
+    except BaseException:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
+        raise
+    return [final for _, final in staged]
 
 
 def _format_cell(cell) -> str:

@@ -48,7 +48,6 @@ class TimeSeries:
 
     values: np.ndarray
     start_period: Optional[Period] = None
-    period_length: str = "month"
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -74,19 +73,7 @@ class TimeSeries:
         start = None
         if self.start_period is not None:
             start = self.start_period.plus_months(shift_months)
-        return TimeSeries(np.asarray(values, dtype=float), start, self.period_length)
-
-
-@dataclass(frozen=True)
-class DifferenceSpec:
-    """Differencing order plus an optional demean applied afterwards."""
-
-    order: int = 1
-    demean: bool = False
-
-    def __post_init__(self):
-        if self.order < 0:
-            raise InvalidArgumentError(f"difference order must be >= 0, got {self.order}")
+        return TimeSeries(np.asarray(values, dtype=float), start)
 
 
 def difference(x: TimeSeries, d: int) -> TimeSeries:
@@ -125,11 +112,3 @@ def demean(x: TimeSeries) -> tuple[TimeSeries, float]:
     """Subtract the sample mean; returns the centered series and the removed mean."""
     mean = float(x.values.mean())
     return x.with_values(x.values - mean), mean
-
-
-def detrend_linear(x: TimeSeries, fit) -> TimeSeries:
-    """Remove a fitted linear trend; the result equals the fit's residuals."""
-    if fit.n != len(x):
-        raise InvalidArgumentError(
-            f"fit was computed on {fit.n} points but the series has {len(x)}")
-    return x.with_values(x.values - fit.fitted.values)

@@ -40,9 +40,6 @@ class SpectrumEstimate:
     estimator: EstimatorKind
     parameters: dict = field(default_factory=dict)
 
-    def to_rows(self) -> list[tuple[float, float]]:
-        return list(zip(self.frequencies.tolist(), self.power.tolist()))
-
 
 def _is_power_of_two(n: int) -> bool:
     return n > 0 and (n & (n - 1)) == 0

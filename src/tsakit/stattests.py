@@ -14,6 +14,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .correlation import autocovariance
 from .errors import InsufficientDataError, InvalidArgumentError, ZeroVarianceError
 from .regression import Censoring, PValue
 from .special import gammainc_upper_reg, norm_ppf_array, normal_sf
@@ -194,12 +195,11 @@ def kpss_level(x: Sequence[float],
         raise InvalidArgumentError(
             f"truncation lag must satisfy 0 <= lag < N, got {lag} with N={n}")
 
-    e = arr - arr.mean()
-    partial_sums = np.cumsum(e)
-    long_run_var = float((e ** 2).mean())
+    partial_sums = np.cumsum(arr - arr.mean())
+    gamma = autocovariance(arr, lag).tolist()
+    long_run_var = gamma[0]
     for h in range(1, lag + 1):
-        gamma_h = float((e[h:] * e[:-h]).sum()) / n
-        long_run_var += 2.0 * (1.0 - h / (lag + 1.0)) * gamma_h
+        long_run_var += 2.0 * (1.0 - h / (lag + 1.0)) * gamma[h]
     if long_run_var <= 0.0:
         raise ZeroVarianceError("KPSS long-run variance is not positive")
     eta = float((partial_sums ** 2).sum()) / (n * n * long_run_var)

@@ -6,9 +6,10 @@ from tsakit._linalg import polynomial_roots
 from tsakit.armodel import (AicTable, ArModel, RandomWalkSpec,
                             characteristic_roots, default_burn_in,
                             fit_ar_least_squares, fit_ar_yule_walker,
-                            is_stationary, psi_weights, random_walk_moments,
-                            select_order_aic, simulate_ar,
-                            simulate_random_walk, unit_root_flags)
+                            is_stationary, levinson_durbin, psi_weights,
+                            random_walk_moments, select_order_aic,
+                            simulate_ar, simulate_random_walk,
+                            unit_root_flags)
 from tsakit.correlation import autocovariance
 from tsakit.errors import (ConvergenceError, DegenerateFitError,
                            InvalidArgumentError, NonStationaryModelError,
@@ -89,6 +90,28 @@ class TestSelectOrderAic:
         valid = [r for r in aic_table_64.rows if r.error is None]
         best = min(valid, key=lambda r: (r.aic, r.order))
         assert aic_table_64.selected_order == best.order
+
+    def test_yule_walker_failure_keeps_lower_orders(self, monkeypatch):
+        # gamma = (1, 0.5, 1, 0.3) gives kappa_1 = 0.5 and kappa_2 = 1 exactly.
+        monkeypatch.setattr("tsakit.armodel.autocovariance",
+                            lambda x, max_lag: np.array([1.0, 0.5, 1.0, 0.3]))
+        table = select_order_aic(rng.normals(11, 50), 3, "yule_walker")
+        assert [r.sigma2 for r in table.rows[:2]] == [1.0, 0.75]
+        assert all(r.error is None for r in table.rows[:2])
+        assert all("at order 2" in r.error and r.sigma2 is None and r.aic is None
+                   for r in table.rows[2:])
+        assert table.rows[2].error == table.rows[3].error
+
+    def test_yule_walker_scan_runs_one_recursion(self, monkeypatch):
+        orders = []
+
+        def counting(gamma, order):
+            orders.append(order)
+            return levinson_durbin(gamma, order)
+
+        monkeypatch.setattr("tsakit.armodel.levinson_durbin", counting)
+        select_order_aic(rng.normals(12, 300), 8, "yule_walker")
+        assert orders == [8]
 
     def test_variances_non_increasing(self):
         x = rng.normals(8, 400)

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -45,9 +46,19 @@ class TestIngest:
 
     def test_duplicate_month(self, tmp_path):
         p = tmp_path / "dup.csv"
-        write_csv(p, ["2015-01,100", "2015-01,101"])
-        with pytest.raises(DuplicateMonthError, match="2015-01"):
-            ingest_csv(p, config_for(p, tmp_path))
+        for rows in (["2015-01,100", "2015-01,101"],
+                     ["2015-01,100", "2015-02,101", "2015-01,102"]):
+            write_csv(p, rows)
+            with pytest.raises(DuplicateMonthError, match="2015-01") as info:
+                ingest_csv(p, config_for(p, tmp_path))
+            assert info.value.period == "2015-01"
+
+    def test_utf8_bom_is_accepted(self, dataset_path, deaths_series, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + dataset_path.read_bytes())
+        series = ingest_csv(p, config_for(p, tmp_path))
+        assert series.start_period == deaths_series.start_period
+        assert series.values.tolist() == deaths_series.values.tolist()
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.csv"
@@ -299,6 +310,27 @@ class TestRunPipeline:
         spectrum = (Path(cfg.output_dir) / "fig_spectrum_np.csv").read_text().splitlines()
         assert spectrum[0] == "frequency,raw_power,smoothed_power"
         assert len(spectrum) == 34  # 33 ordinates for a 64-point transform
+
+    def test_failed_write_leaves_directory_unchanged(self, dataset_path,
+                                                     tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        write_outputs(run_pipeline(config_for(dataset_path, tmp_path)), out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        report = run_pipeline(config_for(dataset_path, tmp_path, truncate_head=3))
+
+        real_writer = csv.writer
+        opened = []
+
+        def failing_writer(fh):
+            opened.append(fh)
+            if len(opened) == 5:  # the fifth figure CSV; five files are staged
+                raise OSError("no space left on device")
+            return real_writer(fh)
+
+        monkeypatch.setattr("tsakit.pipeline.csv.writer", failing_writer)
+        with pytest.raises(OSError, match="no space"):
+            write_outputs(report, out)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestCli:

@@ -3,9 +3,7 @@ import pytest
 
 from tsakit import rng
 from tsakit.errors import InvalidArgumentError
-from tsakit.regression import fit_linear_trend
-from tsakit.series import (DifferenceSpec, Period, TimeSeries, demean,
-                           detrend_linear, difference, integrate)
+from tsakit.series import Period, TimeSeries, demean, difference, integrate
 
 
 def ts(values):
@@ -39,12 +37,6 @@ class TestTimeSeries:
     def test_periods_listing(self):
         x = TimeSeries(np.array([1.0, 2.0, 3.0]), start_period=Period(2019, 11))
         assert x.periods() == ["2019-11", "2019-12", "2020-01"]
-
-    def test_difference_spec_validation(self):
-        spec = DifferenceSpec(order=1, demean=True)
-        assert spec.order == 1 and spec.demean
-        with pytest.raises(InvalidArgumentError):
-            DifferenceSpec(order=-1)
 
 
 class TestDifference:
@@ -124,24 +116,3 @@ class TestDemean:
         # Independent summation oracle.
         total = sum(float(v) for v in diffed.values)
         assert mean == pytest.approx(total / 64, abs=1e-9)
-
-
-class TestDetrendLinear:
-    def test_exact_line_gives_zeros(self):
-        t = np.arange(1, 21, dtype=float)
-        x = ts(1.0 + 2.0 * t)
-        fit = fit_linear_trend(x)
-        out = detrend_linear(x, fit)
-        assert np.abs(out.values).max() < 1e-9
-
-    def test_equals_regression_residuals(self):
-        x = ts(50.0 + 3.0 * np.arange(30) + 10.0 * rng.normals(8, 30))
-        fit = fit_linear_trend(x)
-        out = detrend_linear(x, fit)
-        assert np.allclose(out.values, fit.residuals.values, rtol=0, atol=1e-12)
-
-    def test_length_mismatch(self):
-        x = ts(rng.normals(9, 20))
-        fit = fit_linear_trend(x)
-        with pytest.raises(InvalidArgumentError):
-            detrend_linear(ts(rng.normals(10, 21)), fit)

@@ -284,6 +284,14 @@ def simulate_ar(model: ArModel, n: int, seed: int,
 
     Deterministic in (model, n, seed, burn_in); the recursion warm-starts at
     zero and discards ``burn_in`` samples (default 10p + 50).
+
+    Each step is ``acc = e_t`` then ``acc += phi_j * y_{t-j}`` for j = 1..p,
+    left to right, on plain Python floats. Python floats and ``np.float64``
+    are both IEEE-754 binary64 without fused multiply-add, so this gives the
+    same bits as the same loop on numpy scalars. Do not change the order or
+    the rounding of the additions (``sum()``, ``math.fsum``, ``np.dot``,
+    ``np.convolve``): every simulated value, and with it the seed-0 output
+    digest the tests and the benchmark check, would change.
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
@@ -302,13 +310,15 @@ def simulate_ar(model: ArModel, n: int, seed: int,
         values = innovations[burn_in:]
     else:
         phi = model.phi
-        buf = np.zeros(total + p)
-        for t in range(total):
-            acc = innovations[t]
-            for j in range(p):
-                acc += phi[j] * buf[p + t - 1 - j]
-            buf[p + t] = acc
-        values = buf[p + burn_in:]
+        y = innovations.tolist()  # overwritten in place by the series
+        lags = [0.0] * p  # y_{t-1}, ..., y_{t-p}: newest first
+        for t, acc in enumerate(y):
+            for coef, lag in zip(phi, lags):
+                acc += coef * lag
+            lags.insert(0, acc)
+            del lags[p]
+            y[t] = acc
+        values = np.array(y[burn_in:])
     return TimeSeries(values + model.mean)
 
 

@@ -2,11 +2,17 @@
 exposes the AR and random-walk generators for scripted experiments.
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical-stage error.
+An input or output path that cannot be read or written (a directory given as
+``analyze --input`` or ``simulate --out``, an ``analyze --output`` below a
+file) is an input error: ``error: <message>`` on stderr and exit 2.
 The seed resolution order is: --seed flag, then TSA_SEED, then the default.
+``simulate --out FILE`` writes a temporary file beside FILE and renames it
+into place only once it is complete; ``--out -`` writes to stdout.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -97,14 +103,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_CHUNK_ROWS = 4096
+
+
+def _write_rows(fh, values) -> None:
+    """``t,value`` header, then one ``t,repr(value)`` row per sample, written
+    _CHUNK_ROWS rows at a time so the text of all n rows never sits in memory."""
+    fh.write("t,value\n")
+    for start in range(0, len(values), _CHUNK_ROWS):
+        chunk = values[start:start + _CHUNK_ROWS].tolist()
+        fh.write("".join([f"{t},{v!r}\n" for t, v in enumerate(chunk, start + 1)]))
+
+
 def _emit_series(values, destination: str) -> None:
-    lines = ["t,value"] + [f"{t + 1},{v!r}" for t, v in enumerate(values)]
-    text = "\n".join(lines) + "\n"
     if destination == "-":
-        sys.stdout.write(text)
-    else:
-        with open(destination, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_rows(sys.stdout, values)
+        return
+    directory, name = os.path.split(os.path.abspath(destination))
+    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as fh:
+            _write_rows(fh, values)
+        os.replace(temporary, destination)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(temporary)
+        raise
 
 
 def main(argv=None) -> int:
@@ -141,7 +165,7 @@ def main(argv=None) -> int:
                 spec = RandomWalkSpec(drift=args.drift,
                                       innovation_sigma2=args.sigma2, y0=args.y0)
                 series = simulate_random_walk(spec, args.n, seed=seed)
-            _emit_series(series.values.tolist(), args.out)
+            _emit_series(series.values, args.out)
             return EXIT_OK
         parser.error(f"unknown command {args.command!r}")
     except PipelineStageError as exc:
@@ -158,6 +182,9 @@ def main(argv=None) -> int:
     except TsaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_INPUT
     return EXIT_NUMERICAL
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,43 @@ class TestPsiWeights:
         assert abs(h[200]) < 1e-6 * abs(h[0])
 
 
+def _simulate_ar_loop(model: ArModel, n: int, seed: int, burn_in=None) -> np.ndarray:
+    """The AR recursion on numpy scalars read through numpy indexing: the
+    bit-for-bit reference for simulate_ar's plain-float loop."""
+    if burn_in is None:
+        burn_in = default_burn_in(model.order)
+    total = n + burn_in
+    innovations = math.sqrt(model.sigma2) * rng.normals(seed, total)
+    p = model.order
+    buf = np.zeros(total + p)
+    for t in range(total):
+        acc = innovations[t]
+        for j in range(p):
+            acc += model.phi[j] * buf[p + t - 1 - j]
+        buf[p + t] = acc
+    return buf[p + burn_in:] + model.mean
+
+
+def _ar_with_conjugate_roots(pairs: int, seed: int) -> tuple[float, ...]:
+    """phi of an AR(2 * pairs) whose roots have moduli 1.1-2 and random angles,
+    well away from the unit circle at any order."""
+    draw = np.random.default_rng(seed)
+    roots = draw.uniform(1.1, 2.0, pairs) * np.exp(1j * draw.uniform(0.1, 3.0, pairs))
+    reciprocals = np.concatenate((1.0 / roots, 1.0 / roots.conj()))
+    return tuple(-np.poly(reciprocals).real[1:])
+
+
+_ORACLE_MODELS = {
+    "p0": ArModel(phi=(), sigma2=1.5),
+    "p1": ArModel(phi=(0.7,), sigma2=1.0),
+    "p2_mean": ArModel(phi=(0.6, -0.2), sigma2=2.0, mean=-3.25),
+    "p2_zero_variance": ArModel(phi=(0.5, 0.2), sigma2=0.0, mean=3.5),
+    "p11_mean": ArModel(phi=tuple(-_stable_ar_polynomial(11, seed=4)[1:]),
+                        sigma2=0.3, mean=1.0e4),
+    "p30": ArModel(phi=_ar_with_conjugate_roots(15, seed=30), sigma2=1.0),
+}
+
+
 class TestSimulateAr:
     def test_zero_variance_returns_mean(self):
         model = ArModel(phi=(0.5,), sigma2=0.0, mean=3.5)
@@ -315,6 +354,14 @@ class TestSimulateAr:
 
     def test_default_burn_in(self):
         assert default_burn_in(11) == 160
+
+    @pytest.mark.parametrize("burn_in", [0, 7, None])
+    @pytest.mark.parametrize("name", sorted(_ORACLE_MODELS))
+    def test_bit_identical_to_numpy_scalar_loop(self, name, burn_in):
+        model = _ORACLE_MODELS[name]
+        for seed in (0, 5, 123):
+            got = simulate_ar(model, 300, seed=seed, burn_in=burn_in).values
+            assert got.tobytes() == _simulate_ar_loop(model, 300, seed, burn_in).tobytes()
 
     def test_recovery_within_tolerance(self, ar_recovery):
         assert ar_recovery["ar1_median"] < 0.05

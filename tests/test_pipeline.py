@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -15,6 +16,8 @@ from tsakit.errors import (DuplicateMonthError, InsufficientDataError,
 from tsakit.pipeline import (PipelineConfig, histogram_data, ingest_csv,
                              qq_plot_data, run_pipeline, write_outputs)
 from tsakit.special import norm_ppf
+
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 def write_csv(path: Path, rows, header="period,deaths"):
@@ -398,6 +401,71 @@ class TestCli:
                          "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 26
+
+    def test_simulate_seed0_matches_reference_digest(self, tmp_path):
+        # The paper's AR(11), n = 100000, seed 0: the same bytes as the
+        # benchmark's reference, which pins rng.normals and the recursion's
+        # floating-point order bit for bit.
+        model = json.loads((BENCH_REFERENCE / "paper" / "report.json").read_text())[
+            "difference"]["selected_model"]
+        expected = (BENCH_REFERENCE / "simulate_seed0.sha256").read_text().split()[0]
+        out = tmp_path / "seed0.csv"
+        code = cli_main(["simulate", "ar",
+                         "--phi=" + ",".join(repr(v) for v in model["phi"]),
+                         "--sigma2", repr(model["sigma2"]), "--n", "100000",
+                         "--seed", "0", "--out", str(out)])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+
+    def test_simulate_stdout_matches_file(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        args = ["simulate", "ar", "--phi", "0.5,0.3", "--mean", "2.0",
+                "--n", "9000", "--seed", "21"]  # more than two write chunks
+        assert cli_main(args + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert cli_main(args + ["--out", "-"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_simulate_failed_write_keeps_existing_file(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "sim.csv"
+        out.write_text("earlier output\n")
+
+        def failing_rows(fh, values):
+            fh.write("t,value\n1,0.5\n")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr("tsakit.cli._write_rows", failing_rows)
+        code = cli_main(["simulate", "ar", "--phi", "0.5", "--n", "10",
+                         "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: no space left on device\n"
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "earlier output\n"
+
+    def test_simulate_out_directory_exit_2(self, tmp_path, capsys):
+        target = tmp_path / "dir"
+        target.mkdir()
+        code = cli_main(["simulate", "ar", "--phi", "0.5", "--n", "10",
+                         "--out", str(target)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+        assert not any(target.iterdir())
+
+    def test_analyze_output_below_file_exit_2(self, dataset_path, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = cli_main(["analyze", "--input", str(dataset_path),
+                         "--output", str(blocker / "sub")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_analyze_input_directory_exit_2(self, tmp_path, capsys):
+        code = cli_main(["analyze", "--input", str(tmp_path),
+                         "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_seed_env_override(self, dataset_path, tmp_path, monkeypatch):
         monkeypatch.setenv("TSA_SEED", "777")

@@ -2,20 +2,24 @@
 exposes the AR and random-walk generators for scripted experiments.
 
 Exit codes: 0 success, 2 input/validation error, 3 numerical-stage error.
-An input or output path that cannot be read or written (a directory given as
-``analyze --input`` or ``simulate --out``, an ``analyze --output`` below a
-file) is an input error: ``error: <message>`` on stderr and exit 2.
+An operating-system error while reading the input or writing the outputs is
+an input error: ``error: <message>`` on stderr and exit 2. That covers a
+directory given as ``analyze --input`` or ``simulate --out``, an
+``analyze --output`` below a file, and a write that fails (a full disk).
+A reader that closes stdout early (``tsakit simulate ... | head``) ends the
+run quietly with exit 0.
 The seed resolution order is: --seed flag, then TSA_SEED, then the default.
 ``simulate --out FILE`` writes a temporary file beside FILE and renames it
-into place only once it is complete; ``--out -`` writes to stdout.
+into place only once it is complete, unless FILE is a symlink, a FIFO or a
+device, which are written directly; ``--out -`` writes to stdout.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 
+from ._fileio import staged_files
 from .armodel import (ArModel, RandomWalkSpec, simulate_ar,
                       simulate_random_walk)
 from .errors import (IngestionError, InsufficientDataError,
@@ -118,17 +122,10 @@ def _write_rows(fh, values) -> None:
 def _emit_series(values, destination: str) -> None:
     if destination == "-":
         _write_rows(sys.stdout, values)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return
-    directory, name = os.path.split(os.path.abspath(destination))
-    temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-    try:
-        with open(temporary, "w", encoding="utf-8") as fh:
-            _write_rows(fh, values)
-        os.replace(temporary, destination)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(temporary)
-        raise
+    with staged_files() as open_staged, open_staged(destination) as fh:
+        _write_rows(fh, values)
 
 
 def main(argv=None) -> int:
@@ -154,6 +151,7 @@ def main(argv=None) -> int:
             report = run_pipeline(config)
             written = write_outputs(report, config.output_dir)
             sys.stdout.write("\n".join(str(p) for p in written) + "\n")
+            sys.stdout.flush()
             return EXIT_OK
         if args.command == "simulate":
             seed = _resolve_seed(args.seed)
@@ -182,6 +180,11 @@ def main(argv=None) -> int:
     except TsaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NUMERICAL
+    except BrokenPipeError:
+        # Whoever read the output stopped early. Point stdout at /dev/null so
+        # the interpreter's final flush cannot fail again, and end quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT

@@ -13,7 +13,6 @@ import csv
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
@@ -21,6 +20,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from . import __version__ as _toolkit_version
+from ._fileio import staged_files
 from .armodel import (ArModel, characteristic_roots, fit_ar_least_squares,
                       fit_ar_yule_walker, is_stationary, select_order_aic,
                       unit_root_flags)
@@ -396,32 +396,22 @@ def write_outputs(report: AnalysisReport, output_dir: Union[str, Path]) -> list[
 
     Every file is first written under a temporary name in ``output_dir`` and
     renamed into place only once all of them are complete, so a failed write
-    leaves the directory's existing files untouched.
+    leaves the directory's existing files untouched (see
+    ``_fileio.staged_files``; a symlink or other non-regular file among them
+    is written through instead).
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    staged: list[tuple[Path, Path]] = []  # (temporary, final)
-
-    def open_staged(name: str, **kwargs):
-        temporary = out / f".{name}.{os.getpid()}.tmp"
-        staged.append((temporary, out / name))
-        return open(temporary, "w", encoding="utf-8", **kwargs)
-
-    try:
-        with open_staged("report.json") as fh:
+    written = [out / "report.json"] + [out / name for name in report.figures]
+    with staged_files() as open_staged:
+        with open_staged(written[0]) as fh:
             fh.write(report.to_json())
-        for name, rows in report.figures.items():
-            with open_staged(name, newline="") as fh:
+        for path, rows in zip(written[1:], report.figures.values()):
+            with open_staged(path, newline="") as fh:
                 writer = csv.writer(fh)
                 for row in rows:
                     writer.writerow([_format_cell(cell) for cell in row])
-        for temporary, final in staged:
-            os.replace(temporary, final)
-    except BaseException:
-        for temporary, _ in staged:
-            temporary.unlink(missing_ok=True)
-        raise
-    return [final for _, final in staged]
+    return written
 
 
 def _format_cell(cell) -> str:

@@ -2,6 +2,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +22,7 @@ from tsakit.pipeline import (PipelineConfig, histogram_data, ingest_csv,
 from tsakit.special import norm_ppf
 
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_csv(path: Path, rows, header="period,deaths"):
@@ -466,6 +471,64 @@ class TestCli:
                          "--output", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_simulate_out_symlink_writes_through(self, tmp_path, capsys):
+        args = ["simulate", "ar", "--phi", "0.5", "--n", "20", "--seed", "3"]
+        assert cli_main(args) == 0
+        expected = capsys.readouterr().out.encode("utf-8")
+        target = tmp_path / "target.csv"
+        target.write_text("earlier output\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert cli_main(args + ["--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+    def test_simulate_out_fifo_is_written_not_replaced(self, tmp_path, capsys):
+        args = ["simulate", "ar", "--phi", "0.5", "--n", "20", "--seed", "3"]
+        assert cli_main(args) == 0
+        expected = capsys.readouterr().out.encode("utf-8")
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        # A non-blocking reader lets the writer open the FIFO; the 20 rows fit
+        # in the pipe's buffer, so no reader thread is needed.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert cli_main(args + ["--out", str(fifo)]) == 0
+            received = os.read(reader, 1 << 16)
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert received == expected
+        assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+    def test_simulate_replacing_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        out.write_text("earlier output\n")
+        out.chmod(0o640)
+        assert cli_main(["simulate", "ar", "--phi", "0.5", "--n", "10",
+                         "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert out.read_text().startswith("t,value\n")
+
+    @pytest.mark.parametrize("n", [10, 100000])
+    def test_simulate_closed_stdout_exits_quietly(self, n):
+        # The reader's end is closed before the child writes anything. With
+        # stdout buffered, 10 rows meet the closed pipe only at the final
+        # flush; 100000 rows meet it while the rows are being written.
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        env.pop("PYTHONUNBUFFERED", None)
+        proc = subprocess.Popen(
+            [sys.executable, "-c",
+             "import sys; from tsakit.cli import main; sys.exit(main(sys.argv[1:]))",
+             "simulate", "ar", "--phi", "0.5", "--n", str(n), "--seed", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 0
+        assert stderr == b""
 
     def test_seed_env_override(self, dataset_path, tmp_path, monkeypatch):
         monkeypatch.setenv("TSA_SEED", "777")

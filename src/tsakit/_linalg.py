@@ -2,6 +2,14 @@
 and a Durand-Kerner polynomial root finder. Sized for the tiny systems this
 toolkit needs (order <= a few dozen).
 
+Least squares is two steps that callers may also run apart:
+``householder_triangularize`` reduces a design in place to R, applies the same
+reflections to the right-hand side (giving Q^T y), and reports the first
+column that fails the rank check against a scale the caller passes;
+``back_substitute`` then solves R beta = (Q^T y)[:n]. The least-squares AIC
+scan in ``armodel`` triangularizes the rows all orders share once and reuses
+R and Q^T y for every order.
+
 The root finder updates every root at once from the pairwise difference matrix
 (O(n^2) memory, fine at these orders) and raises ConvergenceError instead of
 returning an unconverged iterate."""
@@ -30,28 +38,35 @@ def solve_linear_system(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         factors = a[col + 1:, col] / a[col, col]
         a[col + 1:, col:] -= factors[:, None] * a[col, col:]
         b[col + 1:] -= factors * b[col]
+    return back_substitute(a, b)
+
+
+def back_substitute(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``r[:n, :n] @ x = rhs[:n]`` for x, reading only the upper triangle
+    of r (n = number of columns of r)."""
+    n = r.shape[1]
     x = np.zeros(n)
     for row in range(n - 1, -1, -1):
-        x[row] = (b[row] - float(a[row, row + 1:] @ x[row + 1:])) / a[row, row]
+        x[row] = (rhs[row] - float(r[row, row + 1:] @ x[row + 1:])) / r[row, row]
     return x
 
 
-def least_squares(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize ||design @ beta - y||^2 via Householder QR.
+def householder_triangularize(a: np.ndarray, rhs: np.ndarray, scale: float) -> int:
+    """Reduce the m x n float array ``a`` (m >= n) in place to R by Householder
+    reflections, applying each reflection to the float vector ``rhs`` too.
 
-    Returns (beta, sse). Raises DegenerateFitError on rank deficiency.
+    Column k fails the rank check when the norm of ``a[k:, k]`` at its step is
+    below ``1e-12 * scale``. Returns n when every column passes; otherwise
+    stops at the first failing column k and returns k. Columns 0..k-1 of R and
+    the reflections applied to ``rhs`` are then complete. Entries below the
+    diagonal are left as rounding residue rather than zeroed.
     """
-    a = np.array(design, dtype=float)
-    rhs = np.array(y, dtype=float)
-    m, n = a.shape
-    if m < n:
-        raise DegenerateFitError(f"least squares needs rows >= columns, got {m}x{n}")
-    col_scale = max(float(np.abs(a).max()), 1e-300)
+    n = a.shape[1]
     for k in range(n):
         v = a[k:, k].copy()
         norm = float(np.sqrt((v ** 2).sum()))
-        if norm < 1e-12 * col_scale:
-            raise DegenerateFitError("rank-deficient design matrix")
+        if norm < 1e-12 * scale:
+            return k
         if v[0] >= 0:
             v[0] += norm
         else:
@@ -59,11 +74,25 @@ def least_squares(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]
         v /= float(np.sqrt((v ** 2).sum()))
         a[k:, k:] -= 2.0 * np.outer(v, v @ a[k:, k:])
         rhs[k:] -= 2.0 * v * float(v @ rhs[k:])
-    beta = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        beta[row] = (rhs[row] - float(a[row, row + 1:] @ beta[row + 1:])) / a[row, row]
+    return n
+
+
+def least_squares(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
+    """Minimize ||design @ beta - y||^2 via Householder QR.
+
+    Returns (beta, sse). Raises DegenerateFitError on rank deficiency, judged
+    against the largest |entry| of the design.
+    """
+    a = np.array(design, dtype=float)
+    rhs = np.array(y, dtype=float)
+    m, n = a.shape
+    if m < n:
+        raise DegenerateFitError(f"least squares needs rows >= columns, got {m}x{n}")
+    scale = max(float(np.abs(a).max()), 1e-300)
+    if householder_triangularize(a, rhs, scale) < n:
+        raise DegenerateFitError("rank-deficient design matrix")
     sse = float((rhs[n:] ** 2).sum())
-    return beta, sse
+    return back_substitute(a, rhs), sse
 
 
 def polynomial_roots(coeffs: np.ndarray, max_iter: int = 800,

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from ._linalg import least_squares, polynomial_roots
+from ._linalg import householder_triangularize, least_squares, polynomial_roots
 from .correlation import autocovariance
 from .errors import (DegenerateFitError, InvalidArgumentError,
                      NonStationaryModelError, ZeroVarianceError)
@@ -170,12 +170,7 @@ def fit_ar_least_squares(x: Sequence[float], p: int) -> ArModel:
         raise InvalidArgumentError(f"order must be >= 1, got {p}")
     if p >= n - 1:
         raise InvalidArgumentError(f"order p={p} must be below N-1 with N={n}")
-    rows = n - p
-    design = np.ones((rows, p + 1))
-    for j in range(1, p + 1):
-        design[:, j] = arr[p - j: n - j]
-    target = arr[p:]
-    beta, sse = least_squares(design, target)
+    beta, sse = least_squares(*_lag_design(arr, p))
     intercept = float(beta[0])
     phi = tuple(float(v) for v in beta[1:])
     sigma2 = sse / (n - p)
@@ -185,9 +180,26 @@ def fit_ar_least_squares(x: Sequence[float], p: int) -> ArModel:
                    estimation_method="least_squares", n_used=n)
 
 
+def _lag_design(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows t = p..N-1 of the order-p regression: columns [1, x_{t-1}, ...,
+    x_{t-p}] and the target x_t."""
+    n = arr.size
+    design = np.ones((n - p, p + 1))
+    for j in range(1, p + 1):
+        design[:, j] = arr[p - j: n - j]
+    return design, arr[p:]
+
+
 def select_order_aic(x: Sequence[float], max_order: int,
                      method: str = "yule_walker") -> AicTable:
-    """Evaluate AIC(k) = ln(sigma2_k) + 2k/N for k = 0..max_order."""
+    """Evaluate AIC(k) = ln(sigma2_k) + 2k/N for k = 0..max_order.
+
+    Yule-Walker runs one Levinson-Durbin recursion for every order. Least
+    squares triangularizes the rows all orders share once and derives each
+    order's SSE from that factorization; an order whose columns are
+    rank-deficient on the shared rows is fitted on its own, so its row, or
+    its error text, is that of ``fit_ar_least_squares``.
+    """
     arr = np.asarray(x, dtype=float)
     n = arr.size
     if max_order < 1:
@@ -218,18 +230,57 @@ def select_order_aic(x: Sequence[float], max_order: int,
         sigma2_0 = float((centered ** 2).mean())
         rows = [_aic_row(0, sigma2_0, n) if sigma2_0 > 0.0 else
                 AicRow(order=0, sigma2=None, aic=None, error="zero variance")]
-        for k in range(1, max_order + 1):
-            try:
-                model = fit_ar_least_squares(arr, k)
-                rows.append(_aic_row(k, model.sigma2, n))
-            except (DegenerateFitError, InvalidArgumentError) as exc:
-                rows.append(AicRow(order=k, sigma2=None, aic=None, error=str(exc)))
+        rows += _least_squares_rows(arr, max_order)
 
     valid = [r for r in rows if r.error is None and r.aic is not None]
     if not valid:
         raise DegenerateFitError("AIC evaluation failed at every candidate order")
     best = min(valid, key=lambda r: (r.aic, r.order))
     return AicTable(rows=tuple(rows), selected_order=best.order, method=method, n=n)
+
+
+def _least_squares_rows(arr: np.ndarray, max_order: int) -> list[AicRow]:
+    """AIC rows of orders 1..K (K = max_order) for conditional least squares.
+
+    The rows t = K..N-1 appear in every order's regression. They are
+    triangularized once, as the order-K design, into R and Q^T y. QR nests
+    over column prefixes, so order k's fit is the fit of the small system
+    [R[:k+1, :k+1]; rows t = k..K-1 of the order-k design] with right-hand
+    side [(Q^T y)[:k+1]; x_k..x_{K-1}], and
+    SSE_k = SSE(small system) + sum_{i>k} (Q^T y)_i^2.
+    That costs one O(N K^2) factorization instead of K of them.
+
+    An order is fitted on its own with ``fit_ar_least_squares``, which gives
+    the rows (and error texts) of a per-order scan, when the shared rows
+    fail the rank check at one of its columns, when its small system fails
+    it, or when its SSE is not finite. Adding rows never shrinks |R_jj|, so on
+    a full-rank input no order takes that path.
+    """
+    n = arr.size
+    r, qty = _lag_design(arr, max_order)
+    qty = qty.copy()
+    # Each order-k design (k >= 1) holds the ones column and all of x[:N-1],
+    # as this one does, so every rank check here uses the scale the
+    # per-order fit would use.
+    scale = float(np.abs(r).max())
+    rank = householder_triangularize(r, qty, scale)
+    rows = []
+    for k in range(1, max_order + 1):
+        sse = math.nan
+        if k < rank:
+            extra, extra_target = _lag_design(arr[:max_order], k)
+            a = np.vstack((np.triu(r[:k + 1, :k + 1]), extra))
+            b = np.concatenate((qty[:k + 1], extra_target))
+            if householder_triangularize(a, b, scale) > k:
+                sse = float((b[k + 1:] ** 2).sum()) + float((qty[k + 1:] ** 2).sum())
+        if math.isfinite(sse):
+            rows.append(_aic_row(k, sse / (n - k), n))
+            continue
+        try:
+            rows.append(_aic_row(k, fit_ar_least_squares(arr, k).sigma2, n))
+        except (DegenerateFitError, InvalidArgumentError) as exc:
+            rows.append(AicRow(order=k, sigma2=None, aic=None, error=str(exc)))
+    return rows
 
 
 def _aic_row(k: int, sigma2: float, n: int) -> AicRow:

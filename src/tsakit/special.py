@@ -3,14 +3,22 @@
 Everything here is implemented directly (series, continued fractions, rational
 approximations) on top of ``math`` primitives, so p-values and quantiles do not
 depend on any third-party statistics library.
+
+The incomplete gamma series and continued fraction and the incomplete beta
+continued fraction raise ConvergenceError when they reach their iteration cap,
+rather than returning a partial result. That happens for large shape
+parameters near the centre of the distribution (a chi-square with 1e5 degrees
+of freedom at its mean, for one), where these expansions need more terms than
+the cap; no large-parameter expansion is implemented.
 """
 from __future__ import annotations
 
 import math
+from typing import NoReturn
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import ConvergenceError, InvalidArgumentError
 
 _BETACF_TOL = 1e-14
 _BETACF_MAX_ITER = 300
@@ -117,6 +125,8 @@ def _gamma_series(a: float, x: float) -> float:
         total += term
         if abs(term) < abs(total) * _GAMMA_TOL:
             break
+    else:
+        _not_converged("incomplete gamma series", _GAMMA_MAX_ITER, abs(term / total))
     return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
@@ -141,6 +151,9 @@ def _gamma_cont_fraction(a: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _GAMMA_TOL:
             break
+    else:
+        _not_converged("incomplete gamma continued fraction", _GAMMA_MAX_ITER,
+                       abs(delta - 1.0))
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
@@ -192,7 +205,16 @@ def _betacf(a: float, b: float, x: float) -> float:
         h *= delta
         if abs(delta - 1.0) < _BETACF_TOL:
             break
+    else:
+        _not_converged("incomplete beta continued fraction", _BETACF_MAX_ITER,
+                       abs(delta - 1.0))
     return h
+
+
+def _not_converged(what: str, iterations: int, residual: float) -> NoReturn:
+    raise ConvergenceError(
+        f"{what} did not converge in {iterations} iterations "
+        f"(last relative step {residual:.3g})", iterations=iterations, residual=residual)
 
 
 def betainc_reg(a: float, b: float, x: float) -> float:

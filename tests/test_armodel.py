@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from tsakit import rng
+from tsakit import _linalg, rng
 from tsakit._linalg import polynomial_roots
-from tsakit.armodel import (AicTable, ArModel, RandomWalkSpec,
+from tsakit.armodel import (AicRow, AicTable, ArModel, RandomWalkSpec, _aic_row,
                             characteristic_roots, default_burn_in,
                             fit_ar_least_squares, fit_ar_yule_walker,
                             is_stationary, levinson_durbin, psi_weights,
@@ -81,6 +81,64 @@ class TestLeastSquares:
             fit_ar_least_squares(rng.normals(6, 10), 9)
         with pytest.raises(InvalidArgumentError):
             fit_ar_least_squares(rng.normals(6, 10), 0)
+
+
+def _select_order_aic_ls_loop(x, max_order):
+    """The least-squares AIC scan as one full fit per order: the reference for
+    the shared-factorization scan."""
+    arr = np.asarray(x, dtype=float)
+    n = arr.size
+    centered = arr - arr.mean()
+    sigma2_0 = float((centered ** 2).mean())
+    rows = [_aic_row(0, sigma2_0, n) if sigma2_0 > 0.0 else
+            AicRow(order=0, sigma2=None, aic=None, error="zero variance")]
+    for k in range(1, max_order + 1):
+        try:
+            rows.append(_aic_row(k, fit_ar_least_squares(arr, k).sigma2, n))
+        except (DegenerateFitError, InvalidArgumentError) as exc:
+            rows.append(AicRow(order=k, sigma2=None, aic=None, error=str(exc)))
+    valid = [r for r in rows if r.error is None and r.aic is not None]
+    if not valid:
+        raise DegenerateFitError("AIC evaluation failed at every candidate order")
+    return AicTable(rows=tuple(rows), selected_order=min(
+        valid, key=lambda r: (r.aic, r.order)).order, method="least_squares", n=n)
+
+
+def _assert_same_aic(got, want):
+    """Same selected order and error texts; sigma2 and AIC to 1e-12 relative.
+
+    A row whose sigma2 is below (1e-12)^2 of the largest is an exact fit: its
+    residuals are rounding residue, whose size is all the two scans share.
+    """
+    assert got.selected_order == want.selected_order
+    assert [(r.order, r.error) for r in got.rows] == [(r.order, r.error) for r in want.rows]
+    exact_fit = 1e-24 * max(r.sigma2 for r in want.rows if r.sigma2 is not None)
+    for g, w in zip(got.rows, want.rows):
+        if w.sigma2 is None or w.sigma2 < exact_fit:
+            assert g.sigma2 == w.sigma2 or g.sigma2 < exact_fit
+            continue
+        assert g.sigma2 == pytest.approx(w.sigma2, rel=1e-12, abs=0.0)
+        assert g.aic == pytest.approx(w.aic, rel=1e-12, abs=0.0)
+
+
+def _seeded_ar(n, seed):
+    model = ArModel(phi=(0.6, -0.3, 0.2), sigma2=4.0, mean=12.0)
+    return simulate_ar(model, n, seed).values + 0.01 * np.cumsum(rng.normals(seed, n))
+
+
+_LS_SCAN_CASES = {
+    "n30-k1": lambda: (_seeded_ar(30, 1), 1),
+    "n30-k5": lambda: (_seeded_ar(30, 2), 5),
+    "n30-k14": lambda: (_seeded_ar(30, 3), 14),
+    "n300-k3": lambda: (_seeded_ar(300, 4), 3),
+    "n300-k12": lambda: (_seeded_ar(300, 5), 12),
+    "n300-k40": lambda: (_seeded_ar(300, 6), 40),
+    "n4000-k11": lambda: (_seeded_ar(4000, 7), 11),
+    "n4000-k36": lambda: (_seeded_ar(4000, 8), 36),
+    "alternation": lambda: (np.array([1.0, -1.0] * 20), 3),
+    "rank-deficient-shared-rows": lambda: (
+        (lambda v: v - v.mean())(np.concatenate(([3.0, -2.0, 0.5], [1.0, -1.0] * 40))), 6),
+}
 
 
 class TestSelectOrderAic:
@@ -170,6 +228,57 @@ class TestSelectOrderAic:
     def test_all_orders_failing_is_aggregate_error(self):
         with pytest.raises(DegenerateFitError):
             select_order_aic(np.ones(40), 3, "least_squares")
+        with pytest.raises(DegenerateFitError):
+            _select_order_aic_ls_loop(np.ones(40), 3)
+
+    @pytest.mark.parametrize("name", sorted(_LS_SCAN_CASES))
+    def test_least_squares_scan_matches_per_order_fits(self, name):
+        x, max_order = _LS_SCAN_CASES[name]()
+        _assert_same_aic(select_order_aic(x, max_order, "least_squares"),
+                         _select_order_aic_ls_loop(x, max_order))
+
+    def test_least_squares_scan_matches_per_order_fits_on_bundled_series(self, diff64):
+        table = select_order_aic(diff64, 18, "least_squares")
+        _assert_same_aic(table, _select_order_aic_ls_loop(diff64, 18))
+        assert table.selected_order == 18
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_least_squares_overflowing_sse_falls_back(self):
+        # Every SSE overflows, so each order is fitted on its own and keeps
+        # the per-order error text.
+        x = rng.normals(3, 60)
+        x[-1] = 1e200
+        table = select_order_aic(x, 4, "least_squares")
+        _assert_same_aic(table, _select_order_aic_ls_loop(x, 4))
+        assert all("innovation variance" in r.error for r in table.rows[1:])
+
+    def test_least_squares_rank_deficient_shared_rows_fall_back(self):
+        # The shared rows t >= 6 alternate, so they have rank 2; the first
+        # three values make orders 2-4 full rank on their own rows.
+        x, _ = _LS_SCAN_CASES["rank-deficient-shared-rows"]()
+        table = select_order_aic(x, 6, "least_squares")
+        assert [r.error is None for r in table.rows] == [True] * 5 + [False] * 2
+
+    def test_least_squares_scan_factors_shared_rows_once(self, monkeypatch):
+        x = rng.normals(13, 300)
+        factored_rows, per_order_fits = [], []
+
+        def counting_triangularize(a, rhs, scale):
+            factored_rows.append(a.shape[0])
+            return _linalg.householder_triangularize(a, rhs, scale)
+
+        def counting_fit(arr, p):
+            per_order_fits.append(p)
+            return fit_ar_least_squares(arr, p)
+
+        monkeypatch.setattr("tsakit.armodel.householder_triangularize",
+                            counting_triangularize, raising=False)
+        monkeypatch.setattr("tsakit.armodel.fit_ar_least_squares", counting_fit)
+        select_order_aic(x, 8, "least_squares")
+        assert per_order_fits == []
+        # One factorization of the 292 shared rows, then one small
+        # (K + 1)-row system per order.
+        assert factored_rows == [300 - 8] + [8 + 1] * 8
 
 
 class TestCharacteristicRoots:

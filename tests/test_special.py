@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from tsakit.errors import InvalidArgumentError
+from tsakit.errors import ConvergenceError, InvalidArgumentError
 from tsakit.special import (betainc_reg, gammainc_upper_reg, norm_ppf,
                             norm_ppf_array, normal_cdf, normal_sf)
+from tsakit.stattests import chi_square_sf
 
 
 class TestNormal:
@@ -91,3 +92,34 @@ class TestBetaIncomplete:
             betainc_reg(-1.0, 1.0, 0.5)
         with pytest.raises(InvalidArgumentError):
             betainc_reg(1.0, 1.0, 1.5)
+
+
+class TestIterationCap:
+    # Each call below returned a wrong partial result before the cap raised:
+    # 0.5121, 0.911 and 0.49999962 where the values are about 0.4994, 0.4999
+    # and exactly 0.5.
+    @pytest.mark.parametrize("call", [
+        lambda: chi_square_sf(1e5, 100000),
+        lambda: chi_square_sf(1e7, 10 ** 7),
+        lambda: gammainc_upper_reg(1e6, 1e6 + 2.0),
+        lambda: betainc_reg(1e6, 1e6, 0.5),
+    ], ids=["gamma-series-1e5", "gamma-series-1e7", "gamma-fraction-1e6",
+            "beta-fraction-1e6"])
+    def test_reaching_the_cap_raises(self, call):
+        with pytest.raises(ConvergenceError) as info:
+            call()
+        assert info.value.iterations in (300, 500)
+        assert 0.0 < info.value.residual < 1.0
+
+    def test_converging_calls_still_return(self):
+        # A t tail at 10^6 degrees of freedom, the benchmark's t tails at
+        # 3998, and chi-square with 2 degrees of freedom (exactly exp(-x/2)).
+        # Reference values from scipy.special.betainc.
+        assert betainc_reg(5e5, 0.5, 0.999999) == pytest.approx(
+            0.3173105078558957, rel=1e-8)
+        assert betainc_reg(1999.0, 0.5, 0.999) == pytest.approx(
+            0.04551375952130189, rel=1e-11)
+        assert betainc_reg(1999.0, 0.5, 0.9) == pytest.approx(
+            1.351438072171649e-93, rel=1e-11)
+        for x in (1e-3, 3.0, 50.0):
+            assert chi_square_sf(x, 2) == pytest.approx(math.exp(-x / 2.0), rel=1e-13)

@@ -72,7 +72,9 @@ def householder_triangularize(a: np.ndarray, rhs: np.ndarray, scale: float) -> i
         else:
             v[0] -= norm
         v /= float(np.sqrt((v ** 2).sum()))
-        a[k:, k:] -= 2.0 * np.outer(v, v @ a[k:, k:])
+        # (2 v_i) w_j equals 2 (v_i w_j) bit for bit unless the product is
+        # subnormal, and needs one full-size temporary instead of two.
+        a[k:, k:] -= np.outer(2.0 * v, v @ a[k:, k:])
         rhs[k:] -= 2.0 * v * float(v @ rhs[k:])
     return n
 

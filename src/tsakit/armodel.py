@@ -253,8 +253,9 @@ def _least_squares_rows(arr: np.ndarray, max_order: int) -> list[AicRow]:
     An order is fitted on its own with ``fit_ar_least_squares``, which gives
     the rows (and error texts) of a per-order scan, when the shared rows
     fail the rank check at one of its columns, when its small system fails
-    it, or when its SSE is not finite. Adding rows never shrinks |R_jj|, so on
-    a full-rank input no order takes that path.
+    it, or when its SSE is not finite. Adding rows never shrinks |R_jj|, so
+    when the shared rows pass the rank check, each order's own rows pass it
+    too (up to rounding) and no order takes that path.
     """
     n = arr.size
     r, qty = _lag_design(arr, max_order)

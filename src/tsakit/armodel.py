@@ -288,6 +288,9 @@ def _aic_row(k: int, sigma2: float, n: int) -> AicRow:
     if sigma2 <= 0.0:
         return AicRow(order=k, sigma2=sigma2, aic=None,
                       error="non-positive innovation variance")
+    if not math.isfinite(sigma2):
+        return AicRow(order=k, sigma2=None, aic=None,
+                      error="non-finite innovation variance")
     return AicRow(order=k, sigma2=float(sigma2),
                   aic=math.log(sigma2) + 2.0 * k / n)
 

@@ -4,8 +4,9 @@ Stage order is fixed by the methodology being reproduced: fit the linear trend
 on the full series, diagnose its residuals, then truncate the head, take the
 first difference, demean, and run the stationarity test, AR identification and
 spectral estimation on the result. The report is a versioned JSON document and
-each figure's plot data goes to its own CSV; files are only written after every
-stage has succeeded.
+each figure's plot data goes to its own CSV, rendered once per column and written
+with one ``writerows`` call, in the bytes a cell-by-cell writer gave; files are
+only written after every stage has succeeded.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Sequence, Union
 
@@ -29,7 +31,7 @@ from .errors import (DuplicateMonthError, InsufficientDataError,
                      InvalidArgumentError, MalformedRowError, MissingInputError,
                      MonthGapError, PipelineStageError, TsaError)
 from .regression import LinearTrendFit, fit_linear_trend
-from .series import Period, TimeSeries, demean, difference
+from .series import Period, TimeSeries, _month_label, demean, difference
 from .spectral import ar_psd, daniell_smooth, periodogram
 from .special import norm_ppf
 from .stattests import jarque_bera, kpss_level, shapiro_wilk
@@ -86,17 +88,24 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig) -> TimeSeries:
         date_idx = header.index(config.date_column)
         value_idx = header.index(config.value_column)
 
-        periods: list[Period] = []
+        start = last = None  # month indices of the first and previous rows
         values: list[float] = []
         for line_number, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not any(map(str.strip, row)):  # blank line
                 continue
             if len(row) <= max(date_idx, value_idx):
                 raise MalformedRowError("row has too few columns", line_number)
-            try:
-                period = Period.parse(row[date_idx])
-            except InvalidArgumentError as exc:
-                raise MalformedRowError(str(exc), line_number) from None
+            label = row[date_idx]
+            # Plain ASCII YYYY-MM is sliced; Period.parse takes the rest.
+            if (len(label) == 7 and label[4] == "-" and label.isascii()
+                    and label[:4].isdigit() and label[5:].isdigit()
+                    and "01" <= label[5:] <= "12"):
+                month = int(label[:4]) * 12 + int(label[5:]) - 1
+            else:
+                try:
+                    month = Period.parse(label).index
+                except InvalidArgumentError as exc:
+                    raise MalformedRowError(str(exc), line_number) from None
             raw = row[value_idx].strip()
             try:
                 value = int(raw)
@@ -106,23 +115,27 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig) -> TimeSeries:
             if value < 0:
                 raise MalformedRowError(
                     f"count must be non-negative, got {value}", line_number)
-            if periods:
-                # Periods so far are contiguous, so a repeat lies in [first, last].
-                if periods[0] <= period <= periods[-1]:
-                    raise DuplicateMonthError(str(period))
-                expected = periods[-1].plus_months(1)
-                if period != expected:
-                    if period > expected:
-                        raise MonthGapError(str(expected))
-                    raise MalformedRowError(
-                        f"periods must be increasing, got {period} after {periods[-1]}",
-                        line_number)
-            periods.append(period)
-            values.append(float(value))
+            if start is None:
+                start = month
+            elif month != last + 1:
+                # Months so far are contiguous, so a repeat lies in [start, last].
+                if start <= month <= last:
+                    raise DuplicateMonthError(_month_label(month))
+                if month > last + 1:
+                    raise MonthGapError(_month_label(last + 1))
+                raise MalformedRowError(
+                    f"periods must be increasing, got {_month_label(month)} "
+                    f"after {_month_label(last)}", line_number)
+            last = month
+            try:
+                values.append(float(value))
+            except OverflowError:
+                raise MalformedRowError(
+                    "count is too large to represent", line_number) from None
 
     if not values:
         raise InsufficientDataError(f"input file {path} contains no data rows")
-    return TimeSeries(np.asarray(values), start_period=periods[0])
+    return TimeSeries(np.asarray(values), Period(start // 12, start % 12 + 1))
 
 
 def qq_plot_data(x: Sequence[float]) -> list[tuple[float, float]]:
@@ -183,7 +196,7 @@ class AnalysisReport:
     """Everything the pipeline computed, as a JSON-serializable tree."""
 
     body: dict
-    figures: dict  # figure file name -> list of rows (header first)
+    figures: dict  # file name -> list of rows (header first), cells rendered per column
 
     def to_json(self) -> str:
         return json.dumps(self.body, indent=2, sort_keys=True) + "\n"
@@ -255,9 +268,8 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         if config.truncate_head >= len(x) - 1:
             raise InvalidArgumentError(
                 f"truncate_head={config.truncate_head} leaves too few points")
-        truncated = TimeSeries(x.values[config.truncate_head:],
-                               x.start_period.plus_months(config.truncate_head)
-                               if x.start_period else None)
+        truncated = x.with_values(x.values[config.truncate_head:],
+                                  shift_months=config.truncate_head)
         diffed = difference(truncated, 1)
         return demean(diffed)
 
@@ -346,49 +358,34 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
 
 def _figure_rows(x, fit, centered, acf, hist, qq, raw_spec, smooth_spec,
                  ar_spec) -> dict:
-    periods = x.periods() or [str(t) for t in range(len(x))]
-    figures: dict[str, list] = {}
-
-    rows = [("period", "t", "observed", "fitted")]
-    for i, period in enumerate(periods):
-        rows.append((period, i + 1, x.values[i], fit.fitted.values[i]))
-    figures["fig_trend.csv"] = rows
-
-    rows = [("t", "fitted", "residual")]
-    for i in range(len(x)):
-        rows.append((i + 1, fit.fitted.values[i], fit.residuals.values[i]))
-    figures["fig_residuals.csv"] = rows
-
-    figures["fig_qq.csv"] = [("theoretical_quantile", "sample_quantile")] + [
-        (t, s) for t, s in qq]
-
-    rows = [("panel", "x", "y", "band")]
-    for i in range(len(centered)):
-        rows.append(("series", i + 1, centered.values[i], ""))
-    for lag, rho in zip(acf.lags.tolist(), acf.autocorrelation.tolist()):
-        rows.append(("sacf", lag, rho, acf.band))
-    figures["fig_diff_sacf.csv"] = rows
-
-    rows = [("panel", "x", "x2", "y")]
-    for i in range(hist.counts.size):
-        rows.append(("bar", hist.bin_edges[i], hist.bin_edges[i + 1],
-                     int(hist.counts[i])))
-    for xv, dv in zip(hist.overlay_x.tolist(), hist.overlay_density.tolist()):
-        rows.append(("normal_density", xv, "", dv))
-    figures["fig_hist.csv"] = rows
-
-    rows = [("frequency", "raw_power", "smoothed_power")]
-    for f, raw, smooth in zip(raw_spec.frequencies.tolist(),
-                              raw_spec.power.tolist(),
-                              smooth_spec.power.tolist()):
-        rows.append((f, raw, smooth))
-    figures["fig_spectrum_np.csv"] = rows
-
-    rows = [("frequency", "power")]
-    for f, p in zip(ar_spec.frequencies.tolist(), ar_spec.power.tolist()):
-        rows.append((f, p))
-    figures["fig_spectrum_ar.csv"] = rows
-    return figures
+    # csv.writer writes Python floats as repr() and ints as str(); a column of
+    # numpy scalars is rendered once here, each cell as numpy's repr() of it.
+    n = len(x)
+    fitted = list(map(repr, fit.fitted.values))
+    edges = list(map(repr, hist.bin_edges))
+    return {
+        "fig_trend.csv": [("period", "t", "observed", "fitted"), *zip(
+            x.periods(), range(1, n + 1), map(repr, x.values), fitted)],
+        "fig_residuals.csv": [("t", "fitted", "residual"), *zip(
+            range(1, n + 1), fitted, map(repr, fit.residuals.values))],
+        "fig_qq.csv": [("theoretical_quantile", "sample_quantile"), *qq],
+        "fig_diff_sacf.csv": [
+            ("panel", "x", "y", "band"),
+            *zip(repeat("series"), range(1, len(centered) + 1),
+                 map(repr, centered.values), repeat("")),
+            *zip(repeat("sacf"), acf.lags.tolist(), acf.autocorrelation.tolist(),
+                 repeat(repr(acf.band)))],
+        "fig_hist.csv": [
+            ("panel", "x", "x2", "y"),
+            *zip(repeat("bar"), edges, edges[1:], hist.counts.tolist()),
+            *zip(repeat("normal_density"), hist.overlay_x.tolist(), repeat(""),
+                 hist.overlay_density.tolist())],
+        "fig_spectrum_np.csv": [("frequency", "raw_power", "smoothed_power"), *zip(
+            raw_spec.frequencies.tolist(), raw_spec.power.tolist(),
+            smooth_spec.power.tolist())],
+        "fig_spectrum_ar.csv": [("frequency", "power"), *zip(
+            ar_spec.frequencies.tolist(), ar_spec.power.tolist())],
+    }
 
 
 def write_outputs(report: AnalysisReport, output_dir: Union[str, Path]) -> list[Path]:
@@ -408,13 +405,5 @@ def write_outputs(report: AnalysisReport, output_dir: Union[str, Path]) -> list[
             fh.write(report.to_json())
         for path, rows in zip(written[1:], report.figures.values()):
             with open_staged(path, newline="") as fh:
-                writer = csv.writer(fh)
-                for row in rows:
-                    writer.writerow([_format_cell(cell) for cell in row])
+                csv.writer(fh).writerows(rows)
     return written
-
-
-def _format_cell(cell) -> str:
-    if isinstance(cell, float):
-        return repr(cell)
-    return str(cell)

@@ -12,6 +12,11 @@ from .errors import InvalidArgumentError
 _PERIOD_RE = re.compile(r"^(\d{4})-(\d{2})$")
 
 
+def _month_label(index: int) -> str:
+    """The YYYY-MM label of month index 12 * year + month - 1."""
+    return f"{index // 12:04d}-{index % 12 + 1:02d}"
+
+
 @dataclass(frozen=True, order=True)
 class Period:
     """A calendar year-month label."""
@@ -30,12 +35,16 @@ class Period:
             raise InvalidArgumentError(f"period must look like YYYY-MM, got {text!r}")
         return cls(int(m.group(1)), int(m.group(2)))
 
+    @property
+    def index(self) -> int:  # consecutive months differ by 1
+        return self.year * 12 + self.month - 1
+
     def plus_months(self, n: int) -> "Period":
-        idx = self.year * 12 + (self.month - 1) + n
+        idx = self.index + n
         return Period(idx // 12, idx % 12 + 1)
 
     def __str__(self) -> str:
-        return f"{self.year:04d}-{self.month:02d}"
+        return _month_label(self.index)
 
 
 @dataclass(frozen=True)
@@ -67,13 +76,12 @@ class TimeSeries:
     def periods(self) -> Optional[list[str]]:
         if self.start_period is None:
             return None
-        return [str(self.start_period.plus_months(t)) for t in range(len(self))]
+        start = self.start_period.index
+        return [_month_label(i) for i in range(start, start + len(self))]
 
     def with_values(self, values: Sequence[float], shift_months: int = 0) -> "TimeSeries":
-        start = None
-        if self.start_period is not None:
-            start = self.start_period.plus_months(shift_months)
-        return TimeSeries(np.asarray(values, dtype=float), start)
+        start = self.start_period
+        return TimeSeries(values, start.plus_months(shift_months) if start else None)
 
 
 def difference(x: TimeSeries, d: int) -> TimeSeries:

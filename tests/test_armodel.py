@@ -244,13 +244,28 @@ class TestSelectOrderAic:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_least_squares_overflowing_sse_falls_back(self):
-        # Every SSE overflows, so each order is fitted on its own and keeps
-        # the per-order error text.
+        # Every SSE overflows, so each order is fitted on its own and fails.
+        # Order 0's variance overflows to inf, which is an error row too, so
+        # no order is left to select, in the scan and in its oracle alike.
         x = rng.normals(3, 60)
         x[-1] = 1e200
-        table = select_order_aic(x, 4, "least_squares")
-        _assert_same_aic(table, _select_order_aic_ls_loop(x, 4))
-        assert all("innovation variance" in r.error for r in table.rows[1:])
+        with pytest.raises(DegenerateFitError, match="every candidate order"):
+            select_order_aic(x, 4, "least_squares")
+        with pytest.raises(DegenerateFitError, match="every candidate order"):
+            _select_order_aic_ls_loop(x, 4)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_yule_walker_overflowing_variance_is_aggregate_error(self):
+        x = rng.normals(3, 60)
+        x[-1] = 1e200
+        with pytest.raises(DegenerateFitError, match="every candidate order"):
+            select_order_aic(x, 4, "yule_walker")
+
+    @pytest.mark.parametrize("sigma2", [math.inf, math.nan])
+    def test_non_finite_variance_is_error_row(self, sigma2):
+        assert _aic_row(3, sigma2, 60) == AicRow(
+            order=3, sigma2=None, aic=None, error="non-finite innovation variance")
 
     def test_least_squares_rank_deficient_shared_rows_fall_back(self):
         # The shared rows t >= 6 alternate, so they have rank 2; the first

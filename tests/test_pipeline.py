@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -11,18 +12,31 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsakit import rng
+from tsakit import pipeline, rng
 from tsakit._linalg import polynomial_roots
 from tsakit.cli import main as cli_main
 from tsakit.errors import (DuplicateMonthError, InsufficientDataError,
-                           MalformedRowError, MissingInputError, MonthGapError,
-                           PipelineStageError)
-from tsakit.pipeline import (PipelineConfig, histogram_data, ingest_csv,
-                             qq_plot_data, run_pipeline, write_outputs)
+                           InvalidArgumentError, MalformedRowError,
+                           MissingInputError, MonthGapError, PipelineStageError)
+from tsakit.pipeline import (AnalysisReport, PipelineConfig, histogram_data,
+                             ingest_csv, qq_plot_data, run_pipeline,
+                             write_outputs)
+from tsakit.series import Period
 from tsakit.special import norm_ppf
 
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded by path: its N = 4000 input generator."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = BENCH_REFERENCE.parent / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def write_csv(path: Path, rows, header="period,deaths"):
@@ -114,6 +128,69 @@ class TestIngest:
         cfg = config_for(p, tmp_path, date_column="month", value_column="count")
         series = ingest_csv(p, cfg)
         assert series.values.tolist() == [7.0, 8.0]
+
+    @pytest.mark.parametrize("label", [
+        "2015-01", "2015-12", "0001-01", "9999-12", " 2015-01 ", "２０１５-01",
+        "2015-00", "2015-13", "2015-1", "12015-01", "Jan-2015", "2015/01",
+        "20１5-01", "2015-0²"])
+    def test_period_labels_follow_period_parse(self, tmp_path, label):
+        # The label sits on line 3, after the month before it when it parses.
+        try:
+            expected = Period.parse(label)
+        except InvalidArgumentError as exc:
+            expected = exc
+        parsed = isinstance(expected, Period)
+        before = str(expected.plus_months(-1)) if parsed else "2014-12"
+        p = tmp_path / "labels.csv"
+        write_csv(p, [f"{before},5", f"{label},6"])
+        if parsed:
+            series = ingest_csv(p, config_for(p, tmp_path))
+            assert series.periods() == [before, str(expected)]
+            assert series.values.tolist() == [5.0, 6.0]
+            return
+        with pytest.raises(MalformedRowError) as info:
+            ingest_csv(p, config_for(p, tmp_path))
+        assert type(info.value) is MalformedRowError
+        assert str(info.value) == f"line 3: {expected}"
+        assert info.value.line_number == 3
+
+    def test_non_adjacent_duplicate_after_100_rows(self, tmp_path):
+        p = tmp_path / "dup100.csv"
+        start = Period(2000, 1)
+        rows = [f"{start.plus_months(k)},{100 + k}" for k in range(100)]
+        write_csv(p, rows + ["2003-05,7"])
+        with pytest.raises(DuplicateMonthError) as info:
+            ingest_csv(p, config_for(p, tmp_path))
+        assert str(info.value) == "duplicate month in input: 2003-05"
+        assert info.value.period == "2003-05"
+
+    def test_decreasing_period_reports_line(self, tmp_path):
+        p = tmp_path / "decreasing.csv"
+        write_csv(p, [f"2015-{m:02d},{m}" for m in range(1, 6)] + ["2014-11,9"])
+        with pytest.raises(MalformedRowError) as info:
+            ingest_csv(p, config_for(p, tmp_path))
+        assert str(info.value) == \
+            "line 7: periods must be increasing, got 2014-11 after 2015-05"
+        assert info.value.line_number == 7
+
+    def test_gap_after_year_boundary(self, tmp_path):
+        p = tmp_path / "gap.csv"
+        write_csv(p, ["2015-11,1", "2015-12,2", "2016-02,3"])
+        with pytest.raises(MonthGapError) as info:
+            ingest_csv(p, config_for(p, tmp_path))
+        assert str(info.value) == "month gap in input: 2016-01 is missing"
+
+    def test_count_too_large_to_represent(self, tmp_path, capsys):
+        p = tmp_path / "huge.csv"
+        write_csv(p, ["2015-01,1", "2015-02," + "9" * 401])
+        with pytest.raises(MalformedRowError) as info:
+            ingest_csv(p, config_for(p, tmp_path))
+        assert str(info.value) == "line 3: count is too large to represent"
+        code = cli_main(["analyze", "--input", str(p),
+                         "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'ingest' failed: line 3: count is too large to represent\n")
 
 
 class TestQqPlotData:
@@ -339,6 +416,127 @@ class TestRunPipeline:
         with pytest.raises(OSError, match="no space"):
             write_outputs(report, out)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def _figure_rows_per_cell(x, fit, centered, acf, hist, qq, raw_spec,
+                          smooth_spec, ar_spec) -> dict:
+    """Figure rows built one cell at a time, numpy scalars left in place."""
+    figures = {}
+    rows = [("period", "t", "observed", "fitted")]
+    for i, period in enumerate(x.periods()):
+        rows.append((period, i + 1, x.values[i], fit.fitted.values[i]))
+    figures["fig_trend.csv"] = rows
+    rows = [("t", "fitted", "residual")]
+    for i in range(len(x)):
+        rows.append((i + 1, fit.fitted.values[i], fit.residuals.values[i]))
+    figures["fig_residuals.csv"] = rows
+    figures["fig_qq.csv"] = [("theoretical_quantile", "sample_quantile")] + [
+        (t, s) for t, s in qq]
+    rows = [("panel", "x", "y", "band")]
+    for i in range(len(centered)):
+        rows.append(("series", i + 1, centered.values[i], ""))
+    for lag, rho in zip(acf.lags.tolist(), acf.autocorrelation.tolist()):
+        rows.append(("sacf", lag, rho, acf.band))
+    figures["fig_diff_sacf.csv"] = rows
+    rows = [("panel", "x", "x2", "y")]
+    for i in range(hist.counts.size):
+        rows.append(("bar", hist.bin_edges[i], hist.bin_edges[i + 1],
+                     int(hist.counts[i])))
+    for xv, dv in zip(hist.overlay_x.tolist(), hist.overlay_density.tolist()):
+        rows.append(("normal_density", xv, "", dv))
+    figures["fig_hist.csv"] = rows
+    rows = [("frequency", "raw_power", "smoothed_power")]
+    for f, raw, smooth in zip(raw_spec.frequencies.tolist(),
+                              raw_spec.power.tolist(),
+                              smooth_spec.power.tolist()):
+        rows.append((f, raw, smooth))
+    figures["fig_spectrum_np.csv"] = rows
+    rows = [("frequency", "power")]
+    for f, p in zip(ar_spec.frequencies.tolist(), ar_spec.power.tolist()):
+        rows.append((f, p))
+    figures["fig_spectrum_ar.csv"] = rows
+    return figures
+
+
+def _format_cell(cell) -> str:
+    if isinstance(cell, float):
+        return repr(cell)
+    return str(cell)
+
+
+def _per_cell_bytes(figures: dict, out: Path) -> dict:
+    """The cell-by-cell writer: one writerow of formatted cells per row."""
+    out.mkdir(parents=True)
+    for name, rows in figures.items():
+        with open(out / name, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            for row in rows:
+                writer.writerow([_format_cell(cell) for cell in row])
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+class TestFigureWriter:
+    """write_outputs renders columns once; its bytes must equal those of
+    figure rows built and formatted one cell at a time."""
+
+    def _assert_same_bytes(self, cfg, tmp_path, monkeypatch, patch_args=None):
+        captured = []
+        real = pipeline._figure_rows
+
+        def capture(*args):
+            captured.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(pipeline, "_figure_rows", capture)
+        report = run_pipeline(cfg)
+        args = captured[0] if patch_args is None else patch_args(captured[0])
+        report = AnalysisReport(body=report.body, figures=real(*args))
+        written = write_outputs(report, tmp_path / "columnar")
+        got = {p.name: p.read_bytes() for p in written}
+        assert got.pop("report.json") == report.to_json().encode()
+        want = _per_cell_bytes(_figure_rows_per_cell(*args), tmp_path / "per_cell")
+        assert sorted(got) == sorted(want) == sorted(pipeline.FIGURE_FILES)
+        for name in pipeline.FIGURE_FILES:
+            assert got[name] == want[name], name
+        return got
+
+    def test_bundled_data(self, dataset_path, tmp_path, monkeypatch):
+        got = self._assert_same_bytes(config_for(dataset_path, tmp_path),
+                                      tmp_path, monkeypatch)
+        assert got["fig_trend.csv"].count(b"\n") == 68
+
+    @pytest.mark.parametrize("estimator", ["yule_walker", "least_squares"])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_long_synthetic_inputs(self, tmp_path, monkeypatch, index, estimator):
+        counts = _bench_workloads().synthetic_counts(77, index)
+        p = tmp_path / "long.csv"
+        write_csv(p, [f"{1700 + k // 12:04d}-{k % 12 + 1:02d},{v}"
+                      for k, v in enumerate(counts.tolist())])
+        self._assert_same_bytes(config_for(p, tmp_path, ar_estimator=estimator),
+                                tmp_path, monkeypatch)
+
+    def test_degenerate_histogram(self, dataset_path, tmp_path, monkeypatch):
+        # Differenced integer counts cannot have a range of a few ulps, so the
+        # degenerate histogram is swapped in for the bundled data's.
+        hist = histogram_data(np.full(9, 1e6 / 3.0))
+        assert hist.degenerate
+
+        def swap_hist(args):
+            return args[:4] + (hist,) + args[5:]
+
+        got = self._assert_same_bytes(config_for(dataset_path, tmp_path),
+                                      tmp_path, monkeypatch, swap_hist)
+        assert got["fig_hist.csv"].count(b"\n") == 3  # header, 1 bar, 1 point
+
+    def test_custom_columns(self, dataset_path, tmp_path, monkeypatch):
+        with open(dataset_path, newline="", encoding="utf-8-sig") as fh:
+            rows = list(csv.reader(fh))[1:]
+        p = tmp_path / "custom.csv"
+        write_csv(p, [f"{count},note {i},{period}"
+                      for i, (period, count) in enumerate(rows)],
+                  header="count,notes,month")
+        cfg = config_for(p, tmp_path, date_column="month", value_column="count")
+        self._assert_same_bytes(cfg, tmp_path, monkeypatch)
 
 
 class TestCli:

@@ -38,6 +38,15 @@ class TestTimeSeries:
         x = TimeSeries(np.array([1.0, 2.0, 3.0]), start_period=Period(2019, 11))
         assert x.periods() == ["2019-11", "2019-12", "2020-01"]
 
+    def test_periods_listing_matches_plus_months(self):
+        start = Period(998, 7)
+        x = TimeSeries(np.zeros(40), start_period=start)
+        labels = x.periods()
+        assert labels == [str(start.plus_months(t)) for t in range(40)]
+        assert labels[5:7] == ["0998-12", "0999-01"]
+        assert labels[-1] == "1001-10"
+        assert Period.parse(labels[-1]).index - start.index == 39
+
 
 class TestDifference:
     def test_first_difference(self):

@@ -1,6 +1,6 @@
-"""Small dense linear-algebra kernels: pivoted solve, Householder least squares,
-and a Durand-Kerner polynomial root finder. Sized for the tiny systems this
-toolkit needs (order <= a few dozen).
+"""Small dense linear-algebra kernels: Householder least squares and a
+Durand-Kerner polynomial root finder. Sized for the tiny systems this toolkit
+needs (order <= a few dozen).
 
 Least squares is two steps that callers may also run apart:
 ``householder_triangularize`` reduces a design in place to R, applies the same
@@ -18,27 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateFitError
-
-
-def solve_linear_system(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` by Gaussian elimination with partial pivoting."""
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or b.shape != (n,):
-        raise DegenerateFitError("solve_linear_system expects a square system")
-    scale = max(float(np.abs(a).max()), 1e-300)
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot_row, col]) < 1e-13 * scale:
-            raise DegenerateFitError("linear system is singular to working precision")
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-        factors = a[col + 1:, col] / a[col, col]
-        a[col + 1:, col:] -= factors[:, None] * a[col, col:]
-        b[col + 1:] -= factors * b[col]
-    return back_substitute(a, b)
 
 
 def back_substitute(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:

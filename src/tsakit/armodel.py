@@ -31,8 +31,8 @@ class ArModel:
     """AR(p) model x_t - mean = sum_j phi_j (x_{t-j} - mean) + w_t.
 
     The characteristic roots are solved once per model, on first use, and
-    shared by ``characteristic_roots``, ``is_stationary`` and
-    ``unit_root_flags`` (and so by every caller of those).
+    shared by ``characteristic_roots`` and ``unit_root_flags``, which feed the
+    report's root list. Stationarity is decided without them (``is_stationary``).
     """
 
     phi: tuple[float, ...]
@@ -176,7 +176,7 @@ def fit_ar_least_squares(x: Sequence[float], p: int) -> ArModel:
     sigma2 = sse / (n - p)
     phi_sum = sum(phi)
     mean = intercept / (1.0 - phi_sum) if abs(1.0 - phi_sum) > 1e-10 else float(arr.mean())
-    return ArModel(phi=phi, sigma2=max(sigma2, 0.0), mean=mean,
+    return ArModel(phi=phi, sigma2=sigma2, mean=mean,
                    estimation_method="least_squares", n_used=n)
 
 
@@ -232,7 +232,7 @@ def select_order_aic(x: Sequence[float], max_order: int,
                 AicRow(order=0, sigma2=None, aic=None, error="zero variance")]
         rows += _least_squares_rows(arr, max_order)
 
-    valid = [r for r in rows if r.error is None and r.aic is not None]
+    valid = [r for r in rows if r.error is None]
     if not valid:
         raise DegenerateFitError("AIC evaluation failed at every candidate order")
     best = min(valid, key=lambda r: (r.aic, r.order))
@@ -303,11 +303,33 @@ def characteristic_roots(model: ArModel) -> np.ndarray:
     return model._roots.copy()
 
 
+def _step_down(phi: Sequence[float]) -> Optional[list[list[float]]]:
+    """Levinson-Durbin run backwards from the order-p coefficients ``phi``
+    (the Schur-Cohn step-down), on plain Python floats.
+
+    Returns the coefficient vectors of orders 0..p, where kappa_k, the last
+    entry of order k, is its reflection coefficient; or None as soon as some
+    |kappa_k| >= 1 or is NaN. Every |kappa_k| < 1 holds exactly when every
+    root of 1 - phi_1 z - ... - phi_p z^p lies outside the unit circle.
+    """
+    orders = [list(phi)]
+    while orders[-1]:
+        *head, kappa = orders[-1]
+        if not abs(kappa) < 1.0:
+            return None
+        scale = 1.0 - kappa * kappa
+        orders.append([(u + kappa * w) / scale for u, w in zip(head, reversed(head))])
+    return orders[::-1]
+
+
 def is_stationary(model: ArModel) -> bool:
-    """True when every characteristic root lies strictly outside the unit circle."""
-    if model.order == 0:
-        return True
-    return bool(np.abs(model._roots).min() > 1.0 + UNIT_ROOT_TOL)
+    """True when every characteristic root lies strictly outside the unit circle.
+
+    Decided from the reflection coefficients (``_step_down``) without solving
+    for the roots. A stationary model may still have a root within
+    UNIT_ROOT_TOL of the unit circle, which ``unit_root_flags`` flags.
+    """
+    return _step_down(model.phi) is not None
 
 
 def unit_root_flags(model: ArModel) -> np.ndarray:

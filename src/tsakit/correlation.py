@@ -58,38 +58,27 @@ def sample_acf(x: Sequence[float], max_lag: int) -> AcfEstimate:
 def theoretical_ar_acf(model, max_lag: int) -> np.ndarray:
     """Autocorrelations rho_0..rho_max_lag implied by a stationary AR model.
 
-    Solves the order-p Yule-Walker system for the first p autocorrelations and
-    extends by the recursion rho_h = sum_j phi_j rho_{h-j}.
+    Steps the model down to its reflection coefficients kappa_k and
+    lower-order coefficient vectors phi_{k,j} (``armodel._step_down``), then
+    runs the Levinson relation forward: rho_k = kappa_k v_{k-1} +
+    sum_j phi_{k-1,j} rho_{k-j} with v_0 = 1 and v_k = v_{k-1} (1 - kappa_k^2),
+    for k = 1..p. Lags past p follow the recursion rho_h = sum_j phi_j rho_{h-j}.
     """
-    from .armodel import is_stationary  # local import to avoid a cycle
+    from .armodel import _step_down  # local import: armodel imports this module
 
     if max_lag < 1:
         raise InvalidArgumentError(f"max_lag must be >= 1, got {max_lag}")
-    if not is_stationary(model):
+    orders = _step_down(model.phi)
+    if orders is None:
         raise NonStationaryModelError(
             "theoretical ACF requires a stationary model (all roots outside the unit circle)")
-    phi = np.asarray(model.phi, dtype=float)
-    p = phi.size
-    rho = np.zeros(max_lag + 1)
-    rho[0] = 1.0
-    if p == 0:
-        return rho
-
-    # Yule-Walker: rho_k = sum_j phi_j rho_{|k-j|}, k = 1..p, as a linear system.
-    from ._linalg import solve_linear_system
-
-    a = np.zeros((p, p))
-    b = np.zeros(p)
-    for k in range(1, p + 1):
-        b[k - 1] = phi[k - 1]
-        for j in range(1, p + 1):
-            lag = abs(k - j)
-            if lag == 0:
-                continue
-            a[k - 1, lag - 1] += phi[j - 1]
-    head = solve_linear_system(np.eye(p) - a, b)
-    upto = min(p, max_lag)
-    rho[1: upto + 1] = head[:upto]
-    for h in range(p + 1, max_lag + 1):
-        rho[h] = float(phi @ rho[h - p: h][::-1])
-    return rho
+    rho = [1.0]
+    v = 1.0
+    for lower, upper in zip(orders, orders[1:]):
+        kappa = upper[-1]
+        rho.append(kappa * v + sum(c * r for c, r in zip(lower, reversed(rho))))
+        v *= 1.0 - kappa * kappa
+    phi = orders[-1]
+    while len(rho) <= max_lag:
+        rho.append(sum(c * r for c, r in zip(phi, reversed(rho))))
+    return np.array(rho[:max_lag + 1])

@@ -14,6 +14,7 @@ import csv
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -110,6 +111,10 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig) -> TimeSeries:
             try:
                 value = int(raw)
             except ValueError:
+                # int() refuses more digits than sys.get_int_max_str_digits().
+                if raw.isascii() and raw.isdigit():
+                    raise MalformedRowError(
+                        "count is too large to represent", line_number) from None
                 raise MalformedRowError(
                     f"count must be an integer, got {raw!r}", line_number) from None
             if value < 0:
@@ -180,7 +185,7 @@ def histogram_data(x: Sequence[float], bins: Union[int, str] = "auto") -> Histog
         idx = np.minimum(((arr - lo) / (hi - lo) * n_bins).astype(int), n_bins - 1)
         counts = np.bincount(idx, minlength=n_bins)
     mean = float(arr.mean())
-    var = float(arr.var(ddof=1)) if n > 1 else 0.0
+    var = float(arr.var(ddof=1))
     if var > 0.0:
         xs = np.linspace(edges[0], edges[-1], 101)
         density = np.exp(-0.5 * (xs - mean) ** 2 / var) / math.sqrt(2 * math.pi * var)
@@ -207,8 +212,8 @@ def _fingerprint(path: Union[str, Path], x: TimeSeries) -> dict:
     start = x.start_period
     return {
         "row_count": len(x),
-        "first_period": str(start) if start else None,
-        "last_period": str(start.plus_months(len(x) - 1)) if start else None,
+        "first_period": str(start),
+        "last_period": str(start.plus_months(len(x) - 1)),
         "sha256": digest,
     }
 
@@ -247,36 +252,38 @@ def _model_section(model: ArModel) -> dict:
     }
 
 
+@contextmanager
+def _stage(name: str):
+    """Re-raise a TsaError from the block as PipelineStageError(name, exc)."""
+    try:
+        yield
+    except TsaError as exc:
+        raise PipelineStageError(name, exc) from exc
+
+
 def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     """Execute every stage and assemble the report; see module docstring."""
+    with _stage("ingest"):
+        x = ingest_csv(config.input_path, config)
 
-    def stage(name: str, fn):
-        try:
-            return fn()
-        except TsaError as exc:
-            raise PipelineStageError(name, exc) from exc
-
-    x = stage("ingest", lambda: ingest_csv(config.input_path, config))
-
-    fit = stage("trend-regression", lambda: fit_linear_trend(x))
+    with _stage("trend-regression"):
+        fit = fit_linear_trend(x)
     residuals = fit.residuals.values
 
-    jb = stage("residual-diagnostics", lambda: jarque_bera(residuals))
-    sw = stage("residual-diagnostics", lambda: shapiro_wilk(residuals))
+    with _stage("residual-diagnostics"):
+        jb = jarque_bera(residuals)
+        sw = shapiro_wilk(residuals)
 
-    def do_difference():
+    with _stage("difference"):
         if config.truncate_head >= len(x) - 1:
             raise InvalidArgumentError(
                 f"truncate_head={config.truncate_head} leaves too few points")
         truncated = x.with_values(x.values[config.truncate_head:],
                                   shift_months=config.truncate_head)
-        diffed = difference(truncated, 1)
-        return demean(diffed)
+        centered, removed_mean = demean(difference(truncated, 1))
 
-    centered, removed_mean = stage("difference", do_difference)
-
-    kpss = stage("stationarity-test",
-                 lambda: kpss_level(centered.values, config.kpss_lag))
+    with _stage("stationarity-test"):
+        kpss = kpss_level(centered.values, config.kpss_lag)
 
     n_diff = len(centered)
     if config.aic_max_order == "auto":
@@ -286,29 +293,27 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     else:
         max_order = int(config.aic_max_order)
 
-    aic = stage("identification",
-                lambda: select_order_aic(centered.values, max_order,
-                                         config.ar_estimator))
+    with _stage("identification"):
+        aic = select_order_aic(centered.values, max_order, config.ar_estimator)
 
-    def do_fit():
-        if config.ar_estimator == "yule_walker":
-            return fit_ar_yule_walker(centered.values, aic.selected_order)
-        if aic.selected_order == 0:
-            return fit_ar_yule_walker(centered.values, 0)
-        return fit_ar_least_squares(centered.values, aic.selected_order)
+    with _stage("estimation"):
+        if config.ar_estimator == "yule_walker" or aic.selected_order == 0:
+            model = fit_ar_yule_walker(centered.values, aic.selected_order)
+        else:
+            model = fit_ar_least_squares(centered.values, aic.selected_order)
+        model_section = _model_section(model)  # the root list solves the roots
 
-    model = stage("estimation", do_fit)
+    with _stage("spectral"):
+        raw_spec = periodogram(centered.values, demean=True)
+        smooth_spec = daniell_smooth(raw_spec, config.daniell_spans)
+        ar_spec = ar_psd(model, AR_PSD_GRID)
 
-    raw_spec = stage("spectral",
-                     lambda: periodogram(centered.values, demean=True))
-    smooth_spec = stage("spectral",
-                        lambda: daniell_smooth(raw_spec, config.daniell_spans))
-    ar_spec = stage("spectral", lambda: ar_psd(model, AR_PSD_GRID))
+    with _stage("sacf"):
+        acf = sample_acf(centered.values, min(24, n_diff - 1))
 
-    acf = stage("sacf", lambda: sample_acf(centered.values,
-                                           min(24, n_diff - 1)))
-    qq = stage("figure-data", lambda: qq_plot_data(residuals))
-    hist = stage("figure-data", lambda: histogram_data(centered.values))
+    with _stage("figure-data"):
+        qq = qq_plot_data(residuals)
+        hist = histogram_data(centered.values)
 
     body = {
         "report_format_version": REPORT_FORMAT_VERSION,
@@ -326,7 +331,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             "mean_removed": removed_mean,
             "kpss": kpss.to_dict(),
             "aic": aic.to_dict(),
-            "selected_model": _model_section(model),
+            "selected_model": model_section,
         },
         "spectra": {
             "raw_periodogram": {"file": "fig_spectrum_np.csv",

@@ -6,16 +6,18 @@ import pytest
 from tsakit import _linalg, rng
 from tsakit._linalg import polynomial_roots
 from tsakit.armodel import (AicRow, AicTable, ArModel, RandomWalkSpec, _aic_row,
-                            characteristic_roots, default_burn_in,
+                            _step_down, characteristic_roots, default_burn_in,
                             fit_ar_least_squares, fit_ar_yule_walker,
                             is_stationary, levinson_durbin, psi_weights,
                             random_walk_moments, select_order_aic,
                             simulate_ar, simulate_random_walk,
                             unit_root_flags)
-from tsakit.correlation import autocovariance
+from tsakit.cli import main as cli_main
+from tsakit.correlation import autocovariance, theoretical_ar_acf
 from tsakit.errors import (ConvergenceError, DegenerateFitError,
                            InvalidArgumentError, NonStationaryModelError,
                            TsaError)
+from tsakit.spectral import ar_psd
 from tsakit.stattests import jarque_bera
 
 
@@ -490,6 +492,91 @@ class TestSimulateAr:
     def test_recovery_within_tolerance(self, ar_recovery):
         assert ar_recovery["ar1_median"] < 0.05
         assert ar_recovery["ar2_median"] < 0.05
+
+
+def _ar_from_root_moduli(p: int, seed: int) -> tuple[tuple[float, ...], bool]:
+    """phi of an AR(p) whose roots have moduli drawn from 0.9-2: p // 2
+    conjugate pairs at random angles, plus a real root of random sign when p
+    is odd. Returns (phi, stationary); the model is stationary exactly when
+    every modulus exceeds 1 (the closest draw for p <= 40 and seeds 0-9 is
+    1.1e-3 away from 1)."""
+    draw = np.random.default_rng(seed)
+    moduli = draw.uniform(0.9, 2.0, (p + 1) // 2)
+    roots = moduli[:p // 2] * np.exp(1j * draw.uniform(0.1, 3.0, p // 2))
+    roots = np.concatenate((roots, roots.conj()))
+    if p % 2:
+        roots = np.append(roots, moduli[-1] * draw.choice([-1.0, 1.0]))
+    return tuple((-np.poly(1.0 / roots).real[1:]).tolist()), bool(moduli.min() > 1.0)
+
+
+class TestStepDown:
+    def test_ar2_steps_down_to_its_reflection_coefficients(self):
+        # kappa_2 = phi_2 and phi_{1,1} = phi_1 (1 + kappa_2) / (1 - kappa_2^2).
+        orders = _step_down((0.5, 0.3))
+        assert [len(a) for a in orders] == [0, 1, 2]
+        assert orders[1][0] == pytest.approx(5.0 / 7.0, abs=1e-15)
+        assert orders[2] == [0.5, 0.3]
+
+    @pytest.mark.parametrize("phi", [(1.0,), (-1.0,), (0.5, 0.5), (0.2, -1.5),
+                                     (1e308, 1e308, 0.5), (math.nan,)])
+    def test_unit_or_outside_reflection_returns_none(self, phi):
+        # (0.5, 0.5) has a root at z = 1; the overflowing model steps down
+        # through inf to a NaN reflection coefficient.
+        assert _step_down(phi) is None
+
+    def test_seed30_ar30_is_stationary_and_simulates(self):
+        # Every |kappa| <= 0.8, but the smallest root modulus is 1 + 4.8e-9,
+        # inside the UNIT_ROOT_TOL a root-based verdict needs.
+        model = ArModel(phi=tuple(-_stable_ar_polynomial(30, seed=30)[1:]), sigma2=1.0)
+        assert is_stationary(model)
+        values = simulate_ar(model, 500, seed=3).values
+        assert values.size == 500 and np.isfinite(values).all()
+
+    @pytest.mark.parametrize("p", range(2, 41))
+    def test_verdict_matches_construction(self, p):
+        # 390 models, 129 of them stationary. The Durand-Kerner root finder
+        # fails to converge on 71 of them (19 stationary, the first p = 14,
+        # seed 8), so a verdict from the roots could not decide those.
+        for seed in range(10):
+            phi, stationary = _ar_from_root_moduli(p, seed)
+            assert is_stationary(ArModel(phi=phi, sigma2=1.0)) is stationary
+
+    @pytest.mark.parametrize("p", range(1, 41))
+    def test_theoretical_acf_meets_yule_walker(self, p):
+        # Includes p = 30, 31, 35, 38 and 39, whose roots lie within
+        # UNIT_ROOT_TOL of the unit circle.
+        phi = -_stable_ar_polynomial(p, seed=p)[1:]
+        rho = theoretical_ar_acf(ArModel(phi=tuple(phi), sigma2=1.0), p + 5)
+        for k in range(1, p + 6):
+            implied = sum(phi[j - 1] * rho[abs(k - j)] for j in range(1, p + 1))
+            assert abs(rho[k] - implied) <= 1e-12
+
+    def test_stationarity_users_solve_no_roots(self, monkeypatch):
+        calls = []
+
+        def counting(coeffs, *args, **kwargs):
+            calls.append(len(coeffs))
+            return polynomial_roots(coeffs, *args, **kwargs)
+
+        monkeypatch.setattr("tsakit.armodel.polynomial_roots", counting)
+        model = ArModel(phi=tuple(-_stable_ar_polynomial(11, seed=11)[1:]), sigma2=1.0)
+        simulate_ar(model, 100, seed=1)
+        ar_psd(model, 17)
+        theoretical_ar_acf(model, 20)
+        assert calls == []
+        characteristic_roots(model)
+        assert calls == [12]
+
+    def test_cli_simulates_ar11_the_root_finder_cannot_solve(self, tmp_path):
+        # Stationary (smallest root modulus 1.25), but Durand-Kerner does not
+        # converge on it within its 800 iterations.
+        phi, stationary = _ar_from_root_moduli(11, seed=197)
+        assert stationary
+        out = tmp_path / "ar11.csv"
+        code = cli_main(["simulate", "ar", "--phi=" + ",".join(map(repr, phi)),
+                         "--n", "200", "--seed", "5", "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 201
 
 
 class TestRandomWalk:

@@ -15,7 +15,8 @@ import pytest
 from tsakit import pipeline, rng
 from tsakit._linalg import polynomial_roots
 from tsakit.cli import main as cli_main
-from tsakit.errors import (DuplicateMonthError, InsufficientDataError,
+from tsakit.errors import (ConvergenceError, DegenerateFitError,
+                           DuplicateMonthError, InsufficientDataError,
                            InvalidArgumentError, MalformedRowError,
                            MissingInputError, MonthGapError, PipelineStageError)
 from tsakit.pipeline import (AnalysisReport, PipelineConfig, histogram_data,
@@ -192,6 +193,16 @@ class TestIngest:
         assert capsys.readouterr().err == (
             "error: stage 'ingest' failed: line 3: count is too large to represent\n")
 
+    def test_count_beyond_int_digit_limit(self, tmp_path, capsys):
+        # int() refuses strings of more than 4300 digits by default.
+        p = tmp_path / "huge.csv"
+        write_csv(p, ["2015-01,1", "2015-02," + "9" * 4301])
+        code = cli_main(["analyze", "--input", str(p),
+                         "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'ingest' failed: line 3: count is too large to represent\n")
+
 
 class TestQqPlotData:
     def test_three_point_plotting_positions(self):
@@ -291,6 +302,44 @@ class TestRunPipeline:
         monkeypatch.setattr(tsakit.armodel, "polynomial_roots", counting)
         run_pipeline(default_config)
         assert calls == [12]  # the selected AR(11): 1 - phi_1 z - ... - phi_11 z^11
+
+    @pytest.mark.parametrize("stage, function", [
+        ("ingest", "ingest_csv"),
+        ("trend-regression", "fit_linear_trend"),
+        ("residual-diagnostics", "shapiro_wilk"),
+        ("difference", "difference"),
+        ("stationarity-test", "kpss_level"),
+        ("identification", "select_order_aic"),
+        ("estimation", "fit_ar_yule_walker"),
+        ("spectral", "ar_psd"),
+        ("sacf", "sample_acf"),
+        ("figure-data", "histogram_data"),
+    ])
+    def test_failing_stage_is_named(self, default_config, monkeypatch, capsys,
+                                    stage, function):
+        def failing(*args, **kwargs):
+            raise DegenerateFitError(f"{function} failed")
+
+        monkeypatch.setattr(pipeline, function, failing)
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(default_config)
+        assert info.value.stage == stage
+        assert isinstance(info.value.cause, DegenerateFitError)
+        code = cli_main(["analyze", "--input", default_config.input_path,
+                         "--output", default_config.output_dir])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: stage '{stage}' failed: {function} failed\n")
+
+    def test_unsolved_roots_fail_the_estimation_stage(self, default_config, monkeypatch):
+        # The report's root list is the only user of the root finder.
+        def failing(coeffs, *args, **kwargs):
+            raise ConvergenceError("no convergence", iterations=800, residual=1.0)
+
+        monkeypatch.setattr("tsakit.armodel.polynomial_roots", failing)
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(default_config)
+        assert info.value.stage == "estimation"
 
     def test_emitted_lengths_follow_stage_order(self, tmp_path):
         n = 40

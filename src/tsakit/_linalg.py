@@ -12,7 +12,7 @@ R and Q^T y for every order.
 
 The root finder updates every root at once from the pairwise difference matrix
 (O(n^2) memory, fine at these orders) and raises ConvergenceError instead of
-returning an unconverged iterate."""
+returning an iterate that has not found the roots."""
 from __future__ import annotations
 
 import numpy as np
@@ -82,9 +82,11 @@ def polynomial_roots(coeffs: np.ndarray, max_iter: int = 800,
 
     ``coeffs`` is low-order first with a non-zero leading coefficient. Each
     iteration updates all roots together: z_i -= p(z_i) / prod_{j != i}(z_i - z_j).
-    Raises ConvergenceError, carrying the iteration count and the largest
-    |p(z_i)| of the last iterate, if the update has not settled within
-    ``max_iter`` iterations.
+    The iterate is returned once the update settles, or after ``max_iter``
+    iterations if each |p(z_i)| is within the rounding bound
+    2 n eps sum_j |c_j| |z_i|^j (some updates never settle on found roots).
+    Otherwise ConvergenceError carries the iteration count and the largest
+    |p(z_i)|, inf when the iterate overflows.
     """
     c = np.asarray(coeffs, dtype=complex)
     degree = c.size - 1
@@ -99,24 +101,33 @@ def polynomial_roots(coeffs: np.ndarray, max_iter: int = 800,
     angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
     z = radius * np.exp(1j * angles)
 
-    def poly_at(v: np.ndarray) -> np.ndarray:
-        out = np.full_like(v, monic[-1])
-        for coef in monic[-2::-1]:
+    def poly_at(v: np.ndarray, coefs: np.ndarray = monic) -> np.ndarray:
+        out = np.full_like(v, coefs[-1])
+        for coef in coefs[-2::-1]:
             out = out * v + coef
         return out
 
     diagonal = np.diag_indices(degree)
-    for _ in range(max_iter):
-        values = poly_at(z)
-        # A unit diagonal drops the j == i factor; multiplying by 1+0j is exact,
-        # so each product equals the one over the other roots alone.
-        diff = z[:, None] - z[None, :]
-        diff[diagonal] = 1.0
-        delta = values / diff.prod(axis=1)
-        z = z - delta
-        if np.abs(delta).max() < tol * max(1.0, float(np.abs(z).max())):
-            return z
-    residual = float(np.abs(poly_at(z)).max() * abs(c[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, max_iter + 1):
+            values = poly_at(z)
+            # A unit diagonal drops the j == i factor; multiplying by 1+0j is
+            # exact, so each product equals the one over the other roots alone.
+            diff = z[:, None] - z[None, :]
+            diff[diagonal] = 1.0
+            delta = values / diff.prod(axis=1)
+            z = z - delta
+            step = float(np.abs(delta).max())
+            if step < tol * max(1.0, float(np.abs(z).max())):
+                return z
+            if not np.isfinite(step):
+                message = f"Durand-Kerner iterate is not finite at iteration {iteration}"
+                raise ConvergenceError(message, iterations=iteration, residual=np.inf)
+        residuals = np.abs(poly_at(z))
+        bound = 2 * degree * np.finfo(float).eps * poly_at(np.abs(z), np.abs(monic))
+    if (residuals <= bound).all() and np.isfinite(bound).all():
+        return z
+    residual = float(residuals.max() * abs(c[-1]))
     raise ConvergenceError(
         f"Durand-Kerner did not converge in {max_iter} iterations "
         f"(max |p(z)| = {residual:.3g})", iterations=max_iter, residual=residual)

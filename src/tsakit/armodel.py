@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -30,9 +29,8 @@ UNIT_ROOT_TOL = 1e-8
 class ArModel:
     """AR(p) model x_t - mean = sum_j phi_j (x_{t-j} - mean) + w_t.
 
-    The characteristic roots are solved once per model, on first use, and
-    shared by ``characteristic_roots`` and ``unit_root_flags``, which feed the
-    report's root list. Stationarity is decided without them (``is_stationary``).
+    Stationarity is decided without the characteristic roots
+    (``is_stationary``); ``characteristic_roots`` solves for them on each call.
     """
 
     phi: tuple[float, ...]
@@ -52,17 +50,6 @@ class ArModel:
     @property
     def order(self) -> int:
         return len(self.phi)
-
-    @cached_property
-    def _roots(self) -> np.ndarray:
-        # cached_property stores into the instance __dict__, bypassing the
-        # frozen __setattr__; __eq__ and __hash__ see only the fields.
-        if self.order == 0:
-            roots = np.empty(0, dtype=complex)
-        else:
-            roots = polynomial_roots(np.concatenate(([1.0], -np.asarray(self.phi))))
-        roots.flags.writeable = False
-        return roots
 
 
 @dataclass(frozen=True)
@@ -132,7 +119,7 @@ def levinson_durbin(gamma: Sequence[float], order: int) -> tuple[list[np.ndarray
     phi = np.empty(0)
     v = float(gamma[0])
     for k in range(1, order + 1):
-        num = gamma[k] - float(phi @ gamma[k - 1:0:-1]) if k > 1 else gamma[1]
+        num = gamma[k] - float(phi @ gamma[k - 1:0:-1])
         kappa = num / v
         if not math.isfinite(kappa) or abs(kappa) >= 1.0:
             exc = DegenerateFitError(
@@ -296,11 +283,9 @@ def _aic_row(k: int, sigma2: float, n: int) -> AicRow:
 
 
 def characteristic_roots(model: ArModel) -> np.ndarray:
-    """Roots of phi(z) = 1 - phi_1 z - ... - phi_p z^p (empty for p = 0).
-
-    Returns a copy of the model's cached roots, so callers may modify it.
-    """
-    return model._roots.copy()
+    """Roots of phi(z) = 1 - phi_1 z - ... - phi_p z^p (empty for p = 0),
+    solved afresh by ``polynomial_roots`` on each call."""
+    return polynomial_roots(np.concatenate(([1.0], -np.asarray(model.phi))))
 
 
 def _step_down(phi: Sequence[float]) -> Optional[list[list[float]]]:
@@ -333,8 +318,12 @@ def is_stationary(model: ArModel) -> bool:
 
 
 def unit_root_flags(model: ArModel) -> np.ndarray:
-    """Boolean flag per root: modulus within UNIT_ROOT_TOL of the unit circle."""
-    return np.abs(np.abs(model._roots) - 1.0) <= UNIT_ROOT_TOL
+    """Flags |modulus - 1| <= UNIT_ROOT_TOL per root of ``characteristic_roots``."""
+    return _near_unit_circle(characteristic_roots(model))
+
+
+def _near_unit_circle(roots: np.ndarray) -> np.ndarray:
+    return np.abs(np.abs(roots) - 1.0) <= UNIT_ROOT_TOL
 
 
 def psi_weights(model: ArModel, count: int) -> np.ndarray:

@@ -153,19 +153,18 @@ def main(argv=None) -> int:
             sys.stdout.write("\n".join(str(p) for p in written) + "\n")
             sys.stdout.flush()
             return EXIT_OK
-        if args.command == "simulate":
-            seed = _resolve_seed(args.seed)
-            if args.model == "ar":
-                model = ArModel(phi=_parse_phi(args.phi), sigma2=args.sigma2,
-                                mean=args.mean)
-                series = simulate_ar(model, args.n, seed=seed, burn_in=args.burn_in)
-            else:
-                spec = RandomWalkSpec(drift=args.drift,
-                                      innovation_sigma2=args.sigma2, y0=args.y0)
-                series = simulate_random_walk(spec, args.n, seed=seed)
-            _emit_series(series.values, args.out)
-            return EXIT_OK
-        parser.error(f"unknown command {args.command!r}")
+        # The subcommand is required, so anything else is "simulate".
+        seed = _resolve_seed(args.seed)
+        if args.model == "ar":
+            model = ArModel(phi=_parse_phi(args.phi), sigma2=args.sigma2,
+                            mean=args.mean)
+            series = simulate_ar(model, args.n, seed=seed, burn_in=args.burn_in)
+        else:
+            spec = RandomWalkSpec(drift=args.drift,
+                                  innovation_sigma2=args.sigma2, y0=args.y0)
+            series = simulate_random_walk(spec, args.n, seed=seed)
+        _emit_series(series.values, args.out)
+        return EXIT_OK
     except PipelineStageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         # Bad input or configuration discovered mid-pipeline is a validation
@@ -188,7 +187,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
-    return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

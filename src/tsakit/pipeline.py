@@ -1,10 +1,12 @@
 """End-to-end analysis pipeline: CSV ingestion, staged computation, reporting.
 
-Stage order is fixed by the methodology being reproduced: fit the linear trend
-on the full series, diagnose its residuals, then truncate the head, take the
-first difference, demean, and run the stationarity test, AR identification and
-spectral estimation on the result. The report is a versioned JSON document and
-each figure's plot data goes to its own CSV, rendered once per column and written
+Ingestion reads month labels with the parser ``Period.parse`` uses. Stage order
+is fixed by the methodology being reproduced: fit the linear trend on the full
+series, diagnose its residuals, then truncate the head, take the first
+difference, demean, and run the stationarity test, AR identification and
+spectral estimation on the result; the fitted model's roots are solved once,
+for the report's root list. The report is a versioned JSON document and each
+figure's plot data goes to its own CSV, rendered once per column and written
 with one ``writerows`` call, in the bytes a cell-by-cell writer gave; files are
 only written after every stage has succeeded.
 """
@@ -24,15 +26,15 @@ import numpy as np
 
 from . import __version__ as _toolkit_version
 from ._fileio import staged_files
-from .armodel import (ArModel, characteristic_roots, fit_ar_least_squares,
-                      fit_ar_yule_walker, is_stationary, select_order_aic,
-                      unit_root_flags)
+from .armodel import (ArModel, _near_unit_circle, characteristic_roots,
+                      fit_ar_least_squares, fit_ar_yule_walker, is_stationary,
+                      select_order_aic)
 from .correlation import sample_acf
 from .errors import (DuplicateMonthError, InsufficientDataError,
                      InvalidArgumentError, MalformedRowError, MissingInputError,
                      MonthGapError, PipelineStageError, TsaError)
 from .regression import LinearTrendFit, fit_linear_trend
-from .series import Period, TimeSeries, _month_label, demean, difference
+from .series import Period, TimeSeries, _month_index, _month_label, demean, difference
 from .spectral import ar_psd, daniell_smooth, periodogram
 from .special import norm_ppf
 from .stattests import jarque_bera, kpss_level, shapiro_wilk
@@ -96,18 +98,13 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig) -> TimeSeries:
                 continue
             if len(row) <= max(date_idx, value_idx):
                 raise MalformedRowError("row has too few columns", line_number)
-            label = row[date_idx]
-            # Plain ASCII YYYY-MM is sliced; Period.parse takes the rest.
-            if (len(label) == 7 and label[4] == "-" and label.isascii()
-                    and label[:4].isdigit() and label[5:].isdigit()
-                    and "01" <= label[5:] <= "12"):
-                month = int(label[:4]) * 12 + int(label[5:]) - 1
-            else:
-                try:
-                    month = Period.parse(label).index
-                except InvalidArgumentError as exc:
-                    raise MalformedRowError(str(exc), line_number) from None
+            try:
+                month = _month_index(row[date_idx])
+            except InvalidArgumentError as exc:
+                raise MalformedRowError(str(exc), line_number) from None
             raw = row[value_idx].strip()
+            if raw.startswith("0") and raw.isascii() and raw.isdigit():
+                raw = raw.lstrip("0") or "0"  # int()'s digit limit counts zeros
             try:
                 value = int(raw)
             except ValueError:
@@ -237,8 +234,7 @@ def _trend_section(fit: LinearTrendFit) -> dict:
 
 
 def _model_section(model: ArModel) -> dict:
-    roots = characteristic_roots(model)
-    flags = unit_root_flags(model)
+    roots = characteristic_roots(model)  # the run's one root solve
     return {
         "order": model.order,
         "phi": list(model.phi),
@@ -247,7 +243,7 @@ def _model_section(model: ArModel) -> dict:
         "estimation_method": model.estimation_method,
         "n_used": model.n_used,
         "roots": [{"re": z.real, "im": z.imag, "modulus": abs(z),
-                   "unit_root": bool(f)} for z, f in zip(roots, flags)],
+                   "unit_root": bool(f)} for z, f in zip(roots, _near_unit_circle(roots))],
         "stationary": is_stationary(model),
     }
 

@@ -17,6 +17,17 @@ def _month_label(index: int) -> str:
     return f"{index // 12:04d}-{index % 12 + 1:02d}"
 
 
+def _month_index(text: str) -> int:
+    """Month index 12 * year + month - 1 of a YYYY-MM label, blanks around it ignored."""
+    m = _PERIOD_RE.match(text.strip())
+    if m is None:
+        raise InvalidArgumentError(f"period must look like YYYY-MM, got {text!r}")
+    month = int(m.group(2))
+    if not 1 <= month <= 12:
+        raise InvalidArgumentError(f"month must be in 1..12, got {month}")
+    return int(m.group(1)) * 12 + month - 1
+
+
 @dataclass(frozen=True, order=True)
 class Period:
     """A calendar year-month label."""
@@ -30,10 +41,9 @@ class Period:
 
     @classmethod
     def parse(cls, text: str) -> "Period":
-        m = _PERIOD_RE.match(text.strip())
-        if m is None:
-            raise InvalidArgumentError(f"period must look like YYYY-MM, got {text!r}")
-        return cls(int(m.group(1)), int(m.group(2)))
+        """The period of a YYYY-MM label, parsed as ``ingest_csv`` parses it."""
+        index = _month_index(text)
+        return cls(index // 12, index % 12 + 1)
 
     @property
     def index(self) -> int:  # consecutive months differ by 1

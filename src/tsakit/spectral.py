@@ -41,12 +41,8 @@ class SpectrumEstimate:
     parameters: dict = field(default_factory=dict)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
 def _fft_radix2(x: np.ndarray) -> np.ndarray:
-    """Iterative Cooley-Tukey on a power-of-two-length complex array."""
+    """Iterative Cooley-Tukey on a power-of-two-length real or complex array."""
     n = x.size
     levels = n.bit_length() - 1
     # Bit-reversal permutation.
@@ -76,6 +72,14 @@ def _dft_direct(x: np.ndarray) -> np.ndarray:
     return basis @ x.astype(complex)
 
 
+def _transform(x: np.ndarray) -> np.ndarray:
+    """Forward DFT of x: radix-2 when len(x) is a power of two, else direct."""
+    n = x.size
+    if n > 0 and (n & (n - 1)) == 0:
+        return _fft_radix2(x)
+    return _dft_direct(x)
+
+
 def dft(x: Sequence[float], pad_to: Optional[int] = None) -> DftResult:
     """DFT of the zero-padded input: X[k] = sum_t x_t exp(-2 pi i k t / N)."""
     arr = np.asarray(x, dtype=float)
@@ -88,22 +92,13 @@ def dft(x: Sequence[float], pad_to: Optional[int] = None) -> DftResult:
             f"pad_to={n} must be at least the input length M={m}")
     padded = np.zeros(n)
     padded[:m] = arr
-    if _is_power_of_two(n):
-        coeffs = _fft_radix2(padded.astype(complex))
-    else:
-        coeffs = _dft_direct(padded)
-    return DftResult(coefficients=coeffs, original_length=m, padded_length=n)
+    return DftResult(coefficients=_transform(padded), original_length=m, padded_length=n)
 
 
 def inverse_dft(coefficients: np.ndarray) -> np.ndarray:
     """Inverse transform via the conjugation trick: conj(F(conj(X))) / N."""
     arr = np.asarray(coefficients, dtype=complex)
-    n = arr.size
-    if _is_power_of_two(n):
-        forward = _fft_radix2(np.conj(arr))
-    else:
-        forward = _dft_direct(np.conj(arr))
-    return np.conj(forward) / n
+    return np.conj(_transform(np.conj(arr))) / arr.size
 
 
 def next_power_of_two(n: int) -> int:

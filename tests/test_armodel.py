@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -494,19 +495,26 @@ class TestSimulateAr:
         assert ar_recovery["ar2_median"] < 0.05
 
 
-def _ar_from_root_moduli(p: int, seed: int) -> tuple[tuple[float, ...], bool]:
-    """phi of an AR(p) whose roots have moduli drawn from 0.9-2: p // 2
-    conjugate pairs at random angles, plus a real root of random sign when p
-    is odd. Returns (phi, stationary); the model is stationary exactly when
-    every modulus exceeds 1 (the closest draw for p <= 40 and seeds 0-9 is
-    1.1e-3 away from 1)."""
+def _roots_from_moduli(p: int, seed: int) -> tuple[np.ndarray, bool]:
+    """p roots with moduli drawn from 0.9-2: p // 2 conjugate pairs at random
+    angles, plus a real root of random sign when p is odd. Returns (roots,
+    every modulus exceeds 1)."""
     draw = np.random.default_rng(seed)
     moduli = draw.uniform(0.9, 2.0, (p + 1) // 2)
     roots = moduli[:p // 2] * np.exp(1j * draw.uniform(0.1, 3.0, p // 2))
     roots = np.concatenate((roots, roots.conj()))
     if p % 2:
         roots = np.append(roots, moduli[-1] * draw.choice([-1.0, 1.0]))
-    return tuple((-np.poly(1.0 / roots).real[1:]).tolist()), bool(moduli.min() > 1.0)
+    return roots, bool(moduli.min() > 1.0)
+
+
+def _ar_from_root_moduli(p: int, seed: int) -> tuple[tuple[float, ...], bool]:
+    """phi of the AR(p) whose characteristic roots are
+    ``_roots_from_moduli(p, seed)``. Returns (phi, stationary); the model is
+    stationary exactly when every modulus exceeds 1 (the closest draw for
+    p <= 40 and seeds 0-9 is 1.1e-3 away from 1)."""
+    roots, stationary = _roots_from_moduli(p, seed)
+    return tuple((-np.poly(1.0 / roots).real[1:]).tolist()), stationary
 
 
 class TestStepDown:
@@ -534,9 +542,10 @@ class TestStepDown:
 
     @pytest.mark.parametrize("p", range(2, 41))
     def test_verdict_matches_construction(self, p):
-        # 390 models, 129 of them stationary. The Durand-Kerner root finder
-        # fails to converge on 71 of them (19 stationary, the first p = 14,
-        # seed 8), so a verdict from the roots could not decide those.
+        # 390 models, 129 of them stationary. The Durand-Kerner update does
+        # not settle on 71 of them (19 stationary, the first p = 14, seed 8),
+        # and 12 of those (p >= 37) overflow and raise, so a verdict from the
+        # roots could not decide every model.
         for seed in range(10):
             phi, stationary = _ar_from_root_moduli(p, seed)
             assert is_stationary(ArModel(phi=phi, sigma2=1.0)) is stationary
@@ -568,8 +577,9 @@ class TestStepDown:
         assert calls == [12]
 
     def test_cli_simulates_ar11_the_root_finder_cannot_solve(self, tmp_path):
-        # Stationary (smallest root modulus 1.25), but Durand-Kerner does not
-        # converge on it within its 800 iterations.
+        # Stationary (smallest root modulus 1.25). The Durand-Kerner update
+        # does not settle on it within 800 iterations; simulating needs no
+        # roots, and the root finder returns them by its rounding bound.
         phi, stationary = _ar_from_root_moduli(11, seed=197)
         assert stationary
         out = tmp_path / "ar11.csv"
@@ -577,6 +587,44 @@ class TestStepDown:
                          "--n", "200", "--seed", "5", "--out", str(out)])
         assert code == 0
         assert len(out.read_text().splitlines()) == 201
+
+
+# (p, seed) of the _ar_from_root_moduli models (p <= 40, seeds 0-9) whose
+# Durand-Kerner update has not settled after 800 iterations: these 59 end
+# within the rounding bound, and the 12 below overflow on the start circle.
+_STALLED_ROOT_MODELS = [
+    (14, 8), (15, 8), (16, 4), (17, 6), (17, 8), (18, 4), (18, 6), (18, 8),
+    (19, 4), (20, 4), (22, 0), (22, 1), (22, 4), (23, 4), (24, 4), (24, 9),
+    (25, 0), (25, 4), (25, 9), (26, 4), (26, 9), (27, 4), (27, 9), (28, 4),
+    (28, 8), (28, 9), (29, 4), (29, 6), (29, 8), (29, 9), (30, 8), (30, 9),
+    (31, 8), (31, 9), (32, 4), (32, 8), (32, 9), (33, 6), (33, 8), (33, 9),
+    (34, 4), (34, 8), (34, 9), (35, 0), (35, 8), (35, 9), (36, 0), (36, 4),
+    (36, 7), (36, 8), (36, 9), (37, 0), (37, 7), (37, 9), (38, 0), (38, 9),
+    (39, 2), (39, 9), (40, 9)]
+_OVERFLOWING_ROOT_MODELS = [
+    (37, 4), (37, 8), (38, 4), (38, 7), (38, 8), (39, 4), (39, 7), (39, 8),
+    (40, 0), (40, 4), (40, 7), (40, 8)]
+
+
+class TestRootFinderLimits:
+    @pytest.mark.parametrize("p, seed", _STALLED_ROOT_MODELS + [(11, 197)])
+    def test_stalled_iterate_holds_every_constructed_root(self, p, seed):
+        phi, _ = _ar_from_root_moduli(p, seed)
+        roots = characteristic_roots(ArModel(phi=phi, sigma2=1.0))
+        assert roots.size == p
+        for root in _roots_from_moduli(p, seed)[0]:
+            assert np.abs(roots - root).min() <= 1e-5 * abs(root)
+
+    @pytest.mark.parametrize("p, seed", _OVERFLOWING_ROOT_MODELS)
+    def test_overflowing_start_circle_raises_convergence_error(self, p, seed):
+        phi, _ = _ar_from_root_moduli(p, seed)
+        coeffs = np.concatenate(([1.0], -np.asarray(phi)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError) as info:
+                polynomial_roots(coeffs)
+        assert info.value.residual == math.inf
+        assert "not finite" in str(info.value)
 
 
 class TestRandomWalk:

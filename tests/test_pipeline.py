@@ -203,6 +203,22 @@ class TestIngest:
         assert capsys.readouterr().err == (
             "error: stage 'ingest' failed: line 3: count is too large to represent\n")
 
+    @pytest.mark.parametrize("count, value", [("0" * 4301 + "1", 1.0), ("0" * 4302, 0.0)],
+                             ids=["zeros-then-1", "all-zeros"])
+    def test_zero_padded_count_beyond_int_digit_limit(self, tmp_path, count, value):
+        # int()'s digit limit counts leading zeros, which add nothing.
+        p = tmp_path / "padded.csv"
+        write_csv(p, ["2015-01,1", f"2015-02,{count}"])
+        assert ingest_csv(p, config_for(p, tmp_path)).values.tolist() == [1.0, value]
+
+    def test_zero_padded_count_with_too_many_digits(self, tmp_path):
+        p = tmp_path / "padded.csv"
+        write_csv(p, ["2015-01,1", "2015-02,2", "2015-03," + "0" * 5 + "7" * 4301])
+        with pytest.raises(MalformedRowError) as info:
+            ingest_csv(p, config_for(p, tmp_path))
+        assert str(info.value) == "line 4: count is too large to represent"
+        assert info.value.line_number == 4
+
 
 class TestQqPlotData:
     def test_three_point_plotting_positions(self):

@@ -12,12 +12,14 @@ R and Q^T y for every order.
 
 The root finder updates every root at once from the pairwise difference matrix
 (O(n^2) memory, fine at these orders) and raises ConvergenceError instead of
-returning an iterate that has not found the roots."""
+returning an iterate that has not found the roots. It evaluates the polynomial
+and its rounding bound with ``special._horner``, the package's one Horner loop."""
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateFitError
+from .special import _horner
 
 
 def back_substitute(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -94,23 +96,17 @@ def polynomial_roots(coeffs: np.ndarray, max_iter: int = 800,
         return np.empty(0, dtype=complex)
     if c[-1] == 0:
         raise DegenerateFitError("leading polynomial coefficient must be non-zero")
-    monic = c / c[-1]
+    monic = c[::-1] / c[-1]  # highest order first
 
     # Start on a circle slightly larger than the Cauchy root bound.
-    radius = 1.0 + float(np.abs(monic[:-1]).max())
+    radius = 1.0 + float(np.abs(monic[1:]).max())
     angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
     z = radius * np.exp(1j * angles)
-
-    def poly_at(v: np.ndarray, coefs: np.ndarray = monic) -> np.ndarray:
-        out = np.full_like(v, coefs[-1])
-        for coef in coefs[-2::-1]:
-            out = out * v + coef
-        return out
 
     diagonal = np.diag_indices(degree)
     with np.errstate(over="ignore", invalid="ignore"):
         for iteration in range(1, max_iter + 1):
-            values = poly_at(z)
+            values = _horner(monic, z)
             # A unit diagonal drops the j == i factor; multiplying by 1+0j is
             # exact, so each product equals the one over the other roots alone.
             diff = z[:, None] - z[None, :]
@@ -123,8 +119,8 @@ def polynomial_roots(coeffs: np.ndarray, max_iter: int = 800,
             if not np.isfinite(step):
                 message = f"Durand-Kerner iterate is not finite at iteration {iteration}"
                 raise ConvergenceError(message, iterations=iteration, residual=np.inf)
-        residuals = np.abs(poly_at(z))
-        bound = 2 * degree * np.finfo(float).eps * poly_at(np.abs(z), np.abs(monic))
+        residuals = np.abs(_horner(monic, z))
+        bound = 2 * degree * np.finfo(float).eps * _horner(np.abs(monic), np.abs(z))
     if (residuals <= bound).all() and np.isfinite(bound).all():
         return z
     residual = float(residuals.max() * abs(c[-1]))

@@ -103,20 +103,19 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig) -> TimeSeries:
             except InvalidArgumentError as exc:
                 raise MalformedRowError(str(exc), line_number) from None
             raw = row[value_idx].strip()
-            if raw.startswith("0") and raw.isascii() and raw.isdigit():
-                raw = raw.lstrip("0") or "0"  # int()'s digit limit counts zeros
+            digits = raw[1:] if raw[:1] in ("+", "-") else raw
+            if not (digits.isascii() and digits.isdigit()):
+                raise MalformedRowError(f"count must be an integer, got {raw!r}", line_number)
+            digits = digits.lstrip("0") or "0"  # int()'s digit limit counts zeros
+            if raw[0] == "-" and digits != "0":
+                raise MalformedRowError(
+                    f"count must be non-negative, got -{digits}", line_number)
             try:
-                value = int(raw)
-            except ValueError:
-                # int() refuses more digits than sys.get_int_max_str_digits().
-                if raw.isascii() and raw.isdigit():
-                    raise MalformedRowError(
-                        "count is too large to represent", line_number) from None
+                value = float(int(digits))
+            except (ValueError, OverflowError):
+                # Past sys.get_int_max_str_digits() digits, or the float range.
                 raise MalformedRowError(
-                    f"count must be an integer, got {raw!r}", line_number) from None
-            if value < 0:
-                raise MalformedRowError(
-                    f"count must be non-negative, got {value}", line_number)
+                    "count is too large to represent", line_number) from None
             if start is None:
                 start = month
             elif month != last + 1:
@@ -129,11 +128,7 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig) -> TimeSeries:
                     f"periods must be increasing, got {_month_label(month)} "
                     f"after {_month_label(last)}", line_number)
             last = month
-            try:
-                values.append(float(value))
-            except OverflowError:
-                raise MalformedRowError(
-                    "count is too large to represent", line_number) from None
+            values.append(value)
 
     if not values:
         raise InsufficientDataError(f"input file {path} contains no data rows")

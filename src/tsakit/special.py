@@ -2,7 +2,10 @@
 
 Everything here is implemented directly (series, continued fractions, rational
 approximations) on top of ``math`` primitives, so p-values and quantiles do not
-depend on any third-party statistics library.
+depend on any third-party statistics library. The package's one Horner loop,
+``_horner``, serves Acklam's approximation, the Royston polynomials in
+``stattests`` and the root finder in ``_linalg``; its one modified-Lentz loop,
+``_lentz``, runs both continued fractions, each with its own cap and errors.
 
 The incomplete gamma series and continued fraction and the incomplete beta
 continued fraction raise ConvergenceError when they reach their iteration cap,
@@ -14,7 +17,8 @@ the cap; no large-parameter expansion is implemented.
 from __future__ import annotations
 
 import math
-from typing import NoReturn
+from itertools import accumulate, count, islice, repeat
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -24,6 +28,7 @@ _BETACF_TOL = 1e-14
 _BETACF_MAX_ITER = 300
 _GAMMA_TOL = 1e-15
 _GAMMA_MAX_ITER = 500
+_TINY = 1e-300  # keeps the Lentz denominators off zero
 
 
 def normal_cdf(x: float) -> float:
@@ -36,43 +41,43 @@ def normal_sf(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-# Acklam's rational approximation to the inverse normal CDF. Relative accuracy
-# about 1.15e-9 on its own; norm_ppf refines it to near machine precision with
-# one Halley step against erfc.
+def _horner(coeffs, x):
+    """Polynomial with ``coeffs`` (highest order first, at least two) at x, by
+    Horner's rule. An array x is updated in one buffer, allocated once."""
+    out = coeffs[0] * x + coeffs[1]
+    for c in coeffs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+# Acklam's rational approximation to the inverse normal CDF, coefficients
+# highest order first. Relative accuracy about 1.15e-9 on its own; norm_ppf
+# refines it to near machine precision with one Halley step against erfc.
 _ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
              1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
 _ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
+             6.680131188771972e+01, -1.328068155288572e+01, 1.0)
 _ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
              -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
 _ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
+             3.754408661907416e+00, 1.0)
 _ACKLAM_P_LOW = 0.02425
 
 
 def _acklam(p):
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
     p = np.asarray(p, dtype=float)
     x = np.empty_like(p)
-
     central = (p >= _ACKLAM_P_LOW) & (p <= 1.0 - _ACKLAM_P_LOW)
     q = p[central] - 0.5
     r = q * q
-    num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
-    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    x[central] = num * q / den
-
-    low = p < _ACKLAM_P_LOW
-    q = np.sqrt(-2.0 * np.log(p[low]))
-    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-    x[low] = num / den
-
-    high = p > 1.0 - _ACKLAM_P_LOW
-    q = np.sqrt(-2.0 * np.log(1.0 - p[high]))
-    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
-    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-    x[high] = -num / den
+    x[central] = _horner(_ACKLAM_A, r) * q / _horner(_ACKLAM_B, r)
+    # Both tails use the lower-tail formula through x(p) = -x(1 - p).
+    tail = p[~central]
+    upper = tail > 0.5
+    q = np.sqrt(-2.0 * np.log(np.where(upper, 1.0 - tail, tail)))
+    lower = _horner(_ACKLAM_C, q) / _horner(_ACKLAM_D, q)
+    x[~central] = np.where(upper, -lower, lower)
     return x
 
 
@@ -109,7 +114,7 @@ def norm_ppf_array(p: np.ndarray) -> np.ndarray:
     defined by these exact values.
     """
     p = np.asarray(p, dtype=float)
-    if np.any((p <= 0.0) | (p >= 1.0)):
+    if not ((p > 0.0) & (p < 1.0)).all():  # NaN fails too
         raise InvalidArgumentError("norm_ppf_array requires all p in (0, 1)")
     return _acklam(p)
 
@@ -131,29 +136,12 @@ def _gamma_series(a: float, x: float) -> float:
 
 
 def _gamma_cont_fraction(a: float, x: float) -> float:
-    # Upper regularized gamma Q(a, x) via Lentz continued fraction, x >= a + 1.
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_TOL:
-            break
-    else:
-        _not_converged("incomplete gamma continued fraction", _GAMMA_MAX_ITER,
-                       abs(delta - 1.0))
+    # Upper regularized gamma Q(a, x) by its continued fraction, x >= a + 1.
+    b = x + 1.0 - a  # b_i = b + 2i, summed one 2.0 at a time
+    steps = (((-i * (i - a), b_i),)
+             for i, b_i in zip(count(1), accumulate(repeat(2.0), initial=b + 2.0)))
+    h = _lentz(1.0 / b, 1.0 / _TINY, steps, _GAMMA_MAX_ITER, _GAMMA_TOL,
+               "incomplete gamma continued fraction")
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
@@ -171,44 +159,36 @@ def gammainc_upper_reg(a: float, x: float) -> float:
 
 
 def _betacf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta (Lentz's method).
-    tiny = 1e-300
+    # Continued fraction for the incomplete beta, even and odd terms per step.
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
+    steps = (((m * (b - m) * x / ((qam + 2 * m) * (a + 2 * m)), 1.0),
+              (-(a + m) * (qab + m) * x / ((a + 2 * m) * (qap + 2 * m)), 1.0))
+             for m in count(1))
     d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETACF_MAX_ITER + 1):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETACF_TOL:
-            break
-    else:
-        _not_converged("incomplete beta continued fraction", _BETACF_MAX_ITER,
-                       abs(delta - 1.0))
-    return h
+    d = _TINY if abs(d) < _TINY else d
+    return _lentz(1.0 / d, 1.0, steps, _BETACF_MAX_ITER, _BETACF_TOL,
+                  "incomplete beta continued fraction")
+
+
+def _lentz(d0: float, c0: float, steps: Iterable[tuple], max_iter: int, tol: float,
+           what: str) -> float:
+    # Modified Lentz (Thompson & Barnett 1986): h starts at the first D ratio
+    # d0 and C at c0. Each step is a tuple of (a, b) terms; the fraction has
+    # converged when the last term of a step changes h by less than tol.
+    h, d, c = d0, d0, c0
+    for step in islice(steps, max_iter):
+        for an, bn in step:
+            d = bn + an * d
+            d = 1.0 / (_TINY if abs(d) < _TINY else d)
+            c = bn + an / c
+            c = _TINY if abs(c) < _TINY else c
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) < tol:
+            return h
+    _not_converged(what, max_iter, abs(delta - 1.0))
 
 
 def _not_converged(what: str, iterations: int, residual: float) -> NoReturn:

@@ -17,7 +17,7 @@ import numpy as np
 from .correlation import autocovariance
 from .errors import InsufficientDataError, InvalidArgumentError, ZeroVarianceError
 from .regression import Censoring, PValue
-from .special import gammainc_upper_reg, norm_ppf_array, normal_sf
+from .special import _horner, gammainc_upper_reg, norm_ppf_array, normal_sf
 
 
 @dataclass(frozen=True)
@@ -74,21 +74,14 @@ def jarque_bera(x: Sequence[float]) -> HypothesisTestResult:
     )
 
 
-# Royston (1995) polynomial coefficients, lowest order first.
-_SW_C1 = (0.0, 0.221157, -0.147981, -2.071190, 4.434685, -2.706056)
-_SW_C2 = (0.0, 0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
-_SW_C3 = (0.544, -0.39978, 0.025054, -6.714e-4)
-_SW_C4 = (1.3822, -0.77857, 0.062767, -0.0020322)
-_SW_C5 = (-1.5861, -0.31082, -0.083751, 0.0038915)
-_SW_C6 = (-0.4803, -0.082676, 0.0030302)
-_SW_G = (-2.273, 0.459)
-
-
-def _poly(coeffs: Sequence[float], x: float) -> float:
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * x + c
-    return out
+# Royston (1995) polynomial coefficients, highest order first.
+_SW_C1 = (-2.706056, 4.434685, -2.071190, -0.147981, 0.221157, 0.0)
+_SW_C2 = (-3.582633, 5.682633, -1.752461, -0.293762, 0.042981, 0.0)
+_SW_C3 = (-6.714e-4, 0.025054, -0.39978, 0.544)
+_SW_C4 = (-0.0020322, 0.062767, -0.77857, 1.3822)
+_SW_C5 = (0.0038915, -0.083751, -0.31082, -1.5861)
+_SW_C6 = (0.0030302, -0.082676, -0.4803)
+_SW_G = (0.459, -2.273)
 
 
 def shapiro_wilk_weights(n: int) -> np.ndarray:
@@ -104,9 +97,9 @@ def shapiro_wilk_weights(n: int) -> np.ndarray:
         summ2 = 2.0 * float((m ** 2).sum())
         ssumm2 = math.sqrt(summ2)
         rsn = 1.0 / math.sqrt(n)
-        a1 = _poly(_SW_C1, rsn) - m[0] / ssumm2
+        a1 = _horner(_SW_C1, rsn) - m[0] / ssumm2
         if n > 5:
-            a2 = _poly(_SW_C2, rsn) - m[1] / ssumm2
+            a2 = _horner(_SW_C2, rsn) - m[1] / ssumm2
             fac = math.sqrt((summ2 - 2.0 * m[0] ** 2 - 2.0 * m[1] ** 2)
                             / (1.0 - 2.0 * a1 ** 2 - 2.0 * a2 ** 2))
             a = -m / fac
@@ -141,19 +134,19 @@ def shapiro_wilk(x: Sequence[float]) -> HypothesisTestResult:
         p = 6.0 / math.pi * (math.asin(math.sqrt(w)) - math.asin(math.sqrt(0.75)))
         p = min(max(p, 0.0), 1.0)
     elif n <= 11:
-        gamma = _poly(_SW_G, float(n))
+        gamma = _horner(_SW_G, float(n))
         if gamma - math.log1p(-w) <= 0.0:
             p = 0.0
         else:
             y = -math.log(gamma - math.log1p(-w))
-            mu = _poly(_SW_C3, float(n))
-            sigma = math.exp(_poly(_SW_C4, float(n)))
+            mu = _horner(_SW_C3, float(n))
+            sigma = math.exp(_horner(_SW_C4, float(n)))
             p = normal_sf((y - mu) / sigma)
     else:
         y = math.log1p(-w)
         ln_n = math.log(n)
-        mu = _poly(_SW_C5, ln_n)
-        sigma = math.exp(_poly(_SW_C6, ln_n))
+        mu = _horner(_SW_C5, ln_n)
+        sigma = math.exp(_horner(_SW_C6, ln_n))
         p = normal_sf((y - mu) / sigma)
 
     return HypothesisTestResult(

@@ -1,0 +1,288 @@
+"""Bit-identity oracles for the shared Horner and modified-Lentz evaluators.
+
+``special._horner`` and ``special._lentz`` replaced hand-written loops in
+``_acklam``, the Royston polynomials of ``stattests``, ``_gamma_cont_fraction``,
+``_betacf`` and ``_linalg.polynomial_roots``. The loops they replaced are kept
+below verbatim as references. On seeded inputs each kernel must return the
+same bits, or raise ConvergenceError with the same message, iteration count
+and residual.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from tsakit import special, stattests
+from tsakit._linalg import polynomial_roots
+from tsakit.errors import ConvergenceError, DegenerateFitError
+
+# --- reference copies of the replaced loops --------------------------------
+
+_REF_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
+          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
+_REF_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
+          6.680131188771972e+01, -1.328068155288572e+01)
+_REF_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
+          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
+_REF_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
+          3.754408661907416e+00)
+_REF_P_LOW = 0.02425
+
+
+def _ref_acklam(p):
+    a, b, c, d = _REF_A, _REF_B, _REF_C, _REF_D
+    p = np.asarray(p, dtype=float)
+    x = np.empty_like(p)
+
+    central = (p >= _REF_P_LOW) & (p <= 1.0 - _REF_P_LOW)
+    q = p[central] - 0.5
+    r = q * q
+    num = ((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]
+    den = ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
+    x[central] = num * q / den
+
+    low = p < _REF_P_LOW
+    q = np.sqrt(-2.0 * np.log(p[low]))
+    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
+    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+    x[low] = num / den
+
+    high = p > 1.0 - _REF_P_LOW
+    q = np.sqrt(-2.0 * np.log(1.0 - p[high]))
+    num = ((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]
+    den = (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
+    x[high] = -num / den
+    return x
+
+
+def _ref_not_converged(what, iterations, residual):
+    raise ConvergenceError(
+        f"{what} did not converge in {iterations} iterations "
+        f"(last relative step {residual:.3g})", iterations=iterations, residual=residual)
+
+
+def _ref_gamma_cont_fraction(a, x):
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 500 + 1):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            break
+    else:
+        _ref_not_converged("incomplete gamma continued fraction", 500, abs(delta - 1.0))
+    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+
+
+def _ref_betacf(a, b, x):
+    tiny = 1e-300
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < tiny:
+        d = tiny
+    d = 1.0 / d
+    h = d
+    for m in range(1, 300 + 1):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < tiny:
+            d = tiny
+        c = 1.0 + aa / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-14:
+            break
+    else:
+        _ref_not_converged("incomplete beta continued fraction", 300, abs(delta - 1.0))
+    return h
+
+
+# Royston coefficients as the reference held them, lowest order first.
+_REF_SW = {
+    "_SW_C1": (0.0, 0.221157, -0.147981, -2.071190, 4.434685, -2.706056),
+    "_SW_C2": (0.0, 0.042981, -0.293762, -1.752461, 5.682633, -3.582633),
+    "_SW_C3": (0.544, -0.39978, 0.025054, -6.714e-4),
+    "_SW_C4": (1.3822, -0.77857, 0.062767, -0.0020322),
+    "_SW_C5": (-1.5861, -0.31082, -0.083751, 0.0038915),
+    "_SW_C6": (-0.4803, -0.082676, 0.0030302),
+    "_SW_G": (-2.273, 0.459),
+}
+
+
+def _ref_poly(coeffs, x):
+    out = 0.0
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def _ref_polynomial_roots(coeffs, max_iter=800, tol=1e-13):
+    c = np.asarray(coeffs, dtype=complex)
+    degree = c.size - 1
+    if degree < 1:
+        return np.empty(0, dtype=complex)
+    if c[-1] == 0:
+        raise DegenerateFitError("leading polynomial coefficient must be non-zero")
+    monic = c / c[-1]
+
+    radius = 1.0 + float(np.abs(monic[:-1]).max())
+    angles = 2.0 * np.pi * np.arange(degree) / degree + 0.4
+    z = radius * np.exp(1j * angles)
+
+    def poly_at(v, coefs=monic):
+        out = np.full_like(v, coefs[-1])
+        for coef in coefs[-2::-1]:
+            out = out * v + coef
+        return out
+
+    diagonal = np.diag_indices(degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for iteration in range(1, max_iter + 1):
+            values = poly_at(z)
+            diff = z[:, None] - z[None, :]
+            diff[diagonal] = 1.0
+            delta = values / diff.prod(axis=1)
+            z = z - delta
+            step = float(np.abs(delta).max())
+            if step < tol * max(1.0, float(np.abs(z).max())):
+                return z
+            if not np.isfinite(step):
+                message = f"Durand-Kerner iterate is not finite at iteration {iteration}"
+                raise ConvergenceError(message, iterations=iteration, residual=np.inf)
+        residuals = np.abs(poly_at(z))
+        bound = 2 * degree * np.finfo(float).eps * poly_at(np.abs(z), np.abs(monic))
+    if (residuals <= bound).all() and np.isfinite(bound).all():
+        return z
+    residual = float(residuals.max() * abs(c[-1]))
+    raise ConvergenceError(
+        f"Durand-Kerner did not converge in {max_iter} iterations "
+        f"(max |p(z)| = {residual:.3g})", iterations=max_iter, residual=residual)
+
+
+# --- comparison helpers ------------------------------------------------------
+
+def _outcome(fn, *args):
+    """The result as bytes, or the ConvergenceError's message, count, residual."""
+    try:
+        result = fn(*args)
+    except ConvergenceError as exc:
+        return ("raised", str(exc), exc.iterations, float(exc.residual).hex())
+    return ("returned", np.asarray(result).tobytes())
+
+
+def _assert_same(new, ref, *args):
+    assert _outcome(new, *args) == _outcome(ref, *args), args
+
+
+# --- oracles ----------------------------------------------------------------
+
+def _acklam_inputs() -> np.ndarray:
+    draw = np.random.default_rng(20260101)
+    low = special._ACKLAM_P_LOW
+    edges = [low, 1.0 - low, 0.5, 1e-300, 5e-324, 1e-16, 1.0 - 1e-16,
+             1.0 - 2.0 ** -53, 2.0 ** -1074, 1.0 - 2.0 ** -52]
+    for edge in (low, 1.0 - low):
+        below = above = edge
+        for _ in range(4):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, 1.0)
+            edges += [below, above]
+    tails = 10.0 ** -draw.uniform(1.6, 320.0, 20000)
+    return np.concatenate([np.array(edges), draw.uniform(0.0, 1.0, 50000),
+                           tails[tails > 0.0], 1.0 - tails])
+
+
+class TestHornerOracle:
+    def test_acklam_bit_identical(self):
+        p = _acklam_inputs()
+        p = p[(p > 0.0) & (p < 1.0)]
+        low = special._ACKLAM_P_LOW
+        assert (p < low).any() and (p > 1.0 - low).any()
+        assert (p == low).any() and (p == 1.0 - low).any()
+        assert special._acklam(p).tobytes() == _ref_acklam(p).tobytes()
+
+    @pytest.mark.parametrize("p", [1e-300, 5e-324, 0.02425, 0.3, 0.5,
+                                   1.0 - 0.02425, 1.0 - 1e-16])
+    def test_acklam_zero_dimensional_input(self, p):
+        assert special._acklam(np.float64(p)).tobytes() == _ref_acklam(np.float64(p)).tobytes()
+
+    def test_norm_ppf_array_is_unrefined_acklam(self):
+        p = _acklam_inputs()[:2000]
+        p = p[(p > 0.0) & (p < 1.0)]
+        assert special.norm_ppf_array(p).tobytes() == _ref_acklam(p).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(_REF_SW))
+    def test_royston_polynomials_bit_identical(self, name):
+        draw = np.random.default_rng(sorted(_REF_SW).index(name))
+        points = [1.0 / math.sqrt(n) for n in range(3, 5001)]
+        points += [float(n) for n in range(4, 12)] + [math.log(n) for n in range(12, 5001)]
+        points += draw.uniform(-10.0, 10.0, 5000).tolist()
+        coeffs = getattr(stattests, name)
+        for x in points:
+            assert special._horner(coeffs, x).hex() == _ref_poly(_REF_SW[name], x).hex()
+
+    @pytest.mark.parametrize("p", range(1, 41))
+    def test_polynomial_roots_bit_identical(self, p):
+        draw = np.random.default_rng(4000 + p)
+        # Real coefficients, low order first: a polynomial built from roots of
+        # modulus 1.05-3, and two with normal coefficients. Five iterations
+        # reach the final rounding-bound test, which 800 rarely do.
+        roots = draw.uniform(1.05, 3.0, p) * np.exp(1j * draw.uniform(0.0, np.pi, p))
+        from_roots = np.real(np.poly(roots))[::-1]
+        for coeffs in (from_roots / from_roots[0], draw.normal(size=p + 1),
+                       draw.normal(size=p + 1) * 10.0):
+            for max_iter in (800, 5):
+                _assert_same(polynomial_roots, _ref_polynomial_roots, coeffs, max_iter)
+
+
+class TestLentzOracle:
+    def test_gamma_fraction_bit_identical(self):
+        # Shapes up to 1e7 with x near a + 1 reach the iteration cap.
+        draw = np.random.default_rng(7)
+        a_values = 10.0 ** draw.uniform(-3.0, 7.0, 3000)
+        for a, spread in zip(a_values, 10.0 ** draw.uniform(-3.0, 2.0, 3000)):
+            x = float(a) + 1.0 + float(spread) * math.sqrt(a)
+            _assert_same(special._gamma_cont_fraction, _ref_gamma_cont_fraction,
+                         float(a), x)
+
+    def test_beta_fraction_bit_identical(self):
+        draw = np.random.default_rng(8)
+        shapes = 10.0 ** draw.uniform(-2.0, 6.0, (3000, 2))
+        for (a, b), x in zip(shapes, draw.uniform(0.0, 1.0, 3000)):
+            _assert_same(special._betacf, _ref_betacf, float(a), float(b), float(x))
+
+    @pytest.mark.parametrize("new, ref, args, cap", [
+        (special._gamma_cont_fraction, _ref_gamma_cont_fraction, (1e6, 1e6 + 2.0), 500),
+        (special._betacf, _ref_betacf, (1e6, 1e6, 0.5), 300),
+    ], ids=["gamma-fraction", "beta-fraction"])
+    def test_reaching_the_cap_raises_the_same_error(self, new, ref, args, cap):
+        outcome = _outcome(new, *args)
+        assert outcome[0] == "raised" and outcome[2] == cap
+        assert outcome == _outcome(ref, *args)

@@ -31,3 +31,48 @@ def test_unused_import_is_reported():
     tree = ast.parse("from __future__ import annotations\nimport os\n"
                      "import numpy as np\nfrom a.b import c, d as e\nnp.zeros(e)\n")
     assert _unused_imports(tree) == ["line 2: os", "line 4: c"]
+
+
+def _dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level ``_name`` definitions that no statement of any module
+    reads, other than the definition itself (so recursion does not count)."""
+    statements = [(module, stmt) for module, tree in trees.items() for stmt in tree.body]
+    reads = []
+    for _, stmt in statements:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        reads.append(names)
+    dead = []
+    for index, (module, stmt) in enumerate(statements):
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined = [stmt.name]
+        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            defined = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in defined:
+            if (name.startswith("_") and not name.startswith("__")
+                    and not any(name in r for i, r in enumerate(reads) if i != index)):
+                dead.append(f"{module}: {name}")
+    return dead
+
+
+def test_every_private_module_name_is_used():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert _dead_private_names(trees) == []
+
+
+def test_dead_private_name_is_reported():
+    trees = {
+        "a.py": ast.parse("_USED = 1\n_DEAD = 2\n__all__ = []\n\n"
+                          "def _helper(x):\n    return _helper(x - 1) + _USED\n\n"
+                          "def public():\n    return b._imported()\n"),
+        "b.py": ast.parse("def _imported():\n    pass\n\nclass _Unused:\n    pass\n"),
+    }
+    assert _dead_private_names(trees) == ["a.py: _DEAD", "a.py: _helper", "b.py: _Unused"]

@@ -219,6 +219,35 @@ class TestIngest:
         assert str(info.value) == "line 4: count is too large to represent"
         assert info.value.line_number == 4
 
+    @pytest.mark.parametrize("count", ["1_000", "\u0661\u0662", "+-5", "--5", "+", "-",
+                                       "5.0", "1e3", "0x1f", "\u00b2"],
+                             ids=["underscore", "arabic-indic", "two-signs", "double-minus",
+                                  "plus-only", "minus-only", "decimal", "exponent", "hex",
+                                  "superscript"])
+    def test_count_must_be_sign_and_ascii_digits(self, tmp_path, count):
+        p = tmp_path / "count.csv"
+        write_csv(p, ["2015-01,1", f"2015-02,{count}"])
+        with pytest.raises(MalformedRowError) as info:
+            ingest_csv(p, config_for(p, tmp_path))
+        assert str(info.value) == f"line 3: count must be an integer, got {count!r}"
+
+    @pytest.mark.parametrize("count, value", [("+5", 5.0), ("-0", 0.0), (" 7 ", 7.0),
+                                              ("+0007", 7.0), ("-000", 0.0)])
+    def test_signed_counts(self, tmp_path, count, value):
+        p = tmp_path / "count.csv"
+        write_csv(p, ["2015-01,1", f"2015-02,{count}"])
+        assert ingest_csv(p, config_for(p, tmp_path)).values.tolist() == [1.0, value]
+
+    @pytest.mark.parametrize("count, shown", [("-3", "-3"), ("-0003", "-3"),
+                                              ("-" + "0" * 4301 + "1", "-1")],
+                             ids=["plain", "zero-padded", "padded-past-digit-limit"])
+    def test_negative_count_message(self, tmp_path, count, shown):
+        p = tmp_path / "count.csv"
+        write_csv(p, ["2015-01,1", f"2015-02,{count}"])
+        with pytest.raises(MalformedRowError) as info:
+            ingest_csv(p, config_for(p, tmp_path))
+        assert str(info.value) == f"line 3: count must be non-negative, got {shown}"
+
 
 class TestQqPlotData:
     def test_three_point_plotting_positions(self):

@@ -30,6 +30,13 @@ class TestNormal:
             with pytest.raises(InvalidArgumentError):
                 norm_ppf(bad)
 
+    def test_array_ppf_domain(self):
+        # NaN fails the domain test too, rather than leaving a slot unwritten.
+        for bad in (0.0, 1.0, -0.1, 1.5, float("nan"), np.array([0.5, 1.0]),
+                    np.array([np.nan, 0.5, np.nan])):
+            with pytest.raises(InvalidArgumentError, match="requires all p in"):
+                norm_ppf_array(np.asarray(bad))
+
     def test_array_version_matches_scalar(self):
         ps = np.array([0.01, 0.2, 0.5, 0.9, 0.999])
         vec = norm_ppf_array(ps)

@@ -5,7 +5,8 @@ every fitted model stationary; conditional least squares is the alternative
 estimator whose stationarity is checked but not enforced. Order selection
 minimizes AIC(k) = ln(sigma2_k) + 2k/N with ties broken toward the smaller
 order. Simulators draw Gaussian innovations from the counter-based generator so
-that output is a pure function of (model, n, seed).
+that output is a pure function of (model, n, seed); ``simulate_ar`` runs its
+recursion in a loop that ``_ar_recursion`` compiles for the model's order.
 """
 from __future__ import annotations
 
@@ -344,6 +345,33 @@ def default_burn_in(order: int) -> int:
     return 10 * order + 50
 
 
+def _ar_recursion(p: int):
+    """Compile ``run(y, c0, ..., c{p-1})``, the AR(p) recursion over the list
+    ``y`` in place, with phi_j and y_{t-j} held in local variables.
+
+    Each step is ``acc = y[t]``, one ``acc += c_j * y_j`` statement per lag
+    in j order (c_j = phi_{j+1}, y_j = y_{t-1-j}), a shift of the lags by
+    plain assignments, and ``y[t] = acc``. Statements rather than one long
+    expression keep any p under the compiler's nesting limit. The source is
+    built from the integer p alone: the coefficients are arguments, never
+    text. ``exec`` defines ``run`` in a namespace apart from its globals, so
+    ``run`` is in no reference cycle and is freed without the collector.
+    """
+    lags = range(p)
+    src = "\n".join([
+        f"def run(y, {', '.join(f'c{j}' for j in lags)}):",
+        *(f"    y{j} = 0.0" for j in lags),
+        "    for t, acc in enumerate(y):",
+        *(f"        acc += c{j} * y{j}" for j in lags),
+        *(f"        y{j} = y{j - 1}" for j in reversed(lags[1:])),
+        "        y0 = acc",
+        "        y[t] = acc",
+    ])
+    namespace: dict = {}
+    exec(src, {}, namespace)
+    return namespace["run"]
+
+
 def simulate_ar(model: ArModel, n: int, seed: int,
                 burn_in: Optional[int] = None) -> TimeSeries:
     """Simulate a stationary AR model with Gaussian innovations.
@@ -351,11 +379,13 @@ def simulate_ar(model: ArModel, n: int, seed: int,
     Deterministic in (model, n, seed, burn_in); the recursion warm-starts at
     zero and discards ``burn_in`` samples (default 10p + 50).
 
-    Each step is ``acc = e_t`` then ``acc += phi_j * y_{t-j}`` for j = 1..p,
-    left to right, on plain Python floats. Python floats and ``np.float64``
-    are both IEEE-754 binary64 without fused multiply-add, so this gives the
-    same bits as the same loop on numpy scalars. Do not change the order or
-    the rounding of the additions (``sum()``, ``math.fsum``, ``np.dot``,
+    The recursion is a loop compiled for the model's order
+    (``_ar_recursion``). Each step is ``acc = e_t`` then
+    ``acc += phi_j * y_{t-j}`` for j = 1..p, left to right, on plain Python
+    floats held in local variables. Python floats and ``np.float64`` are both
+    IEEE-754 binary64 without fused multiply-add, so this gives the same bits
+    as the same loop on numpy scalars. Do not change the order or the
+    rounding of the additions (``sum()``, ``math.fsum``, ``np.dot``,
     ``np.convolve``): every simulated value, and with it the seed-0 output
     digest the tests and the benchmark check, would change.
     """
@@ -375,17 +405,14 @@ def simulate_ar(model: ArModel, n: int, seed: int,
     if p == 0:
         values = innovations[burn_in:]
     else:
-        phi = model.phi
+        run = _ar_recursion(p)
         y = innovations.tolist()  # overwritten in place by the series
-        lags = [0.0] * p  # y_{t-1}, ..., y_{t-p}: newest first
-        for t, acc in enumerate(y):
-            for coef, lag in zip(phi, lags):
-                acc += coef * lag
-            lags.insert(0, acc)
-            del lags[p]
-            y[t] = acc
-        values = np.array(y[burn_in:])
-    return TimeSeries(values + model.mean)
+        del innovations
+        run(y, *model.phi)
+        del y[:burn_in]
+        values = np.array(y)
+    values += model.mean
+    return TimeSeries(values)
 
 
 def simulate_random_walk(spec: RandomWalkSpec, n: int, seed: int) -> TimeSeries:

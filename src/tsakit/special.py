@@ -140,19 +140,22 @@ def _gamma_cont_fraction(a: float, x: float) -> float:
     b = x + 1.0 - a  # b_i = b + 2i, summed one 2.0 at a time
     steps = (((-i * (i - a), b_i),)
              for i, b_i in zip(count(1), accumulate(repeat(2.0), initial=b + 2.0)))
-    h = _lentz(1.0 / b, 1.0 / _TINY, steps, _GAMMA_MAX_ITER, _GAMMA_TOL,
+    d = _TINY if abs(b) < _TINY else b
+    h = _lentz(1.0 / d, 1.0 / _TINY, steps, _GAMMA_MAX_ITER, _GAMMA_TOL,
                "incomplete gamma continued fraction")
     return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
 def gammainc_upper_reg(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a)."""
-    if a <= 0.0:
-        raise InvalidArgumentError(f"gammainc requires a > 0, got {a}")
-    if x < 0.0:
+    if not 0.0 < a < math.inf:  # NaN fails too
+        raise InvalidArgumentError(f"gammainc requires 0 < a < inf, got {a}")
+    if not x >= 0.0:
         raise InvalidArgumentError(f"gammainc requires x >= 0, got {x}")
     if x == 0.0:
         return 1.0
+    if x == math.inf:
+        return 0.0
     if x < a + 1.0:
         return 1.0 - _gamma_series(a, x)
     return _gamma_cont_fraction(a, x)
@@ -199,8 +202,9 @@ def _not_converged(what: str, iterations: int, residual: float) -> NoReturn:
 
 def betainc_reg(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
-    if a <= 0.0 or b <= 0.0:
-        raise InvalidArgumentError("betainc requires a > 0 and b > 0")
+    if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # NaN fails too
+        raise InvalidArgumentError(
+            f"betainc requires 0 < a, b < inf, got a={a}, b={b}")
     if not 0.0 <= x <= 1.0:
         raise InvalidArgumentError(f"betainc requires x in [0, 1], got {x}")
     if x == 0.0:

@@ -1,10 +1,11 @@
+import gc
 import math
 import warnings
 
 import numpy as np
 import pytest
 
-from tsakit import _linalg, rng
+from tsakit import _linalg, armodel, rng
 from tsakit._linalg import polynomial_roots
 from tsakit.armodel import (AicRow, AicTable, ArModel, RandomWalkSpec, _aic_row,
                             _step_down, characteristic_roots, default_burn_in,
@@ -489,6 +490,41 @@ class TestSimulateAr:
         for seed in (0, 5, 123):
             got = simulate_ar(model, 300, seed=seed, burn_in=burn_in).values
             assert got.tobytes() == _simulate_ar_loop(model, 300, seed, burn_in).tobytes()
+
+    # n = 1 and n < p reach the recursion before every lag holds a sample.
+    @pytest.mark.parametrize("burn_in", [0, None])
+    @pytest.mark.parametrize("n", [1, 250])
+    @pytest.mark.parametrize("p", [*range(1, 13), 36, 60])
+    def test_bit_identical_at_every_order(self, p, n, burn_in):
+        model = ArModel(phi=tuple(-_stable_ar_polynomial(p, seed=100 + p)[1:]),
+                        sigma2=0.7, mean=-1.5)
+        got = simulate_ar(model, n, seed=p, burn_in=burn_in).values
+        assert got.tobytes() == _simulate_ar_loop(model, n, p, burn_in).tobytes()
+
+    def test_leaves_no_garbage_for_the_cycle_collector(self):
+        # A function exec'd into the dict that is also its globals is in a
+        # reference cycle with it, and each call would leave garbage here.
+        model = _ORACLE_MODELS["p11_mean"]
+        gc.collect()
+        gc.disable()
+        try:
+            simulate_ar(model, 1000, seed=1)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_generated_source_holds_no_coefficient_text(self, monkeypatch):
+        sources = []
+
+        def spy(src, globals_, locals_):
+            sources.append(src)
+            exec(src, globals_, locals_)
+
+        monkeypatch.setattr(armodel, "exec", spy, raising=False)
+        phi = (0.123456789012345, -0.0987654321)
+        simulate_ar(ArModel(phi=phi, sigma2=1.0), 50, seed=2)
+        assert len(sources) == 1
+        assert not any(repr(c) in sources[0] for c in phi)
 
     def test_recovery_within_tolerance(self, ar_recovery):
         assert ar_recovery["ar1_median"] < 0.05

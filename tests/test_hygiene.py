@@ -76,3 +76,42 @@ def test_dead_private_name_is_reported():
         "b.py": ast.parse("def _imported():\n    pass\n\nclass _Unused:\n    pass\n"),
     }
     assert _dead_private_names(trees) == ["a.py: _DEAD", "a.py: _helper", "b.py: _Unused"]
+
+
+def _dynamic_code_calls(trees: dict[str, ast.Module]) -> list[str]:
+    """Calls of the builtins ``exec``, ``eval`` and ``compile`` by bare name,
+    each as ``module: enclosing scope: builtin``. Attribute calls such as
+    ``re.compile`` do not count."""
+    calls = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope == "<module>" else f"{scope}.{child.name}"
+            elif (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                  and child.func.id in ("exec", "eval", "compile")):
+                calls.append(f"{module}: {scope}: {child.func.id}")
+            visit(child, module, inner)
+
+    for module, tree in trees.items():
+        visit(tree, module, "<module>")
+    return calls
+
+
+def test_only_the_ar_recursion_compiles_code():
+    # The AR simulator compiles its recursion from the integer order alone;
+    # any other generated code in the package needs the same scrutiny.
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert _dynamic_code_calls(trees) == ["armodel.py: _ar_recursion: exec"]
+
+
+def test_dynamic_code_call_is_reported():
+    tree = ast.parse("import re\nPATTERN = re.compile('x')\neval('1')\n\n"
+                     "def outer():\n    def inner():\n"
+                     "        return compile('1', '', 'eval')\n"
+                     "    exec('pass', {}, {})\n    return inner\n\n"
+                     "class K:\n    def method(self):\n        return self.exec(eval)\n")
+    assert _dynamic_code_calls({"m.py": tree}) == [
+        "m.py: <module>: eval", "m.py: outer.inner: compile", "m.py: outer: exec"]

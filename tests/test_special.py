@@ -130,3 +130,36 @@ class TestIterationCap:
             1.351438072171649e-93, rel=1e-11)
         for x in (1e-3, 3.0, 50.0):
             assert chi_square_sf(x, 2) == pytest.approx(math.exp(-x / 2.0), rel=1e-13)
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+class TestArgumentEdges:
+    # Each call below ran its continued fraction to the iteration cap, or
+    # raised a bare ZeroDivisionError, before its arguments were checked.
+    @pytest.mark.parametrize("call", [
+        lambda: betainc_reg(NAN, 1.0, 0.5),
+        lambda: betainc_reg(1.0, NAN, 0.5),
+        lambda: betainc_reg(INF, 1.0, 0.5),
+        lambda: betainc_reg(1.0, INF, 0.5),
+        lambda: betainc_reg(1.0, 1.0, NAN),
+        lambda: gammainc_upper_reg(NAN, 1.0),
+        lambda: gammainc_upper_reg(INF, 1.0),
+        lambda: gammainc_upper_reg(1.0, NAN),
+    ], ids=["beta-a-nan", "beta-b-nan", "beta-a-inf", "beta-b-inf", "beta-x-nan",
+            "gamma-a-nan", "gamma-a-inf", "gamma-x-nan"])
+    def test_non_finite_argument_is_refused_at_once(self, call):
+        with pytest.raises(InvalidArgumentError):
+            call()
+
+    def test_infinite_x_has_no_upper_tail(self):
+        for a in (1e-3, 1.0, 7.5, 1e20):
+            assert gammainc_upper_reg(a, INF) == 0.0
+
+    @pytest.mark.parametrize("a, x", [(1e20, 1e20), (1e17, 1e17 + 2.0)])
+    def test_first_fraction_denominator_rounding_to_zero_raises(self, a, x):
+        # x + 1 - a rounds to 0 here; the fraction must not divide by it.
+        with pytest.raises(ConvergenceError):
+            gammainc_upper_reg(a, x)

@@ -10,8 +10,8 @@ __version__ = "0.1.0"
 from .armodel import (AicRow, AicTable, ArModel, RandomWalkMoments,
                       RandomWalkSpec, characteristic_roots,
                       fit_ar_least_squares, fit_ar_yule_walker, is_stationary,
-                      psi_weights, random_walk_moments, select_order_aic,
-                      simulate_ar, simulate_random_walk, unit_root_flags)
+                      random_walk_moments, select_order_aic, simulate_ar,
+                      simulate_random_walk)
 from .correlation import AcfEstimate, sample_acf, theoretical_ar_acf
 from .errors import (ConvergenceError, DegenerateFitError, DuplicateMonthError,
                      IngestionError, InsufficientDataError,
@@ -25,6 +25,6 @@ from .regression import (Censoring, LinearTrendFit, PValue, f_distribution_sf,
                          fit_linear_trend, t_distribution_sf)
 from .series import Period, TimeSeries, demean, difference, integrate
 from .spectral import (DftResult, EstimatorKind, SpectrumEstimate, ar_psd,
-                       daniell_smooth, dft, inverse_dft, periodogram)
+                       daniell_smooth, dft, periodogram)
 from .stattests import (HypothesisTestResult, chi_square_sf, jarque_bera,
                         kpss_level, shapiro_wilk)

@@ -47,6 +47,8 @@ class ArModel:
         if not (math.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise InvalidArgumentError(
                 f"innovation variance must be >= 0, got {self.sigma2}")
+        if not math.isfinite(self.mean):
+            raise InvalidArgumentError(f"mean must be finite, got {self.mean}")
 
     @property
     def order(self) -> int:
@@ -87,9 +89,15 @@ class RandomWalkSpec:
     y0: float = 0.0
 
     def __post_init__(self):
+        if not self.innovation_sigma2 < math.inf:  # NaN fails this test too
+            raise InvalidArgumentError(
+                f"innovation variance must be finite, got {self.innovation_sigma2}")
         if self.innovation_sigma2 <= 0.0:
             raise InvalidArgumentError(
                 f"innovation variance must be > 0, got {self.innovation_sigma2}")
+        for name, value in (("drift", self.drift), ("y0", self.y0)):
+            if not math.isfinite(value):
+                raise InvalidArgumentError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -100,11 +108,12 @@ class RandomWalkMoments:
     acf: float
 
 
-def levinson_durbin(gamma: Sequence[float], order: int) -> tuple[list[np.ndarray], list[float]]:
+def levinson_durbin(gamma: Sequence[float], order: int) -> tuple[np.ndarray, list[float]]:
     """Levinson-Durbin recursion on autocovariances gamma_0..gamma_order.
 
-    Returns (phis, variances): ``phis[k]`` holds the order-k coefficient vector
-    and ``variances[k]`` the innovation variance, for k = 0..order.
+    Returns (phi, variances): ``phi`` is the order-``order`` coefficient
+    vector and ``variances[k]`` the innovation variance of order k, for
+    k = 0..order.
 
     A reflection coefficient with |kappa| >= 1 at order k raises
     ``DegenerateFitError``; its ``variances`` attribute holds the innovation
@@ -115,7 +124,6 @@ def levinson_durbin(gamma: Sequence[float], order: int) -> tuple[list[np.ndarray
         raise InvalidArgumentError("need autocovariances up to the requested order")
     if gamma[0] <= 0.0:
         raise ZeroVarianceError("lag-zero autocovariance must be positive")
-    phis: list[np.ndarray] = [np.empty(0)]
     variances = [float(gamma[0])]
     phi = np.empty(0)
     v = float(gamma[0])
@@ -129,9 +137,8 @@ def levinson_durbin(gamma: Sequence[float], order: int) -> tuple[list[np.ndarray
             raise exc
         phi = np.concatenate((phi - kappa * phi[::-1], [kappa]))
         v *= 1.0 - kappa * kappa
-        phis.append(phi.copy())
         variances.append(v)
-    return phis, variances
+    return phi, variances
 
 
 def fit_ar_yule_walker(x: Sequence[float], p: int) -> ArModel:
@@ -145,8 +152,8 @@ def fit_ar_yule_walker(x: Sequence[float], p: int) -> ArModel:
     gamma = autocovariance(arr, p)
     if gamma[0] <= 0.0:
         raise ZeroVarianceError("Yule-Walker requires a non-constant series")
-    phis, variances = levinson_durbin(gamma, p)
-    return ArModel(phi=tuple(phis[p]), sigma2=variances[p], mean=float(arr.mean()),
+    phi, variances = levinson_durbin(gamma, p)
+    return ArModel(phi=tuple(phi), sigma2=variances[p], mean=float(arr.mean()),
                    estimation_method="yule_walker", n_used=n)
 
 
@@ -313,32 +320,9 @@ def is_stationary(model: ArModel) -> bool:
 
     Decided from the reflection coefficients (``_step_down``) without solving
     for the roots. A stationary model may still have a root within
-    UNIT_ROOT_TOL of the unit circle, which ``unit_root_flags`` flags.
+    UNIT_ROOT_TOL of the unit circle, which the report's root list flags.
     """
     return _step_down(model.phi) is not None
-
-
-def unit_root_flags(model: ArModel) -> np.ndarray:
-    """Flags |modulus - 1| <= UNIT_ROOT_TOL per root of ``characteristic_roots``."""
-    return _near_unit_circle(characteristic_roots(model))
-
-
-def _near_unit_circle(roots: np.ndarray) -> np.ndarray:
-    return np.abs(np.abs(roots) - 1.0) <= UNIT_ROOT_TOL
-
-
-def psi_weights(model: ArModel, count: int) -> np.ndarray:
-    """First ``count`` coefficients of the MA(infinity) representation."""
-    if count < 1:
-        raise InvalidArgumentError(f"count must be >= 1, got {count}")
-    phi = np.asarray(model.phi)
-    p = phi.size
-    h = np.zeros(count)
-    h[0] = 1.0
-    for k in range(1, count):
-        j_max = min(k, p)
-        h[k] = float(phi[:j_max] @ h[k - j_max: k][::-1])
-    return h
 
 
 def default_burn_in(order: int) -> int:

@@ -138,7 +138,6 @@ def main(argv=None) -> int:
                        else int(args.aic_max_order))
             config = PipelineConfig(
                 input_path=args.input,
-                output_dir=args.output,
                 date_column=args.date_column,
                 value_column=args.value_column,
                 truncate_head=args.truncate_head,
@@ -149,7 +148,7 @@ def main(argv=None) -> int:
                 seed=_resolve_seed(args.seed),
             )
             report = run_pipeline(config)
-            written = write_outputs(report, config.output_dir)
+            written = write_outputs(report, args.output)
             sys.stdout.write("\n".join(str(p) for p in written) + "\n")
             sys.stdout.flush()
             return EXIT_OK

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__ as _toolkit_version
 from ._fileio import staged_files
-from .armodel import (ArModel, _near_unit_circle, characteristic_roots,
+from .armodel import (UNIT_ROOT_TOL, ArModel, characteristic_roots,
                       fit_ar_least_squares, fit_ar_yule_walker, is_stationary,
                       select_order_aic)
 from .correlation import sample_acf
@@ -56,7 +56,6 @@ FIGURE_FILES = (
 @dataclass(frozen=True)
 class PipelineConfig:
     input_path: str
-    output_dir: str
     date_column: str = "period"
     value_column: str = "deaths"
     truncate_head: int = 2
@@ -154,18 +153,13 @@ class HistogramData:
     degenerate: bool
 
 
-def histogram_data(x: Sequence[float], bins: Union[int, str] = "auto") -> HistogramData:
-    """Equal-width histogram (Sturges by default) with a normal density overlay."""
+def histogram_data(x: Sequence[float]) -> HistogramData:
+    """Equal-width histogram (Sturges' bin count) with a normal density overlay."""
     arr = np.asarray(x, dtype=float)
     n = arr.size
     if n < 2:
         raise InsufficientDataError(f"histogram needs at least 2 points, got {n}")
-    if bins == "auto":
-        n_bins = int(math.ceil(math.log2(n))) + 1
-    else:
-        n_bins = int(bins)
-        if n_bins < 1:
-            raise InvalidArgumentError(f"bin count must be >= 1, got {bins}")
+    n_bins = int(math.ceil(math.log2(n))) + 1
     lo, hi = float(arr.min()), float(arr.max())
     # A range below a few float spacings cannot support equal-width binning.
     degenerate = (hi - lo) <= 4.0 * float(np.spacing(max(abs(lo), abs(hi), 1.0)))
@@ -238,7 +232,8 @@ def _model_section(model: ArModel) -> dict:
         "estimation_method": model.estimation_method,
         "n_used": model.n_used,
         "roots": [{"re": z.real, "im": z.imag, "modulus": abs(z),
-                   "unit_root": bool(f)} for z, f in zip(roots, _near_unit_circle(roots))],
+                   "unit_root": bool(abs(abs(z) - 1.0) <= UNIT_ROOT_TOL)}
+                  for z in roots],
         "stationary": is_stationary(model),
     }
 

@@ -1,6 +1,6 @@
 """Seeded, counter-based random number generation.
 
-Every draw is a pure function of (seed, stream, counter): the generator hashes a
+Every draw is a pure function of (seed, counter): the generator hashes a
 64-bit counter through the splitmix64 finalizer, so identical seeds reproduce
 identical sequences on any platform and any number of draws can be produced in
 one vectorized call without carrying mutable state.
@@ -28,18 +28,18 @@ def _splitmix64(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def uniforms(seed: int, count: int, stream: int = 0) -> np.ndarray:
+def uniforms(seed: int, count: int) -> np.ndarray:
     """``count`` doubles in the open interval (0, 1)."""
     if count < 0:
         raise InvalidArgumentError(f"count must be non-negative, got {count}")
     mask = 0xFFFFFFFFFFFFFFFF
-    base = ((seed & mask) * int(_GOLDEN) + (stream & mask) * int(_MIX2)) & mask
+    base = ((seed & mask) * int(_GOLDEN)) & mask
     counters = np.uint64(base) + np.arange(count, dtype=np.uint64) * _MIX1
     bits = _splitmix64(counters)
     # Top 53 bits, offset by half a ulp so 0 and 1 are never returned.
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) / _TWO_53
 
 
-def normals(seed: int, count: int, stream: int = 0) -> np.ndarray:
+def normals(seed: int, count: int) -> np.ndarray:
     """``count`` standard normal variates via the inverse-CDF transform."""
-    return norm_ppf_array(uniforms(seed, count, stream))
+    return norm_ppf_array(uniforms(seed, count))

@@ -31,11 +31,6 @@ _GAMMA_MAX_ITER = 500
 _TINY = 1e-300  # keeps the Lentz denominators off zero
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF Phi(x)."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 def normal_sf(x: float) -> float:
     """Standard normal survival function 1 - Phi(x)."""
     return 0.5 * math.erfc(x / math.sqrt(2.0))

@@ -95,12 +95,6 @@ def dft(x: Sequence[float], pad_to: Optional[int] = None) -> DftResult:
     return DftResult(coefficients=_transform(padded), original_length=m, padded_length=n)
 
 
-def inverse_dft(coefficients: np.ndarray) -> np.ndarray:
-    """Inverse transform via the conjugation trick: conj(F(conj(X))) / N."""
-    arr = np.asarray(coefficients, dtype=complex)
-    return np.conj(_transform(np.conj(arr))) / arr.size
-
-
 def next_power_of_two(n: int) -> int:
     return 1 if n <= 1 else 2 ** (n - 1).bit_length()
 

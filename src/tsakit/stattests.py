@@ -84,7 +84,7 @@ _SW_C6 = (0.0030302, -0.082676, -0.4803)
 _SW_G = (0.459, -2.273)
 
 
-def shapiro_wilk_weights(n: int) -> np.ndarray:
+def _shapiro_wilk_weights(n: int) -> np.ndarray:
     """Full antisymmetric weight vector for the W statistic at sample size n."""
     if n < 3:
         raise InvalidArgumentError(f"Shapiro-Wilk needs n >= 3, got {n}")
@@ -124,7 +124,7 @@ def shapiro_wilk(x: Sequence[float]) -> HypothesisTestResult:
     if float(arr.max() - arr.min()) <= 0.0:
         raise ZeroVarianceError("Shapiro-Wilk is undefined for a constant sample")
     ordered = np.sort(arr)
-    weights = shapiro_wilk_weights(n)
+    weights = _shapiro_wilk_weights(n)
     numerator = float(weights @ ordered) ** 2
     denominator = float(((ordered - ordered.mean()) ** 2).sum())
     w = numerator / denominator
@@ -163,11 +163,6 @@ _KPSS_CRITICAL = (0.347, 0.463, 0.574, 0.739)
 _KPSS_PROB = (0.10, 0.05, 0.025, 0.01)
 
 
-def kpss_auto_lag(n: int) -> int:
-    """Short-lag convention for the Bartlett truncation: floor(4 (n/100)^0.25)."""
-    return int(4.0 * (n / 100.0) ** 0.25)
-
-
 def kpss_level(x: Sequence[float],
                truncation_lag: Union[int, str] = "auto") -> HypothesisTestResult:
     """KPSS test of the null hypothesis that the series is level stationary."""
@@ -176,7 +171,8 @@ def kpss_level(x: Sequence[float],
     if n < 10:
         raise InsufficientDataError(f"KPSS needs at least 10 observations, got {n}")
     if truncation_lag == "auto":
-        lag = kpss_auto_lag(n)
+        # Short-lag convention for the Bartlett truncation: floor(4 (n/100)^0.25).
+        lag = int(4.0 * (n / 100.0) ** 0.25)
     else:
         try:
             lag = int(truncation_lag)

@@ -22,9 +22,8 @@ def dataset_path() -> Path:
 
 
 @pytest.fixture(scope="session")
-def default_config(tmp_path_factory, dataset_path) -> PipelineConfig:
-    return PipelineConfig(input_path=str(dataset_path),
-                          output_dir=str(tmp_path_factory.mktemp("report")))
+def default_config(dataset_path) -> PipelineConfig:
+    return PipelineConfig(input_path=str(dataset_path))
 
 
 @pytest.fixture(scope="session")

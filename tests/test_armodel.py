@@ -10,15 +10,15 @@ from tsakit._linalg import polynomial_roots
 from tsakit.armodel import (AicRow, AicTable, ArModel, RandomWalkSpec, _aic_row,
                             _step_down, characteristic_roots, default_burn_in,
                             fit_ar_least_squares, fit_ar_yule_walker,
-                            is_stationary, levinson_durbin, psi_weights,
+                            is_stationary, levinson_durbin,
                             random_walk_moments, select_order_aic,
-                            simulate_ar, simulate_random_walk,
-                            unit_root_flags)
+                            simulate_ar, simulate_random_walk)
 from tsakit.cli import main as cli_main
 from tsakit.correlation import autocovariance, theoretical_ar_acf
 from tsakit.errors import (ConvergenceError, DegenerateFitError,
                            InvalidArgumentError, NonStationaryModelError,
                            TsaError)
+from tsakit.pipeline import _model_section
 from tsakit.spectral import ar_psd
 from tsakit.stattests import jarque_bera
 
@@ -51,9 +51,15 @@ class TestYuleWalker:
             fit_ar_yule_walker(rng.normals(4, 20), 10)
 
     def test_levinson_guards_against_unit_reflection(self):
-        from tsakit.armodel import levinson_durbin
         with pytest.raises(DegenerateFitError):
             levinson_durbin([1.0, 1.0], 1)
+
+    def test_levinson_returns_the_top_order_and_every_variance(self):
+        # AR(2) Yule-Walker by hand with rho_1 = 0.5, rho_2 = 0.1:
+        # phi = (0.6, -0.2); v_1 = 1 - 0.5^2, v_2 = v_1 (1 - 0.2^2).
+        phi, variances = levinson_durbin([1.0, 0.5, 0.1], 2)
+        assert phi.tolist() == pytest.approx([0.6, -0.2], abs=1e-15)
+        assert variances == pytest.approx([1.0, 0.75, 0.72], abs=1e-15)
 
 
 class TestLeastSquares:
@@ -309,7 +315,9 @@ class TestCharacteristicRoots:
     def test_unit_root_flagged(self):
         model = ArModel(phi=(1.0,), sigma2=1.0)
         assert not is_stationary(model)
-        assert unit_root_flags(model).tolist() == [True]
+        section = _model_section(model)
+        assert [r["unit_root"] for r in section["roots"]] == [True]
+        assert section["stationary"] is False
 
     def test_ar2_quadratic_formula(self):
         roots = characteristic_roots(ArModel(phi=(0.5, 0.3), sigma2=1.0))
@@ -330,16 +338,16 @@ class TestCharacteristicRoots:
         moduli = np.abs(characteristic_roots(fitted_ar11))
         assert moduli.min() > 1.0
 
-    def test_mutating_returned_roots_leaves_cache_intact(self):
+    def test_mutating_returned_roots_leaves_the_model_unchanged(self):
         model = ArModel(phi=(0.5, 0.3), sigma2=1.0)
         before = characteristic_roots(model)
         returned = characteristic_roots(model)
         returned[:] = 0.0
         assert characteristic_roots(model).tobytes() == before.tobytes()
         assert is_stationary(model)
-        assert unit_root_flags(model).tolist() == [False, False]
+        assert [r["unit_root"] for r in _model_section(model)["roots"]] == [False, False]
 
-    def test_cache_is_invisible_to_equality_and_hash(self):
+    def test_solving_roots_leaves_equality_and_hash_unchanged(self):
         solved = ArModel(phi=(0.5, 0.3), sigma2=1.0)
         characteristic_roots(solved)
         fresh = ArModel(phi=(0.5, 0.3), sigma2=1.0)
@@ -400,24 +408,6 @@ class TestPolynomialRoots:
         assert isinstance(err, TsaError) and isinstance(err, ArithmeticError)
         assert err.iterations == 1
         assert np.isfinite(err.residual) and err.residual > 0.0
-
-
-class TestPsiWeights:
-    def test_ar1_geometric(self):
-        h = psi_weights(ArModel(phi=(0.5,), sigma2=1.0), 6)
-        assert np.allclose(h, [1, 0.5, 0.25, 0.125, 0.0625, 0.03125], atol=1e-12)
-
-    def test_white_noise(self):
-        h = psi_weights(ArModel(phi=(), sigma2=1.0), 4)
-        assert h.tolist() == [1.0, 0.0, 0.0, 0.0]
-
-    def test_ar2_hand_recursion(self):
-        h = psi_weights(ArModel(phi=(0.5, 0.3), sigma2=1.0), 4)
-        assert np.allclose(h, [1.0, 0.5, 0.55, 0.425], atol=1e-12)
-
-    def test_fitted_model_weights_are_summable(self, fitted_ar11):
-        h = psi_weights(fitted_ar11, 201)
-        assert abs(h[200]) < 1e-6 * abs(h[0])
 
 
 def _simulate_ar_loop(model: ArModel, n: int, seed: int, burn_in=None) -> np.ndarray:
@@ -529,6 +519,12 @@ class TestSimulateAr:
     def test_recovery_within_tolerance(self, ar_recovery):
         assert ar_recovery["ar1_median"] < 0.05
         assert ar_recovery["ar2_median"] < 0.05
+
+    @pytest.mark.parametrize("mean", [math.nan, math.inf, -math.inf])
+    def test_ar_model_refuses_non_finite_mean(self, mean):
+        with pytest.raises(InvalidArgumentError) as info:
+            ArModel(phi=(0.5,), sigma2=1.0, mean=mean)
+        assert str(info.value) == f"mean must be finite, got {mean}"
 
 
 def _roots_from_moduli(p: int, seed: int) -> tuple[np.ndarray, bool]:
@@ -709,3 +705,15 @@ class TestRandomWalk:
     def test_spec_requires_positive_variance(self):
         with pytest.raises(InvalidArgumentError):
             RandomWalkSpec(innovation_sigma2=0.0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"innovation_sigma2": math.nan}, "innovation variance must be finite, got nan"),
+        ({"innovation_sigma2": math.inf}, "innovation variance must be finite, got inf"),
+        ({"drift": math.nan}, "drift must be finite, got nan"),
+        ({"drift": -math.inf}, "drift must be finite, got -inf"),
+        ({"y0": math.inf}, "y0 must be finite, got inf"),
+    ])
+    def test_spec_refuses_non_finite_fields(self, fields, message):
+        with pytest.raises(InvalidArgumentError) as info:
+            RandomWalkSpec(**fields)
+        assert str(info.value) == message

@@ -62,8 +62,7 @@ def _first_difference(got, want, where: str = ""):
 @pytest.fixture(scope="module")
 def bundled_outputs(dataset_path, tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("golden")
-    write_outputs(run_pipeline(PipelineConfig(input_path=str(dataset_path),
-                                              output_dir=str(out))), out)
+    write_outputs(run_pipeline(PipelineConfig(input_path=str(dataset_path))), out)
     return out
 
 

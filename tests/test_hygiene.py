@@ -33,9 +33,11 @@ def test_unused_import_is_reported():
     assert _unused_imports(tree) == ["line 2: os", "line 4: c"]
 
 
-def _dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
-    """Module-level ``_name`` definitions that no statement of any module
-    reads, other than the definition itself (so recursion does not count)."""
+def _unread_definitions(trees: dict[str, ast.Module], selected) -> list[str]:
+    """Module-level definitions for which ``selected(stmt, name)`` holds and
+    that no statement of any module reads, other than the definition itself
+    (so recursion does not count). A read is a loaded name or an attribute
+    of that name; an import is not a read."""
     statements = [(module, stmt) for module, tree in trees.items() for stmt in tree.body]
     reads = []
     for _, stmt in statements:
@@ -46,7 +48,7 @@ def _dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
         reads.append(names)
-    dead = []
+    unread = []
     for index, (module, stmt) in enumerate(statements):
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             defined = [stmt.name]
@@ -56,10 +58,29 @@ def _dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
         else:
             continue
         for name in defined:
-            if (name.startswith("_") and not name.startswith("__")
+            if (selected(stmt, name)
                     and not any(name in r for i, r in enumerate(reads) if i != index)):
-                dead.append(f"{module}: {name}")
-    return dead
+                unread.append(f"{module}: {name}")
+    return unread
+
+
+def _dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level ``_name`` definitions that nothing reads."""
+    return _unread_definitions(
+        trees, lambda stmt, name: name.startswith("_") and not name.startswith("__"))
+
+
+# Public functions that only the acceptance suite calls: the paper's random
+# walk moments, its theoretical AR ACF and the inverse of differencing.
+ACCEPTANCE_API = frozenset({"integrate", "random_walk_moments", "theoretical_ar_acf"})
+
+
+def _uncalled_public_names(trees: dict[str, ast.Module]) -> list[str]:
+    """Module-level public functions and classes that nothing reads, other
+    than the acceptance suite's API."""
+    return _unread_definitions(trees, lambda stmt, name: (
+        isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not name.startswith("_") and name not in ACCEPTANCE_API))
 
 
 def test_every_private_module_name_is_used():
@@ -76,6 +97,24 @@ def test_dead_private_name_is_reported():
         "b.py": ast.parse("def _imported():\n    pass\n\nclass _Unused:\n    pass\n"),
     }
     assert _dead_private_names(trees) == ["a.py: _DEAD", "a.py: _helper", "b.py: _Unused"]
+
+
+def test_every_public_function_is_called():
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    assert _uncalled_public_names(trees) == []
+
+
+def test_uncalled_public_name_is_reported():
+    trees = {
+        "__init__.py": ast.parse("from .a import dead, used\n"),
+        "a.py": ast.parse("CONSTANT = 1\n\ndef used():\n    return b.Model()\n\n"
+                          "def dead(n):\n    return dead(n - 1)\n\n"
+                          "def integrate(x):\n    return x\n\n"
+                          "def caller():\n    return used()\n"),
+        "b.py": ast.parse("class Model:\n    pass\n\nclass Orphan:\n    pass\n"),
+    }
+    assert _uncalled_public_names(trees) == ["a.py: dead", "a.py: caller", "b.py: Orphan"]
 
 
 def _dynamic_code_calls(trees: dict[str, ast.Module]) -> list[str]:

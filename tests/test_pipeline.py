@@ -44,10 +44,8 @@ def write_csv(path: Path, rows, header="period,deaths"):
     path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
 
 
-def config_for(path, tmp_path, **overrides) -> PipelineConfig:
-    defaults = dict(input_path=str(path), output_dir=str(tmp_path / "out"))
-    defaults.update(overrides)
-    return PipelineConfig(**defaults)
+def config_for(path, **overrides) -> PipelineConfig:
+    return PipelineConfig(input_path=str(path), **overrides)
 
 
 class TestIngest:
@@ -57,7 +55,7 @@ class TestIngest:
         assert deaths_series.periods()[-1] == "2020-07"
 
     def test_missing_file(self, tmp_path):
-        cfg = config_for(tmp_path / "nope.csv", tmp_path)
+        cfg = config_for(tmp_path / "nope.csv")
         with pytest.raises(MissingInputError):
             ingest_csv(tmp_path / "nope.csv", cfg)
 
@@ -65,7 +63,7 @@ class TestIngest:
         p = tmp_path / "gap.csv"
         write_csv(p, ["2015-01,100", "2015-03,110"])
         with pytest.raises(MonthGapError, match="2015-02"):
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
 
     def test_duplicate_month(self, tmp_path):
         p = tmp_path / "dup.csv"
@@ -73,13 +71,13 @@ class TestIngest:
                      ["2015-01,100", "2015-02,101", "2015-01,102"]):
             write_csv(p, rows)
             with pytest.raises(DuplicateMonthError, match="2015-01") as info:
-                ingest_csv(p, config_for(p, tmp_path))
+                ingest_csv(p, config_for(p))
             assert info.value.period == "2015-01"
 
     def test_utf8_bom_is_accepted(self, dataset_path, deaths_series, tmp_path):
         p = tmp_path / "bom.csv"
         p.write_bytes(b"\xef\xbb\xbf" + dataset_path.read_bytes())
-        series = ingest_csv(p, config_for(p, tmp_path))
+        series = ingest_csv(p, config_for(p))
         assert series.start_period == deaths_series.start_period
         assert series.values.tolist() == deaths_series.values.tolist()
 
@@ -87,37 +85,37 @@ class TestIngest:
         p = tmp_path / "empty.csv"
         p.write_text("", encoding="utf-8")
         with pytest.raises(InsufficientDataError):
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
 
     def test_header_only(self, tmp_path):
         p = tmp_path / "headeronly.csv"
         p.write_text("period,deaths\n", encoding="utf-8")
         with pytest.raises(InsufficientDataError):
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
 
     def test_malformed_value_reports_line(self, tmp_path):
         p = tmp_path / "bad.csv"
         write_csv(p, ["2015-01,100", "2015-02,ten"])
         with pytest.raises(MalformedRowError, match="line 3"):
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
 
     def test_negative_count(self, tmp_path):
         p = tmp_path / "neg.csv"
         write_csv(p, ["2015-01,-5"])
         with pytest.raises(MalformedRowError, match="non-negative"):
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
 
     def test_bad_period_format(self, tmp_path):
         p = tmp_path / "period.csv"
         write_csv(p, ["Jan-2015,100"])
         with pytest.raises(MalformedRowError, match="line 2"):
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "cols.csv"
         write_csv(p, ["2015-01,1"], header="month,count")
         with pytest.raises(MalformedRowError, match="period"):
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
 
     def test_error_codes_are_distinct(self):
         assert MissingInputError.code != MonthGapError.code
@@ -126,7 +124,7 @@ class TestIngest:
     def test_custom_columns(self, tmp_path):
         p = tmp_path / "custom.csv"
         write_csv(p, ["2015-01,7", "2015-02,8"], header="month,count")
-        cfg = config_for(p, tmp_path, date_column="month", value_column="count")
+        cfg = config_for(p, date_column="month", value_column="count")
         series = ingest_csv(p, cfg)
         assert series.values.tolist() == [7.0, 8.0]
 
@@ -145,12 +143,12 @@ class TestIngest:
         p = tmp_path / "labels.csv"
         write_csv(p, [f"{before},5", f"{label},6"])
         if parsed:
-            series = ingest_csv(p, config_for(p, tmp_path))
+            series = ingest_csv(p, config_for(p))
             assert series.periods() == [before, str(expected)]
             assert series.values.tolist() == [5.0, 6.0]
             return
         with pytest.raises(MalformedRowError) as info:
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
         assert type(info.value) is MalformedRowError
         assert str(info.value) == f"line 3: {expected}"
         assert info.value.line_number == 3
@@ -161,7 +159,7 @@ class TestIngest:
         rows = [f"{start.plus_months(k)},{100 + k}" for k in range(100)]
         write_csv(p, rows + ["2003-05,7"])
         with pytest.raises(DuplicateMonthError) as info:
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
         assert str(info.value) == "duplicate month in input: 2003-05"
         assert info.value.period == "2003-05"
 
@@ -169,7 +167,7 @@ class TestIngest:
         p = tmp_path / "decreasing.csv"
         write_csv(p, [f"2015-{m:02d},{m}" for m in range(1, 6)] + ["2014-11,9"])
         with pytest.raises(MalformedRowError) as info:
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
         assert str(info.value) == \
             "line 7: periods must be increasing, got 2014-11 after 2015-05"
         assert info.value.line_number == 7
@@ -178,14 +176,14 @@ class TestIngest:
         p = tmp_path / "gap.csv"
         write_csv(p, ["2015-11,1", "2015-12,2", "2016-02,3"])
         with pytest.raises(MonthGapError) as info:
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
         assert str(info.value) == "month gap in input: 2016-01 is missing"
 
     def test_count_too_large_to_represent(self, tmp_path, capsys):
         p = tmp_path / "huge.csv"
         write_csv(p, ["2015-01,1", "2015-02," + "9" * 401])
         with pytest.raises(MalformedRowError) as info:
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
         assert str(info.value) == "line 3: count is too large to represent"
         code = cli_main(["analyze", "--input", str(p),
                          "--output", str(tmp_path / "out")])
@@ -209,13 +207,13 @@ class TestIngest:
         # int()'s digit limit counts leading zeros, which add nothing.
         p = tmp_path / "padded.csv"
         write_csv(p, ["2015-01,1", f"2015-02,{count}"])
-        assert ingest_csv(p, config_for(p, tmp_path)).values.tolist() == [1.0, value]
+        assert ingest_csv(p, config_for(p)).values.tolist() == [1.0, value]
 
     def test_zero_padded_count_with_too_many_digits(self, tmp_path):
         p = tmp_path / "padded.csv"
         write_csv(p, ["2015-01,1", "2015-02,2", "2015-03," + "0" * 5 + "7" * 4301])
         with pytest.raises(MalformedRowError) as info:
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
         assert str(info.value) == "line 4: count is too large to represent"
         assert info.value.line_number == 4
 
@@ -228,7 +226,7 @@ class TestIngest:
         p = tmp_path / "count.csv"
         write_csv(p, ["2015-01,1", f"2015-02,{count}"])
         with pytest.raises(MalformedRowError) as info:
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
         assert str(info.value) == f"line 3: count must be an integer, got {count!r}"
 
     @pytest.mark.parametrize("count, value", [("+5", 5.0), ("-0", 0.0), (" 7 ", 7.0),
@@ -236,7 +234,7 @@ class TestIngest:
     def test_signed_counts(self, tmp_path, count, value):
         p = tmp_path / "count.csv"
         write_csv(p, ["2015-01,1", f"2015-02,{count}"])
-        assert ingest_csv(p, config_for(p, tmp_path)).values.tolist() == [1.0, value]
+        assert ingest_csv(p, config_for(p)).values.tolist() == [1.0, value]
 
     @pytest.mark.parametrize("count, shown", [("-3", "-3"), ("-0003", "-3"),
                                               ("-" + "0" * 4301 + "1", "-1")],
@@ -245,7 +243,7 @@ class TestIngest:
         p = tmp_path / "count.csv"
         write_csv(p, ["2015-01,1", f"2015-02,{count}"])
         with pytest.raises(MalformedRowError) as info:
-            ingest_csv(p, config_for(p, tmp_path))
+            ingest_csv(p, config_for(p))
         assert str(info.value) == f"line 3: count must be non-negative, got {shown}"
 
 
@@ -360,8 +358,8 @@ class TestRunPipeline:
         ("sacf", "sample_acf"),
         ("figure-data", "histogram_data"),
     ])
-    def test_failing_stage_is_named(self, default_config, monkeypatch, capsys,
-                                    stage, function):
+    def test_failing_stage_is_named(self, default_config, tmp_path, monkeypatch,
+                                    capsys, stage, function):
         def failing(*args, **kwargs):
             raise DegenerateFitError(f"{function} failed")
 
@@ -371,7 +369,7 @@ class TestRunPipeline:
         assert info.value.stage == stage
         assert isinstance(info.value.cause, DegenerateFitError)
         code = cli_main(["analyze", "--input", default_config.input_path,
-                         "--output", default_config.output_dir])
+                         "--output", str(tmp_path / "out")])
         assert code == 3
         assert capsys.readouterr().err == (
             f"error: stage '{stage}' failed: {function} failed\n")
@@ -395,7 +393,7 @@ class TestRunPipeline:
         rows = [f"{2001 + i // 12:04d}-{i % 12 + 1:02d},{int(v)}"
                 for i, v in enumerate(values)]
         write_csv(p, rows)
-        cfg = config_for(p, tmp_path, truncate_head=3, aic_max_order=6)
+        cfg = config_for(p, truncate_head=3, aic_max_order=6)
         report = run_pipeline(cfg)
         assert report.body["difference"]["length"] == n - 3 - 1
         series_rows = [r for r in report.figures["fig_diff_sacf.csv"]
@@ -416,7 +414,7 @@ class TestRunPipeline:
         rows = [f"{2001 + i // 12:04d}-{i % 12 + 1:02d},{int(v)}"
                 for i, v in enumerate(values)]
         write_csv(p, rows)
-        report = run_pipeline(config_for(p, tmp_path, aic_max_order=10))
+        report = run_pipeline(config_for(p, aic_max_order=10))
         body = report.body
         assert body["trend"]["r_squared"] > 0.99
         assert body["residual_diagnostics"]["jarque_bera"]["p_value"]["value"] > 0.05
@@ -429,14 +427,12 @@ class TestRunPipeline:
         rows = [f"2015-{m:02d},500" for m in range(1, 13)]
         write_csv(p, rows)
         with pytest.raises(PipelineStageError) as exc_info:
-            run_pipeline(config_for(p, tmp_path, aic_max_order=3))
+            run_pipeline(config_for(p, aic_max_order=3))
         assert exc_info.value.stage == "residual-diagnostics"
 
-    def test_determinism_byte_identical(self, dataset_path, tmp_path):
-        cfg1 = config_for(dataset_path, tmp_path / "a")
-        cfg2 = config_for(dataset_path, tmp_path / "b")
-        r1 = run_pipeline(cfg1)
-        r2 = run_pipeline(cfg2)
+    def test_determinism_byte_identical(self, dataset_path):
+        r1 = run_pipeline(config_for(dataset_path))
+        r2 = run_pipeline(config_for(dataset_path))
         assert r1.to_json() == r2.to_json()
         assert r1.figures == r2.figures
 
@@ -465,7 +461,7 @@ class TestRunPipeline:
         rows = [f"2015-{m:02d},{int(v)}" if m <= 12 else f"2016-{m-12:02d},{int(v)}"
                 for m, v in zip(range(1, n + 1), values)]
         write_csv(p, rows)
-        report = run_pipeline(config_for(p, tmp_path))
+        report = run_pipeline(config_for(p))
         assert report.body["decisions"]["aic_max_order"] <= 6
 
     def test_report_round_trips(self, default_config):
@@ -475,27 +471,26 @@ class TestRunPipeline:
         assert reparsed == text
 
     def test_written_outputs(self, dataset_path, tmp_path):
-        cfg = config_for(dataset_path, tmp_path)
-        report = run_pipeline(cfg)
-        written = write_outputs(report, cfg.output_dir)
+        out = tmp_path / "out"
+        written = write_outputs(run_pipeline(config_for(dataset_path)), out)
         names = sorted(p.name for p in written)
         assert names == sorted(["report.json", "fig_trend.csv",
                                 "fig_residuals.csv", "fig_qq.csv",
                                 "fig_diff_sacf.csv", "fig_hist.csv",
                                 "fig_spectrum_np.csv", "fig_spectrum_ar.csv"])
-        trend = (Path(cfg.output_dir) / "fig_trend.csv").read_text().splitlines()
+        trend = (out / "fig_trend.csv").read_text().splitlines()
         assert trend[0] == "period,t,observed,fitted"
         assert len(trend) == 68
-        spectrum = (Path(cfg.output_dir) / "fig_spectrum_np.csv").read_text().splitlines()
+        spectrum = (out / "fig_spectrum_np.csv").read_text().splitlines()
         assert spectrum[0] == "frequency,raw_power,smoothed_power"
         assert len(spectrum) == 34  # 33 ordinates for a 64-point transform
 
     def test_failed_write_leaves_directory_unchanged(self, dataset_path,
                                                      tmp_path, monkeypatch):
         out = tmp_path / "out"
-        write_outputs(run_pipeline(config_for(dataset_path, tmp_path)), out)
+        write_outputs(run_pipeline(config_for(dataset_path)), out)
         before = {p.name: p.read_bytes() for p in out.iterdir()}
-        report = run_pipeline(config_for(dataset_path, tmp_path, truncate_head=3))
+        report = run_pipeline(config_for(dataset_path, truncate_head=3))
 
         real_writer = csv.writer
         opened = []
@@ -595,7 +590,7 @@ class TestFigureWriter:
         return got
 
     def test_bundled_data(self, dataset_path, tmp_path, monkeypatch):
-        got = self._assert_same_bytes(config_for(dataset_path, tmp_path),
+        got = self._assert_same_bytes(config_for(dataset_path),
                                       tmp_path, monkeypatch)
         assert got["fig_trend.csv"].count(b"\n") == 68
 
@@ -606,7 +601,7 @@ class TestFigureWriter:
         p = tmp_path / "long.csv"
         write_csv(p, [f"{1700 + k // 12:04d}-{k % 12 + 1:02d},{v}"
                       for k, v in enumerate(counts.tolist())])
-        self._assert_same_bytes(config_for(p, tmp_path, ar_estimator=estimator),
+        self._assert_same_bytes(config_for(p, ar_estimator=estimator),
                                 tmp_path, monkeypatch)
 
     def test_degenerate_histogram(self, dataset_path, tmp_path, monkeypatch):
@@ -618,7 +613,7 @@ class TestFigureWriter:
         def swap_hist(args):
             return args[:4] + (hist,) + args[5:]
 
-        got = self._assert_same_bytes(config_for(dataset_path, tmp_path),
+        got = self._assert_same_bytes(config_for(dataset_path),
                                       tmp_path, monkeypatch, swap_hist)
         assert got["fig_hist.csv"].count(b"\n") == 3  # header, 1 bar, 1 point
 
@@ -629,7 +624,7 @@ class TestFigureWriter:
         write_csv(p, [f"{count},note {i},{period}"
                       for i, (period, count) in enumerate(rows)],
                   header="count,notes,month")
-        cfg = config_for(p, tmp_path, date_column="month", value_column="count")
+        cfg = config_for(p, date_column="month", value_column="count")
         self._assert_same_bytes(cfg, tmp_path, monkeypatch)
 
 
@@ -680,6 +675,34 @@ class TestCli:
                          "--output", str(tmp_path / "out"),
                          "--truncate-head", "11"])
         assert code == 2
+
+    def test_record_longer_than_5000_months_exit_2(self, tmp_path, capsys):
+        # Shapiro-Wilk, run on the trend residuals, supports n <= 5000.
+        p = tmp_path / "long.csv"
+        noise = np.rint(10.0 * rng.normals(72, 5001)).astype(int)
+        write_csv(p, [f"{1600 + k // 12:04d}-{k % 12 + 1:02d},{1000 + v}"
+                      for k, v in enumerate(noise.tolist())])
+        code = cli_main(["analyze", "--input", str(p),
+                         "--output", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: stage 'residual-diagnostics' failed: Shapiro-Wilk supports "
+            "sample sizes 3..5000, got 5001\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["random-walk", "--sigma2", "nan"], "innovation variance must be finite, got nan"),
+        (["random-walk", "--sigma2", "inf"], "innovation variance must be finite, got inf"),
+        (["random-walk", "--drift", "nan"], "drift must be finite, got nan"),
+        (["random-walk", "--y0", "inf"], "y0 must be finite, got inf"),
+        (["ar", "--phi", "0.5", "--mean", "nan"], "mean must be finite, got nan"),
+    ])
+    def test_simulate_non_finite_parameter_exit_2(self, tmp_path, capsys, args, message):
+        out = tmp_path / "sim.csv"
+        code = cli_main(["simulate", *args, "--n", "10", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_simulate_ar_deterministic(self, tmp_path):
         out1 = tmp_path / "sim1.csv"

@@ -21,11 +21,6 @@ class TestUniforms:
         long = rng.uniforms(9, 1000)
         assert np.array_equal(short, long[:10])
 
-    def test_streams_are_independent_sequences(self):
-        a = rng.uniforms(9, 50, stream=0)
-        b = rng.uniforms(9, 50, stream=1)
-        assert not np.array_equal(a, b)
-
     def test_moments(self):
         u = rng.uniforms(123, 200_000)
         assert float(u.mean()) == pytest.approx(0.5, abs=0.005)

@@ -8,8 +8,8 @@ from tsakit.armodel import ArModel, simulate_ar
 from tsakit.errors import (InsufficientDataError, InvalidArgumentError,
                            ZeroVarianceError)
 from tsakit.regression import Censoring
-from tsakit.stattests import (chi_square_sf, jarque_bera, kpss_auto_lag,
-                              kpss_level, shapiro_wilk)
+from tsakit.stattests import (_shapiro_wilk_weights, chi_square_sf,
+                              jarque_bera, kpss_level, shapiro_wilk)
 
 
 class TestChiSquareSf:
@@ -116,6 +116,19 @@ class TestShapiroWilk:
         assert result.statistic == pytest.approx(0.9906, abs=0.0005)
         assert result.p_value.value == pytest.approx(0.8968, abs=0.02)
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 11, 12, 67, 500, 5000])
+    def test_weights_are_antisymmetric_unit_vectors(self, n):
+        a = _shapiro_wilk_weights(n)
+        assert a.size == n
+        assert np.array_equal(a, -a[::-1])
+        assert abs(float((a ** 2).sum()) - 1.0) <= 1e-15
+        if n % 2:
+            assert a[n // 2] == 0.0
+
+    def test_weights_for_three_are_exact(self):
+        assert _shapiro_wilk_weights(3).tolist() == [
+            -math.sqrt(0.5), 0.0, math.sqrt(0.5)]
+
 
 class TestKpssLevel:
     def test_hand_computed_alternating(self):
@@ -126,9 +139,10 @@ class TestKpssLevel:
         assert result.nuisance["truncation_lag"] == 0
 
     def test_auto_lag_rule(self):
-        assert kpss_auto_lag(64) == 3
-        assert kpss_auto_lag(100) == 4
-        assert kpss_auto_lag(500) == 5
+        # floor(4 (n/100)^0.25)
+        for n, lag in ((64, 3), (100, 4), (500, 5)):
+            result = kpss_level(rng.normals(n, n), "auto")
+            assert result.nuisance["truncation_lag"] == lag
 
     def test_stationary_noise_fails_to_reject(self):
         result = kpss_level(rng.normals(5, 300), "auto")

@@ -24,7 +24,7 @@ from .pipeline import (AnalysisReport, PipelineConfig, histogram_data,
 from .regression import (Censoring, LinearTrendFit, PValue, f_distribution_sf,
                          fit_linear_trend, t_distribution_sf)
 from .series import Period, TimeSeries, demean, difference, integrate
-from .spectral import (DftResult, EstimatorKind, SpectrumEstimate, ar_psd,
-                       daniell_smooth, dft, periodogram)
+from .spectral import (EstimatorKind, SpectrumEstimate, ar_psd, daniell_smooth,
+                       dft, periodogram)
 from .stattests import (HypothesisTestResult, chi_square_sf, jarque_bera,
                         kpss_level, shapiro_wilk)

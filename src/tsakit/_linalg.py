@@ -21,6 +21,9 @@ import numpy as np
 from .errors import ConvergenceError, DegenerateFitError
 from .special import _horner
 
+# An update has settled when no root moves more than this times max(1, max |z_i|).
+_STEP_TOL = 1e-13
+
 
 def back_substitute(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``r[:n, :n] @ x = rhs[:n]`` for x, reading only the upper triangle
@@ -78,14 +81,13 @@ def least_squares(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]
     return back_substitute(a, rhs), sse
 
 
-def polynomial_roots(coeffs: np.ndarray, max_iter: int = 800,
-                     tol: float = 1e-13) -> np.ndarray:
+def polynomial_roots(coeffs: np.ndarray, max_iter: int = 800) -> np.ndarray:
     """All complex roots of c_0 + c_1 z + ... + c_n z^n (Durand-Kerner iteration).
 
     ``coeffs`` is low-order first with a non-zero leading coefficient. Each
     iteration updates all roots together: z_i -= p(z_i) / prod_{j != i}(z_i - z_j).
-    The iterate is returned once the update settles, or after ``max_iter``
-    iterations if each |p(z_i)| is within the rounding bound
+    The iterate is returned once the update settles (``_STEP_TOL``), or after
+    ``max_iter`` iterations if each |p(z_i)| is within the rounding bound
     2 n eps sum_j |c_j| |z_i|^j (some updates never settle on found roots).
     Otherwise ConvergenceError carries the iteration count and the largest
     |p(z_i)|, inf when the iterate overflows.
@@ -114,7 +116,7 @@ def polynomial_roots(coeffs: np.ndarray, max_iter: int = 800,
             delta = values / diff.prod(axis=1)
             z = z - delta
             step = float(np.abs(delta).max())
-            if step < tol * max(1.0, float(np.abs(z).max())):
+            if step < _STEP_TOL * max(1.0, float(np.abs(z).max())):
                 return z
             if not np.isfinite(step):
                 message = f"Durand-Kerner iterate is not finite at iteration {iteration}"

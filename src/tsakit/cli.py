@@ -8,7 +8,8 @@ directory given as ``analyze --input`` or ``simulate --out``, an
 ``analyze --output`` below a file, and a write that fails (a full disk).
 A reader that closes stdout early (``tsakit simulate ... | head``) ends the
 run quietly with exit 0.
-The seed resolution order is: --seed flag, then TSA_SEED, then the default.
+A malformed flag value, such as ``--kpss-lag 2.5``, is an argparse error that
+names the flag: usage on stderr and exit 2.
 ``simulate --out FILE`` writes a temporary file beside FILE and renames it
 into place only once it is complete, unless FILE is a symlink, a FIFO or a
 device, which are written directly; ``--out -`` writes to stdout.
@@ -31,16 +32,15 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _resolve_seed(flag_value) -> int:
-    if flag_value is not None:
-        return int(flag_value)
-    env = os.environ.get("TSA_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InvalidArgumentError(f"TSA_SEED must be an integer, got {env!r}")
-    return 0
+def _auto_or_int(text: str):
+    """argparse type of a flag that takes ``auto`` or an integer."""
+    if text == "auto":
+        return text
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer or 'auto', got {text!r}") from None
 
 
 def _parse_spans(text: str) -> tuple[int, ...]:
@@ -72,18 +72,18 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--output", required=True, help="output directory")
     analyze.add_argument("--date-column", default="period")
     analyze.add_argument("--value-column", default="deaths")
-    analyze.add_argument("--aic-max-order", default="auto",
+    analyze.add_argument("--aic-max-order", type=_auto_or_int, default="auto",
                          help="maximum AR order for AIC (default: auto = floor(10 log10 N))")
     analyze.add_argument("--ar-estimator", default="yule_walker",
                          choices=["yule_walker", "least_squares"])
     analyze.add_argument("--daniell-spans", default="3,3",
                          help="comma-separated odd spans, e.g. 3,3")
-    analyze.add_argument("--kpss-lag", default="auto",
+    analyze.add_argument("--kpss-lag", type=_auto_or_int, default="auto",
                          help="Bartlett truncation lag (default: auto)")
     analyze.add_argument("--truncate-head", type=int, default=2,
                          help="samples to drop before differencing")
-    analyze.add_argument("--seed", default=None,
-                         help="seed recorded in the report (overrides TSA_SEED)")
+    analyze.add_argument("--seed", type=int, default=0,
+                         help="seed recorded in the report")
 
     simulate = sub.add_parser("simulate", help="simulate AR or random-walk series")
     sim_sub = simulate.add_subparsers(dest="model", required=True)
@@ -93,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_ar.add_argument("--sigma2", type=float, default=1.0)
     sim_ar.add_argument("--mean", type=float, default=0.0)
     sim_ar.add_argument("--n", type=int, required=True)
-    sim_ar.add_argument("--seed", default=None)
+    sim_ar.add_argument("--seed", type=int, default=0)
     sim_ar.add_argument("--burn-in", type=int, default=None)
     sim_ar.add_argument("--out", default="-", help="output CSV path (default: stdout)")
 
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim_rw.add_argument("--sigma2", type=float, default=1.0)
     sim_rw.add_argument("--y0", type=float, default=0.0)
     sim_rw.add_argument("--n", type=int, required=True)
-    sim_rw.add_argument("--seed", default=None)
+    sim_rw.add_argument("--seed", type=int, default=0)
     sim_rw.add_argument("--out", default="-", help="output CSV path (default: stdout)")
     return parser
 
@@ -133,19 +133,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
-            kpss_lag = args.kpss_lag if args.kpss_lag == "auto" else int(args.kpss_lag)
-            aic_max = (args.aic_max_order if args.aic_max_order == "auto"
-                       else int(args.aic_max_order))
             config = PipelineConfig(
                 input_path=args.input,
                 date_column=args.date_column,
                 value_column=args.value_column,
                 truncate_head=args.truncate_head,
-                aic_max_order=aic_max,
+                aic_max_order=args.aic_max_order,
                 ar_estimator=args.ar_estimator,
                 daniell_spans=_parse_spans(args.daniell_spans),
-                kpss_lag=kpss_lag,
-                seed=_resolve_seed(args.seed),
+                kpss_lag=args.kpss_lag,
+                seed=args.seed,
             )
             report = run_pipeline(config)
             written = write_outputs(report, args.output)
@@ -153,15 +150,14 @@ def main(argv=None) -> int:
             sys.stdout.flush()
             return EXIT_OK
         # The subcommand is required, so anything else is "simulate".
-        seed = _resolve_seed(args.seed)
         if args.model == "ar":
             model = ArModel(phi=_parse_phi(args.phi), sigma2=args.sigma2,
                             mean=args.mean)
-            series = simulate_ar(model, args.n, seed=seed, burn_in=args.burn_in)
+            series = simulate_ar(model, args.n, seed=args.seed, burn_in=args.burn_in)
         else:
             spec = RandomWalkSpec(drift=args.drift,
                                   innovation_sigma2=args.sigma2, y0=args.y0)
-            series = simulate_random_walk(spec, args.n, seed=seed)
+            series = simulate_random_walk(spec, args.n, seed=args.seed)
         _emit_series(series.values, args.out)
         return EXIT_OK
     except PipelineStageError as exc:

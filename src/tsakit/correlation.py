@@ -16,9 +16,7 @@ class AcfEstimate:
     """Biased-estimator ACF up to ``max_lag`` with the white-noise plot band."""
 
     lags: np.ndarray
-    autocovariance: np.ndarray
     autocorrelation: np.ndarray
-    n: int
     band: float
 
 
@@ -45,13 +43,10 @@ def sample_acf(x: Sequence[float], max_lag: int) -> AcfEstimate:
     gamma = autocovariance(x, max_lag)
     if gamma[0] <= 0.0:
         raise ZeroVarianceError("sample ACF is undefined for a constant series")
-    n = int(np.asarray(x).size)
     return AcfEstimate(
         lags=np.arange(max_lag + 1),
-        autocovariance=gamma,
         autocorrelation=gamma / gamma[0],
-        n=n,
-        band=WHITE_NOISE_BAND_Z / np.sqrt(n),
+        band=WHITE_NOISE_BAND_Z / np.sqrt(np.asarray(x).size),
     )
 
 

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all toolkit modules."""
+"""Exception hierarchy shared by all toolkit modules, and the integer check
+that settings go through."""
+import operator
 
 
 class TsaError(Exception):
@@ -7,6 +9,14 @@ class TsaError(Exception):
 
 class InvalidArgumentError(TsaError, ValueError):
     """An argument violates a documented precondition."""
+
+
+def _as_index(value, name: str) -> int:
+    """``value`` as a Python int (numpy integers included, floats not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
 
 
 class InsufficientDataError(TsaError, ValueError):

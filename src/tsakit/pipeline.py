@@ -32,7 +32,7 @@ from .armodel import (UNIT_ROOT_TOL, ArModel, characteristic_roots,
 from .correlation import sample_acf
 from .errors import (DuplicateMonthError, InsufficientDataError,
                      InvalidArgumentError, MalformedRowError, MissingInputError,
-                     MonthGapError, PipelineStageError, TsaError)
+                     MonthGapError, PipelineStageError, TsaError, _as_index)
 from .regression import LinearTrendFit, fit_linear_trend
 from .series import Period, TimeSeries, _month_index, _month_label, demean, difference
 from .spectral import ar_psd, daniell_smooth, periodogram
@@ -66,10 +66,10 @@ class PipelineConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.truncate_head < 0:
-            raise InvalidArgumentError(
-                f"truncate_head must be >= 0, got {self.truncate_head}")
-        object.__setattr__(self, "daniell_spans", tuple(int(s) for s in self.daniell_spans))
+        truncate_head = _as_index(self.truncate_head, "truncate_head")
+        if truncate_head < 0:
+            raise InvalidArgumentError(f"truncate_head must be >= 0, got {truncate_head}")
+        object.__setattr__(self, "truncate_head", truncate_head)
 
 
 def ingest_csv(path: Union[str, Path], config: PipelineConfig) -> TimeSeries:
@@ -150,7 +150,6 @@ class HistogramData:
     counts: np.ndarray
     overlay_x: np.ndarray
     overlay_density: np.ndarray
-    degenerate: bool
 
 
 def histogram_data(x: Sequence[float]) -> HistogramData:
@@ -179,7 +178,7 @@ def histogram_data(x: Sequence[float]) -> HistogramData:
         xs = np.array([mean])
         density = np.array([0.0])
     return HistogramData(bin_edges=edges, counts=np.asarray(counts),
-                         overlay_x=xs, overlay_density=density, degenerate=degenerate)
+                         overlay_x=xs, overlay_density=density)
 
 
 @dataclass(frozen=True)
@@ -277,7 +276,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         max_order = max(1, min(int(10.0 * math.log10(n_diff)),
                                (n_diff - 1) // 2))
     else:
-        max_order = int(config.aic_max_order)
+        max_order = _as_index(config.aic_max_order, "aic_max_order")
 
     with _stage("identification"):
         aic = select_order_aic(centered.values, max_order, config.ar_estimator)
@@ -290,7 +289,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         model_section = _model_section(model)  # the root list solves the roots
 
     with _stage("spectral"):
-        raw_spec = periodogram(centered.values, demean=True)
+        raw_spec = periodogram(centered.values)
         smooth_spec = daniell_smooth(raw_spec, config.daniell_spans)
         ar_spec = ar_psd(model, AR_PSD_GRID)
 
@@ -330,7 +329,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         "decisions": {
             "ar_estimator": config.ar_estimator,
             "aic_max_order": max_order,
-            "daniell_spans": list(config.daniell_spans),
+            "daniell_spans": list(smooth_spec.parameters["spans"]),
             "kpss_lag": kpss.nuisance["truncation_lag"],
             "kpss_lag_rule": ("floor(4*(N/100)^0.25)"
                               if config.kpss_lag == "auto" else "explicit"),

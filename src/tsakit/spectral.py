@@ -1,7 +1,8 @@
 """Nonparametric and parametric power spectral density estimation.
 
 The DFT runs a radix-2 iterative transform when the padded length is a power of
-two and falls back to direct evaluation otherwise. Periodogram ordinates are
+two and falls back to direct evaluation otherwise. The periodogram demeans its
+input and zero-pads it to the next power of two N; its ordinates are
 |X[k]|^2 / N on the frequency grid k/N, truncated to [0, 0.5]. Smoothing uses a
 modified Daniell kernel (half-weight endpoints); successive spans are convolved
 into one composite kernel which is applied with reflection at both ends of the
@@ -17,20 +18,13 @@ import numpy as np
 
 from .armodel import ArModel, is_stationary
 from .errors import (InsufficientDataError, InvalidArgumentError,
-                     NonStationaryModelError)
+                     NonStationaryModelError, _as_index)
 
 
 class EstimatorKind(Enum):
     RAW_PERIODOGRAM = "raw_periodogram"
     DANIELL = "daniell"
     AR_PARAMETRIC = "ar_parametric"
-
-
-@dataclass(frozen=True)
-class DftResult:
-    coefficients: np.ndarray
-    original_length: int
-    padded_length: int
 
 
 @dataclass(frozen=True)
@@ -80,8 +74,9 @@ def _transform(x: np.ndarray) -> np.ndarray:
     return _dft_direct(x)
 
 
-def dft(x: Sequence[float], pad_to: Optional[int] = None) -> DftResult:
-    """DFT of the zero-padded input: X[k] = sum_t x_t exp(-2 pi i k t / N)."""
+def dft(x: Sequence[float], pad_to: Optional[int] = None) -> np.ndarray:
+    """DFT of the input zero-padded to length N = ``pad_to`` (default: its own
+    length): the complex array X[k] = sum_t x_t exp(-2 pi i k t / N), k < N."""
     arr = np.asarray(x, dtype=float)
     m = arr.size
     if m < 1:
@@ -92,32 +87,30 @@ def dft(x: Sequence[float], pad_to: Optional[int] = None) -> DftResult:
             f"pad_to={n} must be at least the input length M={m}")
     padded = np.zeros(n)
     padded[:m] = arr
-    return DftResult(coefficients=_transform(padded), original_length=m, padded_length=n)
+    return _transform(padded)
 
 
 def next_power_of_two(n: int) -> int:
     return 1 if n <= 1 else 2 ** (n - 1).bit_length()
 
 
-def periodogram(x: Sequence[float], demean: bool = True,
-                pad_to: Optional[int] = None) -> SpectrumEstimate:
-    """Raw periodogram on the grid f_k = k/N, k = 0..floor(N/2)."""
+def periodogram(x: Sequence[float]) -> SpectrumEstimate:
+    """Raw periodogram of the demeaned input, zero-padded to the next power of
+    two N, on the grid f_k = k/N, k = 0..N/2."""
     arr = np.asarray(x, dtype=float)
     m = arr.size
     if m < 2:
         raise InsufficientDataError(f"periodogram needs at least 2 points, got {m}")
-    if demean:
-        arr = arr - arr.mean()
-    n = next_power_of_two(m) if pad_to is None else int(pad_to)
-    transform = dft(arr, pad_to=n)
+    n = next_power_of_two(m)
+    transform = dft(arr - arr.mean(), pad_to=n)
     half = n // 2
-    power = np.abs(transform.coefficients[: half + 1]) ** 2 / n
+    power = np.abs(transform[: half + 1]) ** 2 / n
     freqs = np.arange(half + 1, dtype=float) / n
     return SpectrumEstimate(
         frequencies=freqs,
         power=power,
         estimator=EstimatorKind.RAW_PERIODOGRAM,
-        parameters={"original_length": m, "padded_length": n, "demeaned": demean},
+        parameters={"original_length": m, "padded_length": n, "demeaned": True},
     )
 
 
@@ -140,7 +133,7 @@ def daniell_smooth(spectrum: SpectrumEstimate,
     """
     if spectrum.estimator is not EstimatorKind.RAW_PERIODOGRAM:
         raise InvalidArgumentError("daniell_smooth expects a raw periodogram")
-    spans = [int(s) for s in spans]
+    spans = [_as_index(s, "span") for s in spans]
     if not spans:
         raise InvalidArgumentError("at least one span is required")
     kernel = np.array([1.0])

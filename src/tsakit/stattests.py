@@ -15,7 +15,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .correlation import autocovariance
-from .errors import InsufficientDataError, InvalidArgumentError, ZeroVarianceError
+from .errors import (InsufficientDataError, InvalidArgumentError, ZeroVarianceError,
+                     _as_index)
 from .regression import Censoring, PValue
 from .special import _horner, gammainc_upper_reg, norm_ppf_array, normal_sf
 
@@ -174,12 +175,7 @@ def kpss_level(x: Sequence[float],
         # Short-lag convention for the Bartlett truncation: floor(4 (n/100)^0.25).
         lag = int(4.0 * (n / 100.0) ** 0.25)
     else:
-        try:
-            lag = int(truncation_lag)
-        except (TypeError, ValueError):
-            raise InvalidArgumentError(
-                f"truncation_lag must be an integer or 'auto', got "
-                f"{truncation_lag!r}") from None
+        lag = _as_index(truncation_lag, "truncation_lag")
     if lag < 0 or lag >= n:
         raise InvalidArgumentError(
             f"truncation lag must satisfy 0 <= lag < N, got {lag} with N={n}")

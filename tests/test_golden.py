@@ -1,5 +1,6 @@
-"""Golden-output gate: the bundled-data run must reproduce the checked-in
-reference report and figure CSVs in bench/reference/paper/.
+"""Golden-output gate: ``tsakit analyze`` on the bundled data, with every flag
+at its default, must reproduce the checked-in reference report and figure CSVs
+in bench/reference/paper/.
 
 Structure, ints, strings and censoring flags must match exactly; floats may
 differ by at most 1e-12 relative. A change that alters the reference must say
@@ -12,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from tsakit.pipeline import (FIGURE_FILES, PipelineConfig, run_pipeline,
-                             write_outputs)
+from tsakit.cli import main as cli_main
+from tsakit.pipeline import FIGURE_FILES
 
 REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference" / "paper"
 FLOAT_RTOL = 1e-12
@@ -62,7 +63,7 @@ def _first_difference(got, want, where: str = ""):
 @pytest.fixture(scope="module")
 def bundled_outputs(dataset_path, tmp_path_factory) -> Path:
     out = tmp_path_factory.mktemp("golden")
-    write_outputs(run_pipeline(PipelineConfig(input_path=str(dataset_path))), out)
+    assert cli_main(["analyze", "--input", str(dataset_path), "--output", str(out)]) == 0
     return out
 
 

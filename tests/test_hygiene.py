@@ -9,6 +9,12 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tsakit"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def _sources() -> dict[str, ast.Module]:
+    """Every module of the package, ``__init__.py`` included, by file name."""
+    return {p.name: ast.parse(p.read_text(encoding="utf-8"))
+            for p in sorted(PACKAGE.glob("*.py"))}
+
+
 def _unused_imports(tree: ast.Module) -> list[str]:
     imported = {}
     for node in ast.walk(tree):
@@ -84,9 +90,7 @@ def _uncalled_public_names(trees: dict[str, ast.Module]) -> list[str]:
 
 
 def test_every_private_module_name_is_used():
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(PACKAGE.glob("*.py"))}
-    assert _dead_private_names(trees) == []
+    assert _dead_private_names(_sources()) == []
 
 
 def test_dead_private_name_is_reported():
@@ -100,9 +104,7 @@ def test_dead_private_name_is_reported():
 
 
 def test_every_public_function_is_called():
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(PACKAGE.glob("*.py"))}
-    assert _uncalled_public_names(trees) == []
+    assert _uncalled_public_names(_sources()) == []
 
 
 def test_uncalled_public_name_is_reported():
@@ -141,9 +143,7 @@ def _dynamic_code_calls(trees: dict[str, ast.Module]) -> list[str]:
 def test_only_the_ar_recursion_compiles_code():
     # The AR simulator compiles its recursion from the integer order alone;
     # any other generated code in the package needs the same scrutiny.
-    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
-             for p in sorted(PACKAGE.glob("*.py"))}
-    assert _dynamic_code_calls(trees) == ["armodel.py: _ar_recursion: exec"]
+    assert _dynamic_code_calls(_sources()) == ["armodel.py: _ar_recursion: exec"]
 
 
 def test_dynamic_code_call_is_reported():
@@ -154,3 +154,133 @@ def test_dynamic_code_call_is_reported():
                      "class K:\n    def method(self):\n        return self.exec(eval)\n")
     assert _dynamic_code_calls({"m.py": tree}) == [
         "m.py: <module>: eval", "m.py: outer.inner: compile", "m.py: outer: exec"]
+
+
+def _one_value_parameters(trees: dict[str, ast.Module]) -> list[str]:
+    """Defaulted parameters of functions and methods that every call in the
+    package leaves at the default: each call omits the parameter or passes the
+    default's own literal. Calls are matched by the function's bare name, and
+    a call that unpacks ``*args`` or ``**kwargs`` counts as setting every
+    parameter it could reach. Each finding reads ``module: function(param)``."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+
+    def defaulted(func, offset):
+        positional = func.args.posonlyargs + func.args.args
+        first = len(positional) - len(func.args.defaults)
+        for index, (arg, default) in enumerate(zip(positional[first:], func.args.defaults),
+                                               start=first):
+            yield arg.arg, index - offset, default
+        for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
+            if default is not None:
+                yield arg.arg, None, default
+
+    def sets_other_value(call, name, position, default):
+        if any(k.arg is None for k in call.keywords):
+            return True
+        for keyword in call.keywords:
+            if keyword.arg == name:
+                return ast.dump(keyword.value) != ast.dump(default)
+        if position is None:
+            return False
+        for index, arg in enumerate(call.args):
+            if isinstance(arg, ast.Starred):
+                return index <= position
+            if index == position:
+                return ast.dump(arg) != ast.dump(default)
+        return False
+
+    found = []
+    for module, tree in trees.items():
+        methods = {id(stmt) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for stmt in node.body}
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in func.decorator_list)
+            offset = 1 if id(func) in methods and not static else 0  # self or cls
+            for name, position, default in defaulted(func, offset):
+                if not any(sets_other_value(call, name, position, default)
+                           for call in calls.get(func.name, [])):
+                    found.append(f"{module}: {func.name}({name})")
+    return found
+
+
+# ``main(argv)``: the console script calls main() and reads sys.argv, while the
+# bench worker and the tests pass argv. ``polynomial_roots(max_iter)``: the
+# oracle tests cap it at 1 and 5 to reach the iteration-cap and rounding-bound
+# paths.
+ONE_VALUE_PARAMETER_EXEMPT = frozenset({
+    "cli.py: main(argv)", "_linalg.py: polynomial_roots(max_iter)"})
+
+
+def test_no_one_value_parameter():
+    found = _one_value_parameters(_sources())
+    assert [f for f in found if f not in ONE_VALUE_PARAMETER_EXEMPT] == []
+
+
+def test_one_value_parameter_is_reported():
+    trees = {
+        "a.py": ast.parse(
+            "def f(x, y=1, z=None, *, w=True):\n    return x\n\n"
+            "def g(x, k=2.0):\n    return f(x, 1, w=True)\n\n"
+            "class C:\n    def m(self, a=0, b=0):\n        return g(a, *b)\n\n"
+            "    @staticmethod\n    def s(a=0):\n        return a\n\n"
+            "def h(n=3):\n    return h(n=4)\n\n"
+            "def unpacked(u=1):\n    return unpacked(**{})\n"),
+        "b.py": ast.parse("def caller(obj):\n    obj.m(5)\n    return obj.s(1)\n"),
+    }
+    assert _one_value_parameters(trees) == [
+        "a.py: f(y)", "a.py: f(z)", "a.py: f(w)", "a.py: m(b)"]
+
+
+def _unread_record_fields(trees: dict[str, ast.Module]) -> list[str]:
+    """Fields of ``@dataclass`` classes whose name is never loaded as an
+    attribute anywhere in the package, as ``module: Class.field``. The check
+    matches by name alone, whatever the owner, so an unread field that shares
+    its name with a read attribute passes: an unread ``n`` beside ``fit.n``."""
+    loaded = {node.attr for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+    def is_dataclass(decorator):
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        return getattr(target, "id", getattr(target, "attr", None)) == "dataclass"
+
+    found = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and any(map(is_dataclass, cls.decorator_list))):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in loaded):
+                    found.append(f"{module}: {cls.name}.{stmt.target.id}")
+    return found
+
+
+# The acceptance suite's record of the paper's random-walk moments.
+UNREAD_FIELD_EXEMPT = "armodel.py: RandomWalkMoments."
+
+
+def test_every_record_field_is_read():
+    found = _unread_record_fields(_sources())
+    assert [f for f in found if not f.startswith(UNREAD_FIELD_EXEMPT)] == []
+
+
+def test_unread_record_field_is_reported():
+    trees = {
+        "a.py": ast.parse(
+            "from dataclasses import dataclass\nimport dataclasses\n\n"
+            "@dataclass(frozen=True)\nclass R:\n    used: int\n    unread: float\n"
+            "    kind: str = 'x'\n\n"
+            "@dataclasses.dataclass\nclass S:\n    other: int\n\n"
+            "class Plain:\n    ignored: int\n\n"
+            "def read(r, s):\n    r.unread = 1\n    return r.used, s.kind\n"),
+    }
+    assert _unread_record_fields(trees) == ["a.py: R.unread", "a.py: S.other"]

@@ -304,8 +304,8 @@ class TestHistogramData:
 
     def test_degenerate_range_flagged(self):
         hist = histogram_data([3.0, 3.0, 3.0])
-        assert hist.degenerate
-        assert int(hist.counts.sum()) == 3
+        assert hist.bin_edges.tolist() == [2.5, 3.5]
+        assert hist.counts.tolist() == [3]
 
     def test_overlay_uses_sample_moments(self):
         x = rng.normals(53, 400) * 2.0 + 7.0
@@ -332,6 +332,33 @@ class TestRunPipeline:
         assert body["decisions"]["daniell_spans"] == [3, 3]
         assert body["decisions"]["truncate_head"] == 2
         assert "kpss_lag" in body["decisions"]
+
+    def test_non_integer_truncate_head_rejected(self, dataset_path):
+        with pytest.raises(InvalidArgumentError, match="truncate_head must be an integer"):
+            config_for(dataset_path, truncate_head=2.5)
+
+    def test_non_integer_aic_max_order_rejected(self, dataset_path):
+        with pytest.raises(InvalidArgumentError, match="aic_max_order must be an integer"):
+            run_pipeline(config_for(dataset_path, aic_max_order=12.9))
+
+    @pytest.mark.parametrize("setting, value, stage, message", [
+        ("kpss_lag", 3.5, "stationarity-test", "truncation_lag must be an integer"),
+        ("daniell_spans", (3.9, 3.2), "spectral", "span must be an integer"),
+    ])
+    def test_non_integer_stage_setting_rejected(self, dataset_path, setting, value,
+                                                stage, message):
+        with pytest.raises(PipelineStageError, match=message) as info:
+            run_pipeline(config_for(dataset_path, **{setting: value}))
+        assert info.value.stage == stage
+        assert isinstance(info.value.cause, InvalidArgumentError)
+
+    def test_numpy_integer_settings_accepted(self, dataset_path):
+        settings = dict(truncate_head=2, aic_max_order=18, kpss_lag=3, daniell_spans=(3, 3))
+        report = run_pipeline(config_for(dataset_path, **settings))
+        numpy_settings = {key: (tuple(map(np.int64, value)) if isinstance(value, tuple)
+                                else np.int64(value)) for key, value in settings.items()}
+        assert run_pipeline(config_for(dataset_path, **numpy_settings)).to_json() == report.to_json()
+        assert report.body["decisions"]["daniell_spans"] == [3, 3]
 
     def test_roots_solved_once_per_run(self, default_config, monkeypatch):
         import tsakit.armodel
@@ -608,7 +635,8 @@ class TestFigureWriter:
         # Differenced integer counts cannot have a range of a few ulps, so the
         # degenerate histogram is swapped in for the bundled data's.
         hist = histogram_data(np.full(9, 1e6 / 3.0))
-        assert hist.degenerate
+        assert hist.bin_edges.tolist() == [1e6 / 3.0 - 0.5, 1e6 / 3.0 + 0.5]
+        assert hist.counts.tolist() == [9]
 
         def swap_hist(args):
             return args[:4] + (hist,) + args[5:]
@@ -845,21 +873,28 @@ class TestCli:
         assert proc.wait(timeout=60) == 0
         assert stderr == b""
 
-    def test_seed_env_override(self, dataset_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("TSA_SEED", "777")
-        code = cli_main(["analyze", "--input", str(dataset_path),
-                         "--output", str(tmp_path / "env")])
-        assert code == 0
-        body = json.loads((tmp_path / "env" / "report.json").read_text())
-        assert body["decisions"]["seed"] == 777
-
-    def test_seed_flag_beats_env(self, dataset_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("TSA_SEED", "777")
+    def test_seed_flag_sets_decision_seed(self, dataset_path, tmp_path):
         code = cli_main(["analyze", "--input", str(dataset_path),
                          "--output", str(tmp_path / "flag"), "--seed", "9"])
         assert code == 0
         body = json.loads((tmp_path / "flag" / "report.json").read_text())
         assert body["decisions"]["seed"] == 9
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "--input", "in.csv", "--output", "out", "--kpss-lag", "2.5"],
+        ["analyze", "--input", "in.csv", "--output", "out", "--aic-max-order", "x"],
+        ["analyze", "--input", "in.csv", "--output", "out", "--seed", "x"],
+        ["simulate", "ar", "--phi", "0.5", "--n", "10", "--seed", "1.5"],
+        ["simulate", "random-walk", "--n", "10", "--seed", "x"],
+    ], ids=["kpss-lag", "aic-max-order", "analyze-seed", "ar-seed", "random-walk-seed"])
+    def test_malformed_numeric_flag_is_an_argparse_error(self, capsys, args):
+        flag, value = args[-2:]
+        with pytest.raises(SystemExit) as info:
+            cli_main(args)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: " in err
+        assert repr(value) in err
 
     def test_invalid_spans_exit_2(self, dataset_path, tmp_path):
         code = cli_main(["analyze", "--input", str(dataset_path),

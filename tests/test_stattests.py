@@ -182,6 +182,12 @@ class TestKpssLevel:
         with pytest.raises(InvalidArgumentError):
             kpss_level(np.arange(12.0), truncation_lag="bogus")
 
+    def test_lag_must_be_an_integer(self):
+        x = rng.normals(32, 150)
+        with pytest.raises(InvalidArgumentError, match="truncation_lag must be an integer"):
+            kpss_level(x, 2.7)
+        assert kpss_level(x, np.int64(2)) == kpss_level(x, 2)
+
     def test_bundled_differenced_series(self, diff64):
         result = kpss_level(diff64, "auto")
         assert result.statistic < 0.347

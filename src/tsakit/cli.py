@@ -8,8 +8,9 @@ directory given as ``analyze --input`` or ``simulate --out``, an
 ``analyze --output`` below a file, and a write that fails (a full disk).
 A reader that closes stdout early (``tsakit simulate ... | head``) ends the
 run quietly with exit 0.
-A malformed flag value, such as ``--kpss-lag 2.5``, is an argparse error that
-names the flag: usage on stderr and exit 2.
+A malformed flag value, such as ``--kpss-lag 2.5`` or ``--daniell-spans 4``,
+is an argparse error that names the flag: usage on stderr and exit 2, before
+any stage runs.
 ``simulate --out FILE`` writes a temporary file beside FILE and renames it
 into place only once it is complete, unless FILE is a symlink, a FIFO or a
 device, which are written directly; ``--out -`` writes to stdout.
@@ -26,6 +27,7 @@ from .armodel import (ArModel, RandomWalkSpec, simulate_ar,
 from .errors import (IngestionError, InsufficientDataError,
                      InvalidArgumentError, PipelineStageError, TsaError)
 from .pipeline import PipelineConfig, run_pipeline, write_outputs
+from .spectral import modified_daniell_kernel
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -44,20 +46,30 @@ def _auto_or_int(text: str):
 
 
 def _parse_spans(text: str) -> tuple[int, ...]:
+    """argparse type of ``--daniell-spans``: comma-separated spans, each one
+    that ``modified_daniell_kernel`` accepts."""
     try:
         spans = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise InvalidArgumentError(f"spans must be comma-separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"spans must be comma-separated integers, got {text!r}") from None
     if not spans:
-        raise InvalidArgumentError("at least one Daniell span is required")
+        raise argparse.ArgumentTypeError("at least one Daniell span is required")
+    try:
+        for span in spans:
+            modified_daniell_kernel(span)
+    except InvalidArgumentError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return spans
 
 
 def _parse_phi(text: str) -> tuple[float, ...]:
+    """argparse type of ``--phi``: comma-separated real coefficients."""
     try:
         return tuple(float(part) for part in text.split(",") if part.strip())
     except ValueError:
-        raise InvalidArgumentError(f"phi must be comma-separated reals, got {text!r}")
+        raise argparse.ArgumentTypeError(
+            f"phi must be comma-separated reals, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="maximum AR order for AIC (default: auto = floor(10 log10 N))")
     analyze.add_argument("--ar-estimator", default="yule_walker",
                          choices=["yule_walker", "least_squares"])
-    analyze.add_argument("--daniell-spans", default="3,3",
+    analyze.add_argument("--daniell-spans", type=_parse_spans, default="3,3",
                          help="comma-separated odd spans, e.g. 3,3")
     analyze.add_argument("--kpss-lag", type=_auto_or_int, default="auto",
                          help="Bartlett truncation lag (default: auto)")
@@ -89,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim_sub = simulate.add_subparsers(dest="model", required=True)
 
     sim_ar = sim_sub.add_parser("ar", help="stationary AR(p) with Gaussian innovations")
-    sim_ar.add_argument("--phi", required=True, help="comma-separated coefficients")
+    sim_ar.add_argument("--phi", type=_parse_phi, required=True,
+                        help="comma-separated coefficients")
     sim_ar.add_argument("--sigma2", type=float, default=1.0)
     sim_ar.add_argument("--mean", type=float, default=0.0)
     sim_ar.add_argument("--n", type=int, required=True)
@@ -140,7 +153,7 @@ def main(argv=None) -> int:
                 truncate_head=args.truncate_head,
                 aic_max_order=args.aic_max_order,
                 ar_estimator=args.ar_estimator,
-                daniell_spans=_parse_spans(args.daniell_spans),
+                daniell_spans=args.daniell_spans,
                 kpss_lag=args.kpss_lag,
                 seed=args.seed,
             )
@@ -151,8 +164,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         # The subcommand is required, so anything else is "simulate".
         if args.model == "ar":
-            model = ArModel(phi=_parse_phi(args.phi), sigma2=args.sigma2,
-                            mean=args.mean)
+            model = ArModel(phi=args.phi, sigma2=args.sigma2, mean=args.mean)
             series = simulate_ar(model, args.n, seed=args.seed, burn_in=args.burn_in)
         else:
             spec = RandomWalkSpec(drift=args.drift,

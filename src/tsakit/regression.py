@@ -1,8 +1,9 @@
 """Ordinary least squares fit of a linear time trend with full inference.
 
 The regressor is the 1-based time index t = 1..N. p-values come from the
-in-repo t and F survival functions and are censored below 2.2e-16 to match the
-usual statistical-package reporting convention.
+in-repo Student-t tail and are censored below 2.2e-16 to match the usual
+statistical-package reporting convention. The model F statistic has (1, N - 2)
+degrees of freedom, so its tail is the two-sided t tail at t^2 = F.
 """
 from __future__ import annotations
 
@@ -84,6 +85,12 @@ class LinearTrendFit:
     dof: int
 
 
+def _t_tail(t2: float, dof: int) -> float:
+    """P(T^2 >= t2) for Student's t with ``dof`` degrees of freedom, which is
+    also P(F >= t2) for F with (1, dof) degrees of freedom."""
+    return betainc_reg(dof / 2.0, 0.5, dof / (dof + t2))
+
+
 def t_distribution_sf(t: float, dof: int) -> float:
     """Two-sided tail probability P(|T| >= |t|) for Student's t."""
     if dof < 1:
@@ -92,18 +99,7 @@ def t_distribution_sf(t: float, dof: int) -> float:
         raise InvalidArgumentError(f"t statistic must be finite, got {t}")
     if t == 0.0:
         return 1.0
-    return betainc_reg(dof / 2.0, 0.5, dof / (dof + t * t))
-
-
-def f_distribution_sf(f: float, dof1: int, dof2: int) -> float:
-    """Right-tail probability P(F >= f) for the F distribution."""
-    if dof1 < 1 or dof2 < 1:
-        raise InvalidArgumentError("both degrees of freedom must be >= 1")
-    if f < 0.0:
-        raise InvalidArgumentError(f"F statistic must be >= 0, got {f}")
-    if f == 0.0:
-        return 1.0
-    return betainc_reg(dof2 / 2.0, dof1 / 2.0, dof2 / (dof2 + dof1 * f))
+    return _t_tail(t * t, dof)
 
 
 def fit_linear_trend(x: TimeSeries) -> LinearTrendFit:
@@ -139,7 +135,7 @@ def fit_linear_trend(x: TimeSeries) -> LinearTrendFit:
         f_stat = ssr / sigma2
         p0 = PValue.exact_or_censored(t_distribution_sf(t0, dof))
         p1 = PValue.exact_or_censored(t_distribution_sf(t1, dof))
-        p_model = PValue.exact_or_censored(f_distribution_sf(f_stat, 1, dof))
+        p_model = PValue.exact_or_censored(_t_tail(f_stat, dof))
     else:
         # Noiseless input: an exact line gives infinite statistics and zero
         # tails; a constant gives null statistics and unit tails.

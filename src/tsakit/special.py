@@ -1,24 +1,22 @@
 """Scalar special functions backing the distribution tails used by the toolkit.
 
-Everything here is implemented directly (series, continued fractions, rational
+Everything here is implemented directly (a continued fraction, rational
 approximations) on top of ``math`` primitives, so p-values and quantiles do not
 depend on any third-party statistics library. The package's one Horner loop,
 ``_horner``, serves Acklam's approximation, the Royston polynomials in
-``stattests`` and the root finder in ``_linalg``; its one modified-Lentz loop,
-``_lentz``, runs both continued fractions, each with its own cap and errors.
+``stattests`` and the root finder in ``_linalg``. The regularized incomplete
+beta function, which gives the Student-t tails of ``regression``, sums its
+continued fraction by the modified Lentz method in ``_betacf``.
 
-The incomplete gamma series and continued fraction and the incomplete beta
-continued fraction raise ConvergenceError when they reach their iteration cap,
-rather than returning a partial result. That happens for large shape
-parameters near the centre of the distribution (a chi-square with 1e5 degrees
-of freedom at its mean, for one), where these expansions need more terms than
-the cap; no large-parameter expansion is implemented.
+The continued fraction raises ConvergenceError when it reaches its cap of 300
+steps, rather than returning a partial result. That happens for large shape
+parameters near the centre of the distribution (``betainc_reg(1e6, 1e6, 0.5)``,
+for one), where the fraction needs more terms than the cap; no large-parameter
+expansion is implemented.
 """
 from __future__ import annotations
 
 import math
-from itertools import accumulate, count, islice, repeat
-from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -26,8 +24,6 @@ from .errors import ConvergenceError, InvalidArgumentError
 
 _BETACF_TOL = 1e-14
 _BETACF_MAX_ITER = 300
-_GAMMA_TOL = 1e-15
-_GAMMA_MAX_ITER = 500
 _TINY = 1e-300  # keeps the Lentz denominators off zero
 
 
@@ -114,85 +110,34 @@ def norm_ppf_array(p: np.ndarray) -> np.ndarray:
     return _acklam(p)
 
 
-def _gamma_series(a: float, x: float) -> float:
-    # Lower regularized gamma P(a, x) by power series, for x < a + 1.
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_GAMMA_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _GAMMA_TOL:
-            break
-    else:
-        _not_converged("incomplete gamma series", _GAMMA_MAX_ITER, abs(term / total))
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _gamma_cont_fraction(a: float, x: float) -> float:
-    # Upper regularized gamma Q(a, x) by its continued fraction, x >= a + 1.
-    b = x + 1.0 - a  # b_i = b + 2i, summed one 2.0 at a time
-    steps = (((-i * (i - a), b_i),)
-             for i, b_i in zip(count(1), accumulate(repeat(2.0), initial=b + 2.0)))
-    d = _TINY if abs(b) < _TINY else b
-    h = _lentz(1.0 / d, 1.0 / _TINY, steps, _GAMMA_MAX_ITER, _GAMMA_TOL,
-               "incomplete gamma continued fraction")
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def gammainc_upper_reg(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) = Gamma(a, x)/Gamma(a)."""
-    if not 0.0 < a < math.inf:  # NaN fails too
-        raise InvalidArgumentError(f"gammainc requires 0 < a < inf, got {a}")
-    if not x >= 0.0:
-        raise InvalidArgumentError(f"gammainc requires x >= 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x == math.inf:
-        return 0.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_series(a, x)
-    return _gamma_cont_fraction(a, x)
-
-
 def _betacf(a: float, b: float, x: float) -> float:
-    # Continued fraction for the incomplete beta, even and odd terms per step.
+    # Continued fraction for the incomplete beta by the modified Lentz method
+    # (Thompson & Barnett 1986), an even and an odd term per step. It has
+    # converged when a step's odd term changes h by less than the tolerance.
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    steps = (((m * (b - m) * x / ((qam + 2 * m) * (a + 2 * m)), 1.0),
-              (-(a + m) * (qab + m) * x / ((a + 2 * m) * (qap + 2 * m)), 1.0))
-             for m in count(1))
+    c = 1.0
     d = 1.0 - qab * x / qap
-    d = _TINY if abs(d) < _TINY else d
-    return _lentz(1.0 / d, 1.0, steps, _BETACF_MAX_ITER, _BETACF_TOL,
-                  "incomplete beta continued fraction")
-
-
-def _lentz(d0: float, c0: float, steps: Iterable[tuple], max_iter: int, tol: float,
-           what: str) -> float:
-    # Modified Lentz (Thompson & Barnett 1986): h starts at the first D ratio
-    # d0 and C at c0. Each step is a tuple of (a, b) terms; the fraction has
-    # converged when the last term of a step changes h by less than tol.
-    h, d, c = d0, d0, c0
-    for step in islice(steps, max_iter):
-        for an, bn in step:
-            d = bn + an * d
+    d = 1.0 / (_TINY if abs(d) < _TINY else d)
+    h = d
+    for m in range(1, _BETACF_MAX_ITER + 1):
+        m2 = 2 * m
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
             d = 1.0 / (_TINY if abs(d) < _TINY else d)
-            c = bn + an / c
+            c = 1.0 + aa / c
             c = _TINY if abs(c) < _TINY else c
             delta = d * c
             h *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < _BETACF_TOL:
             return h
-    _not_converged(what, max_iter, abs(delta - 1.0))
-
-
-def _not_converged(what: str, iterations: int, residual: float) -> NoReturn:
+    residual = abs(delta - 1.0)
     raise ConvergenceError(
-        f"{what} did not converge in {iterations} iterations "
-        f"(last relative step {residual:.3g})", iterations=iterations, residual=residual)
+        f"incomplete beta continued fraction did not converge in {_BETACF_MAX_ITER} "
+        f"iterations (last relative step {residual:.3g})",
+        iterations=_BETACF_MAX_ITER, residual=residual)
 
 
 def betainc_reg(a: float, b: float, x: float) -> float:

@@ -1,7 +1,7 @@
 """Nonparametric and parametric power spectral density estimation.
 
-The DFT runs a radix-2 iterative transform when the padded length is a power of
-two and falls back to direct evaluation otherwise. The periodogram demeans its
+The DFT is a radix-2 iterative transform and accepts only power-of-two
+lengths, refusing any other as invalid input. The periodogram demeans its
 input and zero-pads it to the next power of two N; its ordinates are
 |X[k]|^2 / N on the frequency grid k/N, truncated to [0, 0.5]. Smoothing uses a
 modified Daniell kernel (half-weight endpoints); successive spans are convolved
@@ -59,35 +59,23 @@ def _fft_radix2(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dft_direct(x: np.ndarray) -> np.ndarray:
-    n = x.size
-    k = np.arange(n)
-    basis = np.exp(-2j * np.pi * np.outer(k, k) / n)
-    return basis @ x.astype(complex)
-
-
-def _transform(x: np.ndarray) -> np.ndarray:
-    """Forward DFT of x: radix-2 when len(x) is a power of two, else direct."""
-    n = x.size
-    if n > 0 and (n & (n - 1)) == 0:
-        return _fft_radix2(x)
-    return _dft_direct(x)
-
-
 def dft(x: Sequence[float], pad_to: Optional[int] = None) -> np.ndarray:
     """DFT of the input zero-padded to length N = ``pad_to`` (default: its own
-    length): the complex array X[k] = sum_t x_t exp(-2 pi i k t / N), k < N."""
+    length): the complex array X[k] = sum_t x_t exp(-2 pi i k t / N), k < N.
+    N must be a power of two."""
     arr = np.asarray(x, dtype=float)
     m = arr.size
     if m < 1:
         raise InvalidArgumentError("dft input must be non-empty")
-    n = m if pad_to is None else int(pad_to)
+    n = m if pad_to is None else _as_index(pad_to, "pad_to")
     if n < m:
         raise InvalidArgumentError(
             f"pad_to={n} must be at least the input length M={m}")
+    if n & (n - 1):
+        raise InvalidArgumentError(f"dft length must be a power of two, got {n}")
     padded = np.zeros(n)
     padded[:m] = arr
-    return _transform(padded)
+    return _fft_radix2(padded)
 
 
 def next_power_of_two(n: int) -> int:

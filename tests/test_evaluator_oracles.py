@@ -1,11 +1,12 @@
-"""Bit-identity oracles for the shared Horner and modified-Lentz evaluators.
+"""Bit-identity oracles for the shared Horner loop and the incomplete beta's
+modified-Lentz loop.
 
-``special._horner`` and ``special._lentz`` replaced hand-written loops in
-``_acklam``, the Royston polynomials of ``stattests``, ``_gamma_cont_fraction``,
-``_betacf`` and ``_linalg.polynomial_roots``. The loops they replaced are kept
-below verbatim as references. On seeded inputs each kernel must return the
-same bits, or raise ConvergenceError with the same message, iteration count
-and residual.
+``special._horner`` replaced hand-written loops in ``_acklam``, the Royston
+polynomials of ``stattests`` and ``_linalg.polynomial_roots``, and
+``special._betacf`` sums the incomplete beta's continued fraction. The loops
+as they first stood are kept below verbatim as references. On seeded inputs
+each kernel must return the same bits, or raise ConvergenceError with the same
+message, iteration count and residual.
 """
 import math
 
@@ -59,31 +60,6 @@ def _ref_not_converged(what, iterations, residual):
     raise ConvergenceError(
         f"{what} did not converge in {iterations} iterations "
         f"(last relative step {residual:.3g})", iterations=iterations, residual=residual)
-
-
-def _ref_gamma_cont_fraction(a, x):
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500 + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    else:
-        _ref_not_converged("incomplete gamma continued fraction", 500, abs(delta - 1.0))
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
 def _ref_betacf(a, b, x):
@@ -263,15 +239,6 @@ class TestHornerOracle:
 
 
 class TestLentzOracle:
-    def test_gamma_fraction_bit_identical(self):
-        # Shapes up to 1e7 with x near a + 1 reach the iteration cap.
-        draw = np.random.default_rng(7)
-        a_values = 10.0 ** draw.uniform(-3.0, 7.0, 3000)
-        for a, spread in zip(a_values, 10.0 ** draw.uniform(-3.0, 2.0, 3000)):
-            x = float(a) + 1.0 + float(spread) * math.sqrt(a)
-            _assert_same(special._gamma_cont_fraction, _ref_gamma_cont_fraction,
-                         float(a), x)
-
     def test_beta_fraction_bit_identical(self):
         draw = np.random.default_rng(8)
         shapes = 10.0 ** draw.uniform(-2.0, 6.0, (3000, 2))
@@ -279,9 +246,8 @@ class TestLentzOracle:
             _assert_same(special._betacf, _ref_betacf, float(a), float(b), float(x))
 
     @pytest.mark.parametrize("new, ref, args, cap", [
-        (special._gamma_cont_fraction, _ref_gamma_cont_fraction, (1e6, 1e6 + 2.0), 500),
         (special._betacf, _ref_betacf, (1e6, 1e6, 0.5), 300),
-    ], ids=["gamma-fraction", "beta-fraction"])
+    ], ids=["beta-fraction"])
     def test_reaching_the_cap_raises_the_same_error(self, new, ref, args, cap):
         outcome = _outcome(new, *args)
         assert outcome[0] == "raised" and outcome[2] == cap

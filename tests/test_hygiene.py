@@ -156,12 +156,17 @@ def test_dynamic_code_call_is_reported():
         "m.py: <module>: eval", "m.py: outer.inner: compile", "m.py: outer: exec"]
 
 
+_UNPACKED = object()  # a call's ``*args`` or ``**kwargs`` may set the parameter
+
+
 def _one_value_parameters(trees: dict[str, ast.Module]) -> list[str]:
-    """Defaulted parameters of functions and methods that every call in the
-    package leaves at the default: each call omits the parameter or passes the
-    default's own literal. Calls are matched by the function's bare name, and
-    a call that unpacks ``*args`` or ``**kwargs`` counts as setting every
-    parameter it could reach. Each finding reads ``module: function(param)``."""
+    """Parameters of functions and methods that take one value in the package.
+    A defaulted parameter qualifies when every call omits it or passes the
+    default's own expression; one without a default, when there are calls and
+    every one passes it as the same literal. Calls are matched by the
+    function's bare name, and a call that unpacks ``*args`` or ``**kwargs``
+    counts as setting every parameter it could reach. Each finding reads
+    ``module: function(param)``."""
     calls: dict[str, list[ast.Call]] = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -170,30 +175,51 @@ def _one_value_parameters(trees: dict[str, ast.Module]) -> list[str]:
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
 
-    def defaulted(func, offset):
+    def parameters(func, offset):
+        """(name, position in a call or None, default or None) of each
+        parameter after ``self`` or ``cls``."""
         positional = func.args.posonlyargs + func.args.args
-        first = len(positional) - len(func.args.defaults)
-        for index, (arg, default) in enumerate(zip(positional[first:], func.args.defaults),
-                                               start=first):
-            yield arg.arg, index - offset, default
+        defaults = [None] * (len(positional) - len(func.args.defaults)) + func.args.defaults
+        for index, (arg, default) in enumerate(zip(positional, defaults)):
+            if index >= offset:
+                yield arg.arg, index - offset, default
         for arg, default in zip(func.args.kwonlyargs, func.args.kw_defaults):
-            if default is not None:
-                yield arg.arg, None, default
+            yield arg.arg, None, default
 
-    def sets_other_value(call, name, position, default):
+    def passed(call, name, position):
+        """The expression a call passes for the parameter, None if it passes none."""
         if any(k.arg is None for k in call.keywords):
-            return True
+            return _UNPACKED
         for keyword in call.keywords:
             if keyword.arg == name:
-                return ast.dump(keyword.value) != ast.dump(default)
+                return keyword.value
         if position is None:
-            return False
+            return None
         for index, arg in enumerate(call.args):
             if isinstance(arg, ast.Starred):
-                return index <= position
+                return _UNPACKED if index <= position else None
             if index == position:
-                return ast.dump(arg) != ast.dump(default)
-        return False
+                return arg
+        return None
+
+    def is_literal(node):
+        try:
+            ast.literal_eval(node)
+        except ValueError:
+            return False
+        return True
+
+    def takes_one_value(name, position, default, func_calls):
+        values = set() if default is None else {ast.dump(default)}
+        for call in func_calls:
+            value = passed(call, name, position) or default
+            if value is None or value is _UNPACKED:
+                return False
+            dumped = ast.dump(value)
+            if dumped not in values and not is_literal(value):
+                return False
+            values.add(dumped)
+        return len(values) == 1
 
     found = []
     for module, tree in trees.items():
@@ -205,9 +231,8 @@ def _one_value_parameters(trees: dict[str, ast.Module]) -> list[str]:
             static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                          for d in func.decorator_list)
             offset = 1 if id(func) in methods and not static else 0  # self or cls
-            for name, position, default in defaulted(func, offset):
-                if not any(sets_other_value(call, name, position, default)
-                           for call in calls.get(func.name, [])):
+            for name, position, default in parameters(func, offset):
+                if takes_one_value(name, position, default, calls.get(func.name, [])):
                     found.append(f"{module}: {func.name}({name})")
     return found
 
@@ -215,9 +240,13 @@ def _one_value_parameters(trees: dict[str, ast.Module]) -> list[str]:
 # ``main(argv)``: the console script calls main() and reads sys.argv, while the
 # bench worker and the tests pass argv. ``polynomial_roots(max_iter)``: the
 # oracle tests cap it at 1 and 5 to reach the iteration-cap and rounding-bound
-# paths.
+# paths. ``difference(d)``: the acceptance suite calls difference(x, d) for
+# d = 1..3. ``betainc_reg(b)``: the package's t tails pass b = 0.5, but the
+# reflection I_x(a, b) = 1 - I_{1-x}(b, a) hands b to the continued fraction as
+# its first shape, so the function needs both shapes general either way.
 ONE_VALUE_PARAMETER_EXEMPT = frozenset({
-    "cli.py: main(argv)", "_linalg.py: polynomial_roots(max_iter)"})
+    "cli.py: main(argv)", "_linalg.py: polynomial_roots(max_iter)",
+    "series.py: difference(d)", "special.py: betainc_reg(b)"})
 
 
 def test_no_one_value_parameter():
@@ -233,11 +262,16 @@ def test_one_value_parameter_is_reported():
             "class C:\n    def m(self, a=0, b=0):\n        return g(a, *b)\n\n"
             "    @staticmethod\n    def s(a=0):\n        return a\n\n"
             "def h(n=3):\n    return h(n=4)\n\n"
-            "def unpacked(u=1):\n    return unpacked(**{})\n"),
+            "def unpacked(u=1):\n    return unpacked(**{})\n\n"
+            "def tail(x, dof, *, scale):\n    return x\n\n"
+            "def order(p, k):\n    return p\n\n"
+            "def run(v):\n    order(v, 1)\n    order(v, k=2)\n"
+            "    tail(v, 2, scale=-1.0)\n    return tail(1, dof=2, scale=-1.0)\n"),
         "b.py": ast.parse("def caller(obj):\n    obj.m(5)\n    return obj.s(1)\n"),
     }
     assert _one_value_parameters(trees) == [
-        "a.py: f(y)", "a.py: f(z)", "a.py: f(w)", "a.py: m(b)"]
+        "a.py: f(y)", "a.py: f(z)", "a.py: f(w)", "a.py: tail(dof)", "a.py: tail(scale)",
+        "a.py: m(b)"]
 
 
 def _unread_record_fields(trees: dict[str, ast.Module]) -> list[str]:

@@ -886,7 +886,9 @@ class TestCli:
         ["analyze", "--input", "in.csv", "--output", "out", "--seed", "x"],
         ["simulate", "ar", "--phi", "0.5", "--n", "10", "--seed", "1.5"],
         ["simulate", "random-walk", "--n", "10", "--seed", "x"],
-    ], ids=["kpss-lag", "aic-max-order", "analyze-seed", "ar-seed", "random-walk-seed"])
+        ["simulate", "ar", "--n", "10", "--phi", "0.5,y"],
+    ], ids=["kpss-lag", "aic-max-order", "analyze-seed", "ar-seed", "random-walk-seed",
+            "phi"])
     def test_malformed_numeric_flag_is_an_argparse_error(self, capsys, args):
         flag, value = args[-2:]
         with pytest.raises(SystemExit) as info:
@@ -897,7 +899,30 @@ class TestCli:
         assert repr(value) in err
 
     def test_invalid_spans_exit_2(self, dataset_path, tmp_path):
-        code = cli_main(["analyze", "--input", str(dataset_path),
-                         "--output", str(tmp_path / "bad"),
-                         "--daniell-spans", "three"])
-        assert code == 2
+        with pytest.raises(SystemExit) as info:
+            cli_main(["analyze", "--input", str(dataset_path),
+                      "--output", str(tmp_path / "bad"),
+                      "--daniell-spans", "three"])
+        assert info.value.code == 2
+
+    @pytest.mark.parametrize("spans, message", [
+        ("4", "span must be an odd integer >= 3, got 4"),
+        ("3,x", "spans must be comma-separated integers, got '3,x'"),
+        ("", "at least one Daniell span is required"),
+    ], ids=["even", "not-an-integer", "empty"])
+    def test_malformed_spans_fail_before_any_stage(self, dataset_path, tmp_path, capsys,
+                                                   monkeypatch, spans, message):
+        import tsakit.cli
+
+        def no_stage(config):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(tsakit.cli, "run_pipeline", no_stage)
+        with pytest.raises(SystemExit) as info:
+            cli_main(["analyze", "--input", str(dataset_path),
+                      "--output", str(tmp_path / "bad"), "--daniell-spans", spans])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tsakit analyze")
+        assert err.endswith(f"error: argument --daniell-spans: {message}\n")
+        assert not (tmp_path / "bad").exists()

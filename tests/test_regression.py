@@ -5,8 +5,8 @@ import pytest
 
 from tsakit import rng
 from tsakit.errors import InsufficientDataError, InvalidArgumentError
-from tsakit.regression import (Censoring, PValue, f_distribution_sf,
-                               fit_linear_trend, t_distribution_sf)
+from tsakit.regression import (Censoring, PValue, fit_linear_trend,
+                               t_distribution_sf)
 from tsakit.series import TimeSeries
 
 
@@ -108,35 +108,19 @@ class TestTDistribution:
 
 
 class TestFDistribution:
-    def test_zero_statistic(self):
-        assert f_distribution_sf(0.0, 3, 9) == 1.0
-
+    # The trend's F statistic has (1, N - 2) degrees of freedom, and that tail
+    # is the two-sided t tail at t^2 = F.
     def test_agrees_with_squared_t(self):
-        for dof in (3, 10, 65):
-            for t in (0.5, 1.7, 3.2):
-                assert f_distribution_sf(t * t, 1, dof) == pytest.approx(
-                    t_distribution_sf(t, dof), abs=1e-10)
+        for seed, (n, slope) in enumerate([(12, 0.5), (40, 0.05), (67, 0.02), (67, 0.0)]):
+            fit = fit_linear_trend(ts(5.0 + slope * np.arange(n) + rng.normals(60 + seed, n)))
+            assert fit.model_p_value.value == pytest.approx(
+                t_distribution_sf(math.sqrt(fit.f_statistic), fit.dof), rel=1e-12, abs=1e-15)
 
-    def test_table_value(self):
-        assert f_distribution_sf(4.10, 2, 10) == pytest.approx(0.05, abs=3e-4)
-
-    def test_monotone_and_bounded(self):
-        values = [f_distribution_sf(f, 3, 12) for f in np.linspace(0, 20, 40)]
-        assert all(b < a for a, b in zip(values, values[1:]))
-        assert all(0.0 <= v <= 1.0 for v in values)
-
-    @pytest.mark.parametrize("dofs", [(2, 10), (1, 65), (5, 20)])
-    def test_matches_quadrature(self, dofs):
-        d1, d2 = dofs
-        pdf = f_density(d1, d2)
+    def test_matches_quadrature(self):
+        pdf = f_density(1, 65)
         for f in np.linspace(0.2, 5.0, 20):
             oracle = _tail_integral(pdf, float(f))
-            assert f_distribution_sf(float(f), d1, d2) == pytest.approx(
-                oracle, abs=1e-8)
-
-    def test_rejects_negative(self):
-        with pytest.raises(InvalidArgumentError):
-            f_distribution_sf(-0.1, 1, 5)
+            assert t_distribution_sf(math.sqrt(f), 65) == pytest.approx(oracle, abs=1e-8)
 
 
 class TestPValue:

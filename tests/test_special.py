@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 
 from tsakit.errors import ConvergenceError, InvalidArgumentError
-from tsakit.special import (betainc_reg, gammainc_upper_reg, norm_ppf,
-                            norm_ppf_array, normal_sf)
-from tsakit.stattests import chi_square_sf
+from tsakit.special import betainc_reg, norm_ppf, norm_ppf_array, normal_sf
 
 
 class TestNormal:
@@ -45,29 +43,6 @@ class TestNormal:
             assert v == pytest.approx(norm_ppf(float(p)), abs=2e-9)
 
 
-class TestGammaIncomplete:
-    def test_boundaries(self):
-        assert gammainc_upper_reg(2.5, 0.0) == 1.0
-
-    def test_exponential_special_case(self):
-        # Q(1, x) is exactly exp(-x).
-        for x in (0.1, 1.0, 5.0, 20.0):
-            assert gammainc_upper_reg(1.0, x) == pytest.approx(
-                math.exp(-x), rel=1e-13)
-
-    def test_half_matches_erfc(self):
-        # Q(1/2, x^2) = erfc(x) for x >= 0.
-        for x in (0.2, 1.0, 2.5):
-            assert gammainc_upper_reg(0.5, x * x) == pytest.approx(
-                math.erfc(x), rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(InvalidArgumentError):
-            gammainc_upper_reg(0.0, 1.0)
-        with pytest.raises(InvalidArgumentError):
-            gammainc_upper_reg(1.0, -1.0)
-
-
 class TestBetaIncomplete:
     def test_boundaries(self):
         assert betainc_reg(2.0, 3.0, 0.0) == 0.0
@@ -103,34 +78,26 @@ class TestBetaIncomplete:
 
 
 class TestIterationCap:
-    # Each call below returned a wrong partial result before the cap raised:
-    # 0.5121, 0.911 and 0.49999962 where the values are about 0.4994, 0.4999
-    # and exactly 0.5.
+    # The call below returned a wrong partial result, 0.49999962 where the
+    # value is exactly 0.5, before the cap raised.
     @pytest.mark.parametrize("call", [
-        lambda: chi_square_sf(1e5, 100000),
-        lambda: chi_square_sf(1e7, 10 ** 7),
-        lambda: gammainc_upper_reg(1e6, 1e6 + 2.0),
         lambda: betainc_reg(1e6, 1e6, 0.5),
-    ], ids=["gamma-series-1e5", "gamma-series-1e7", "gamma-fraction-1e6",
-            "beta-fraction-1e6"])
+    ], ids=["beta-fraction-1e6"])
     def test_reaching_the_cap_raises(self, call):
         with pytest.raises(ConvergenceError) as info:
             call()
-        assert info.value.iterations in (300, 500)
+        assert info.value.iterations == 300
         assert 0.0 < info.value.residual < 1.0
 
     def test_converging_calls_still_return(self):
-        # A t tail at 10^6 degrees of freedom, the benchmark's t tails at
-        # 3998, and chi-square with 2 degrees of freedom (exactly exp(-x/2)).
-        # Reference values from scipy.special.betainc.
+        # A t tail at 10^6 degrees of freedom and the benchmark's t tails at
+        # 3998. Reference values from scipy.special.betainc.
         assert betainc_reg(5e5, 0.5, 0.999999) == pytest.approx(
             0.3173105078558957, rel=1e-8)
         assert betainc_reg(1999.0, 0.5, 0.999) == pytest.approx(
             0.04551375952130189, rel=1e-11)
         assert betainc_reg(1999.0, 0.5, 0.9) == pytest.approx(
             1.351438072171649e-93, rel=1e-11)
-        for x in (1e-3, 3.0, 50.0):
-            assert chi_square_sf(x, 2) == pytest.approx(math.exp(-x / 2.0), rel=1e-13)
 
 
 NAN = float("nan")
@@ -146,21 +113,7 @@ class TestArgumentEdges:
         lambda: betainc_reg(INF, 1.0, 0.5),
         lambda: betainc_reg(1.0, INF, 0.5),
         lambda: betainc_reg(1.0, 1.0, NAN),
-        lambda: gammainc_upper_reg(NAN, 1.0),
-        lambda: gammainc_upper_reg(INF, 1.0),
-        lambda: gammainc_upper_reg(1.0, NAN),
-    ], ids=["beta-a-nan", "beta-b-nan", "beta-a-inf", "beta-b-inf", "beta-x-nan",
-            "gamma-a-nan", "gamma-a-inf", "gamma-x-nan"])
+    ], ids=["beta-a-nan", "beta-b-nan", "beta-a-inf", "beta-b-inf", "beta-x-nan"])
     def test_non_finite_argument_is_refused_at_once(self, call):
         with pytest.raises(InvalidArgumentError):
             call()
-
-    def test_infinite_x_has_no_upper_tail(self):
-        for a in (1e-3, 1.0, 7.5, 1e20):
-            assert gammainc_upper_reg(a, INF) == 0.0
-
-    @pytest.mark.parametrize("a, x", [(1e20, 1e20), (1e17, 1e17 + 2.0)])
-    def test_first_fraction_denominator_rounding_to_zero_raises(self, a, x):
-        # x + 1 - a rounds to 0 here; the fraction must not divide by it.
-        with pytest.raises(ConvergenceError):
-            gammainc_upper_reg(a, x)

@@ -47,12 +47,6 @@ class TestDft:
         scale = np.abs(oracle).max()
         assert np.abs(fast - oracle).max() <= 1e-9 * scale
 
-    def test_non_power_of_two_falls_back_to_direct(self):
-        x = rng.normals(30, 24)
-        out = dft(x, pad_to=24)
-        oracle = direct_dft_oracle(x)
-        assert np.abs(out - oracle).max() <= 1e-9 * np.abs(oracle).max()
-
     def test_zero_padding(self):
         x = rng.normals(31, 20)
         out = dft(x, pad_to=32)
@@ -71,6 +65,21 @@ class TestDft:
     def test_pad_shorter_than_input(self):
         with pytest.raises(InvalidArgumentError):
             dft([1.0, 2.0, 3.0], pad_to=2)
+
+    @pytest.mark.parametrize("x, pad_to, n", [
+        ([1.0, 2.0, 3.0], None, 3),
+        (rng.normals(30, 24), None, 24),
+        (rng.normals(30, 20), 24, 24),
+    ], ids=["length-3", "length-24", "pad-to-24"])
+    def test_length_must_be_a_power_of_two(self, x, pad_to, n):
+        with pytest.raises(InvalidArgumentError,
+                           match=f"dft length must be a power of two, got {n}$"):
+            dft(x, pad_to=pad_to)
+
+    def test_pad_to_must_be_an_integer(self):
+        with pytest.raises(InvalidArgumentError, match="pad_to must be an integer, got 4.9"):
+            dft([1.0, 2.0, 3.0], pad_to=4.9)
+        assert len(dft([1.0, 2.0, 3.0], pad_to=np.int64(4))) == 4
 
     def test_next_power_of_two(self):
         assert [next_power_of_two(n) for n in (1, 2, 3, 64, 65)] == [1, 2, 4, 64, 128]

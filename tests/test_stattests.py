@@ -8,31 +8,8 @@ from tsakit.armodel import ArModel, simulate_ar
 from tsakit.errors import (InsufficientDataError, InvalidArgumentError,
                            ZeroVarianceError)
 from tsakit.regression import Censoring
-from tsakit.stattests import (_shapiro_wilk_weights, chi_square_sf,
-                              jarque_bera, kpss_level, shapiro_wilk)
-
-
-class TestChiSquareSf:
-    def test_at_zero(self):
-        for dof in (1, 2, 7):
-            assert chi_square_sf(0.0, dof) == 1.0
-
-    def test_dof2_closed_form(self):
-        for x in (0.1, 2 * math.log(2), 3.0, 12.5):
-            assert chi_square_sf(x, 2) == pytest.approx(math.exp(-x / 2), abs=1e-12)
-
-    def test_dof1_erfc_identity(self):
-        # P(X >= x) = erfc(sqrt(x/2)) for one degree of freedom.
-        for x in (0.5, 3.841, 8.0):
-            assert chi_square_sf(x, 1) == pytest.approx(
-                math.erfc(math.sqrt(x / 2.0)), abs=1e-12)
-        assert chi_square_sf(3.841, 1) == pytest.approx(0.05, abs=1e-4)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(InvalidArgumentError):
-            chi_square_sf(-1.0, 2)
-        with pytest.raises(InvalidArgumentError):
-            chi_square_sf(1.0, 0)
+from tsakit.stattests import (_shapiro_wilk_weights, jarque_bera, kpss_level,
+                              shapiro_wilk)
 
 
 class TestJarqueBera:
@@ -42,6 +19,15 @@ class TestJarqueBera:
         assert result.statistic == pytest.approx(5 / 6 * (1.3 ** 2 / 4), abs=1e-12)
         assert result.p_value.value == pytest.approx(
             math.exp(-result.statistic / 2), abs=1e-12)
+
+    def test_p_value_is_the_chi_square_2_tail(self):
+        # P(X >= x) = exp(-x / 2) for two degrees of freedom. The last sample's
+        # 40-sigma outlier puts its p-value below the censoring threshold.
+        heavy = np.concatenate((rng.normals(43, 200), [40.0]))
+        for x in ([1, 2, 3, 4, 5], rng.normals(44, 120), rng.normals(45, 30) ** 3, heavy):
+            result = jarque_bera(x)
+            assert result.p_value.value == math.exp(-result.statistic / 2)
+        assert result.p_value.censored is Censoring.BELOW_THRESHOLD
 
     def test_null_statistic_sample(self):
         # Symmetric with fourth moment exactly 3 m2^2: skew and excess both 0.

@@ -6,21 +6,23 @@ series, diagnose its residuals, then truncate the head, take the first
 difference, demean, and run the stationarity test, AR identification and
 spectral estimation on the result; the fitted model's roots are solved once,
 for the report's root list. The report is a versioned JSON document and each
-figure's plot data goes to its own CSV, rendered once per column and written
-with one ``writerows`` call, in the bytes a cell-by-cell writer gave; files are
-only written after every stage has succeeded.
+figure's plot data goes to its own CSV. Each column is rendered once, the
+figure's text is joined from those columns in the bytes a cell-by-cell
+``csv.writer`` gave, and each file is written with one ``write`` call; files
+are only written after every stage has succeeded.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -72,12 +74,19 @@ class PipelineConfig:
         object.__setattr__(self, "truncate_head", truncate_head)
 
 
-def ingest_csv(path: Union[str, Path], config: PipelineConfig) -> TimeSeries:
-    """Parse and validate a (period, count) CSV into a contiguous TimeSeries."""
+def ingest_csv(path: Union[str, Path], config: PipelineConfig, *,
+               _data: Optional[bytes] = None) -> TimeSeries:
+    """Parse and validate a (period, count) CSV into a contiguous TimeSeries.
+
+    ``_data`` is the file's bytes when the caller has read them, so that the
+    bytes it hashes are the bytes parsed here.
+    """
     path = Path(path)
-    if not path.exists():
-        raise MissingInputError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    if _data is None:
+        _data = _read_input(path)
+    # Decoded as a file opened with newline="" and encoding="utf-8-sig" is, in
+    # the same chunks, so a bad byte is reported at the same row and offset.
+    with io.TextIOWrapper(io.BytesIO(_data), encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -134,6 +143,13 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig) -> TimeSeries:
     return TimeSeries(np.asarray(values), Period(start // 12, start % 12 + 1))
 
 
+def _read_input(path: Union[str, Path]) -> bytes:
+    path = Path(path)
+    if not path.exists():
+        raise MissingInputError(f"input file not found: {path}")
+    return path.read_bytes()
+
+
 def qq_plot_data(x: Sequence[float]) -> list[tuple[float, float]]:
     """Normal QQ pairs: (Phi^-1((i - 3/8)/(N + 1/4)), i-th order statistic)."""
     arr = np.sort(np.asarray(x, dtype=float))
@@ -186,14 +202,14 @@ class AnalysisReport:
     """Everything the pipeline computed, as a JSON-serializable tree."""
 
     body: dict
-    figures: dict  # file name -> list of rows (header first), cells rendered per column
+    figures: dict  # file name -> the figure's CSV text, header line first
 
     def to_json(self) -> str:
         return json.dumps(self.body, indent=2, sort_keys=True) + "\n"
 
 
-def _fingerprint(path: Union[str, Path], x: TimeSeries) -> dict:
-    digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _fingerprint(data: bytes, x: TimeSeries) -> dict:
+    digest = hashlib.sha256(data).hexdigest()
     start = x.start_period
     return {
         "row_count": len(x),
@@ -249,7 +265,8 @@ def _stage(name: str):
 def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     """Execute every stage and assemble the report; see module docstring."""
     with _stage("ingest"):
-        x = ingest_csv(config.input_path, config)
+        data = _read_input(config.input_path)  # parsed here, hashed in the report
+        x = ingest_csv(config.input_path, config, _data=data)
 
     with _stage("trend-regression"):
         fit = fit_linear_trend(x)
@@ -303,7 +320,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
     body = {
         "report_format_version": REPORT_FORMAT_VERSION,
         "toolkit_version": _toolkit_version,
-        "dataset": _fingerprint(config.input_path, x),
+        "dataset": _fingerprint(data, x),
         "trend": _trend_section(fit),
         "residual_diagnostics": {
             "jarque_bera": jb.to_dict(),
@@ -348,34 +365,67 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
 
 def _figure_rows(x, fit, centered, acf, hist, qq, raw_spec, smooth_spec,
                  ar_spec) -> dict:
-    # csv.writer writes Python floats as repr() and ints as str(); a column of
-    # numpy scalars is rendered once here, each cell as numpy's repr() of it.
-    n = len(x)
-    fitted = list(map(repr, fit.fitted.values))
-    edges = list(map(repr, hist.bin_edges))
+    # Each column is rendered once, as csv.writer would write its cells:
+    # ints as str(), Python floats as repr(), numpy scalars as numpy's repr().
+    n, m = len(x), len(centered)
+    t = list(map(str, range(1, n + 1)))
+    fitted = _np_reprs(fit.fitted.values)
+    edges = _np_reprs(hist.bin_edges)
     return {
-        "fig_trend.csv": [("period", "t", "observed", "fitted"), *zip(
-            x.periods(), range(1, n + 1), map(repr, x.values), fitted)],
-        "fig_residuals.csv": [("t", "fitted", "residual"), *zip(
-            range(1, n + 1), fitted, map(repr, fit.residuals.values))],
-        "fig_qq.csv": [("theoretical_quantile", "sample_quantile"), *qq],
-        "fig_diff_sacf.csv": [
-            ("panel", "x", "y", "band"),
-            *zip(repeat("series"), range(1, len(centered) + 1),
-                 map(repr, centered.values), repeat("")),
-            *zip(repeat("sacf"), acf.lags.tolist(), acf.autocorrelation.tolist(),
-                 repeat(repr(acf.band)))],
-        "fig_hist.csv": [
-            ("panel", "x", "x2", "y"),
-            *zip(repeat("bar"), edges, edges[1:], hist.counts.tolist()),
-            *zip(repeat("normal_density"), hist.overlay_x.tolist(), repeat(""),
-                 hist.overlay_density.tolist())],
-        "fig_spectrum_np.csv": [("frequency", "raw_power", "smoothed_power"), *zip(
-            raw_spec.frequencies.tolist(), raw_spec.power.tolist(),
-            smooth_spec.power.tolist())],
-        "fig_spectrum_ar.csv": [("frequency", "power"), *zip(
-            ar_spec.frequencies.tolist(), ar_spec.power.tolist())],
+        "fig_trend.csv": _csv_text(
+            "period,t,observed,fitted",
+            (x.periods(), t, _np_reprs(x.values), fitted)),
+        "fig_residuals.csv": _csv_text(
+            "t,fitted,residual", (t, fitted, _np_reprs(fit.residuals.values))),
+        "fig_qq.csv": _csv_text(
+            "theoretical_quantile,sample_quantile",
+            [map(repr, column) for column in zip(*qq)]),
+        "fig_diff_sacf.csv": _csv_text(
+            "panel,x,y,band",
+            (repeat("series"), t[:m], _np_reprs(centered.values), repeat("")),
+            (repeat("sacf"), map(str, acf.lags.tolist()),
+             _reprs(acf.autocorrelation),
+             repeat(_np_reprs(np.atleast_1d(acf.band))[0]))),
+        "fig_hist.csv": _csv_text(
+            "panel,x,x2,y",
+            (repeat("bar"), edges, edges[1:], map(str, hist.counts.tolist())),
+            (repeat("normal_density"), _reprs(hist.overlay_x), repeat(""),
+             _reprs(hist.overlay_density))),
+        "fig_spectrum_np.csv": _csv_text(
+            "frequency,raw_power,smoothed_power",
+            (_reprs(raw_spec.frequencies), _reprs(raw_spec.power),
+             _reprs(smooth_spec.power))),
+        "fig_spectrum_ar.csv": _csv_text(
+            "frequency,power",
+            (_reprs(ar_spec.frequencies), _reprs(ar_spec.power))),
     }
+
+
+# numpy's repr of a float64 scalar is the float's repr inside this wrapper:
+# "np.float64(" and ")" under numpy 2, empty strings under numpy 1.
+_NP_PREFIX, _NP_SUFFIX = repr(np.float64(0.5)).split("0.5")
+
+
+def _np_reprs(values: np.ndarray) -> list[str]:
+    """numpy's repr of each element as a float64 scalar."""
+    return [_NP_PREFIX + r + _NP_SUFFIX for r in map(repr, values.tolist())]
+
+
+def _reprs(values: np.ndarray) -> list[str]:
+    """repr of each element as a Python float."""
+    return list(map(repr, values.tolist()))
+
+
+def _csv_text(header: str, *blocks) -> str:
+    """The header, then a line per row of each block of str columns, every
+    line ended with "\\r\\n": csv.writer's bytes for cells that need no
+    quoting (no delimiter, quote or line break, and no row of one empty cell).
+    """
+    lines = [header]
+    for columns in blocks:
+        lines += map(",".join, zip(*columns))
+    lines.append("")
+    return "\r\n".join(lines)
 
 
 def write_outputs(report: AnalysisReport, output_dir: Union[str, Path]) -> list[Path]:
@@ -393,7 +443,7 @@ def write_outputs(report: AnalysisReport, output_dir: Union[str, Path]) -> list[
     with staged_files() as open_staged:
         with open_staged(written[0]) as fh:
             fh.write(report.to_json())
-        for path, rows in zip(written[1:], report.figures.values()):
+        for path, text in zip(written[1:], report.figures.values()):
             with open_staged(path, newline="") as fh:
-                csv.writer(fh).writerows(rows)
+                fh.write(text)
     return written

@@ -1,6 +1,7 @@
 """Acceptance suite: every criterion runs at its stated tolerance and prints
 one pass/fail line. Run with ``pytest tests/test_acceptance.py -v -s``.
 """
+import csv
 import math
 import time
 from contextlib import contextmanager
@@ -90,12 +91,14 @@ class TestSection32Reproduction:
         with criterion("Fig 7: smoothed periodogram and AR PSD peak in the "
                        "same cell of a 6-cell partition of [0, 0.5]"):
             report = run_pipeline(default_config)
-            np_rows = report.figures["fig_spectrum_np.csv"][1:]
-            freqs = np.array([r[0] for r in np_rows])
-            smoothed = np.array([r[2] for r in np_rows])
-            ar_rows = report.figures["fig_spectrum_ar.csv"][1:]
-            ar_freqs = np.array([r[0] for r in ar_rows])
-            ar_power = np.array([r[1] for r in ar_rows])
+            np_rows = list(csv.reader(
+                report.figures["fig_spectrum_np.csv"].splitlines()))[1:]
+            freqs = np.array([float(r[0]) for r in np_rows])
+            smoothed = np.array([float(r[2]) for r in np_rows])
+            ar_rows = list(csv.reader(
+                report.figures["fig_spectrum_ar.csv"].splitlines()))[1:]
+            ar_freqs = np.array([float(r[0]) for r in ar_rows])
+            ar_power = np.array([float(r[1]) for r in ar_rows])
             cell_np = six_cell(float(freqs[int(np.argmax(smoothed))]))
             cell_ar = six_cell(float(ar_freqs[int(np.argmax(ar_power))]))
             assert cell_np == cell_ar

@@ -1,6 +1,8 @@
+import contextlib
 import csv
 import hashlib
 import importlib.util
+import io
 import json
 import math
 import os
@@ -423,7 +425,8 @@ class TestRunPipeline:
         cfg = config_for(p, truncate_head=3, aic_max_order=6)
         report = run_pipeline(cfg)
         assert report.body["difference"]["length"] == n - 3 - 1
-        series_rows = [r for r in report.figures["fig_diff_sacf.csv"]
+        series_rows = [r for r in csv.reader(
+                           report.figures["fig_diff_sacf.csv"].splitlines())
                        if r[0] == "series"]
         assert len(series_rows) == n - 3 - 1
 
@@ -512,6 +515,22 @@ class TestRunPipeline:
         assert spectrum[0] == "frequency,raw_power,smoothed_power"
         assert len(spectrum) == 34  # 33 ordinates for a 64-point transform
 
+    def test_report_hashes_the_bytes_it_parsed(self, dataset_path, tmp_path,
+                                               monkeypatch):
+        original = Path(dataset_path).read_bytes()
+        p = tmp_path / "input.csv"
+        p.write_bytes(original)
+        real_fit = pipeline.fit_linear_trend
+
+        def rewrite_then_fit(x):  # the input changes after it was ingested
+            p.write_bytes(original + b"2020-08,100000\n")
+            return real_fit(x)
+
+        monkeypatch.setattr(pipeline, "fit_linear_trend", rewrite_then_fit)
+        dataset = run_pipeline(config_for(p)).body["dataset"]
+        assert dataset["sha256"] == hashlib.sha256(original).hexdigest()
+        assert dataset["row_count"] == 67
+
     def test_failed_write_leaves_directory_unchanged(self, dataset_path,
                                                      tmp_path, monkeypatch):
         out = tmp_path / "out"
@@ -519,18 +538,27 @@ class TestRunPipeline:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         report = run_pipeline(config_for(dataset_path, truncate_head=3))
 
-        real_writer = csv.writer
-        opened = []
+        real_staged_files = pipeline.staged_files
+        staged = []
 
-        def failing_writer(fh):
-            opened.append(fh)
-            if len(opened) == 5:  # the fifth figure CSV; five files are staged
-                raise OSError("no space left on device")
-            return real_writer(fh)
+        def failing_write(text):
+            raise OSError("no space left on device")
 
-        monkeypatch.setattr("tsakit.pipeline.csv.writer", failing_writer)
+        @contextlib.contextmanager
+        def failing_staged_files():
+            with real_staged_files() as open_staged:
+                def open_failing(path, **kwargs):
+                    fh = open_staged(path, **kwargs)
+                    staged.append(path.name)
+                    if len(staged) == 6:  # report.json, then the fifth figure CSV
+                        fh.write = failing_write
+                    return fh
+                yield open_failing
+
+        monkeypatch.setattr(pipeline, "staged_files", failing_staged_files)
         with pytest.raises(OSError, match="no space"):
             write_outputs(report, out)
+        assert staged == ["report.json", *pipeline.FIGURE_FILES[:5]]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -614,6 +642,11 @@ class TestFigureWriter:
         assert sorted(got) == sorted(want) == sorted(pipeline.FIGURE_FILES)
         for name in pipeline.FIGURE_FILES:
             assert got[name] == want[name], name
+            # csv.writer quotes no cell of its own parse: none needed quoting.
+            text = report.figures[name]
+            rewritten = io.StringIO()
+            csv.writer(rewritten).writerows(csv.reader(io.StringIO(text, newline="")))
+            assert rewritten.getvalue() == text, name
         return got
 
     def test_bundled_data(self, dataset_path, tmp_path, monkeypatch):
@@ -654,6 +687,25 @@ class TestFigureWriter:
                   header="count,notes,month")
         cfg = config_for(p, date_column="month", value_column="count")
         self._assert_same_bytes(cfg, tmp_path, monkeypatch)
+
+
+def test_np_reprs_equal_numpy_scalar_repr():
+    """The figure columns written as numpy scalars are rendered from the
+    float's repr; they must read as numpy's own repr of each scalar."""
+    draws = np.frombuffer(np.random.default_rng(7).bytes(8 * 101_000), dtype=np.float64)
+    finite = draws[np.isfinite(draws)]
+    assert finite.size >= 100_000
+    info = np.finfo(np.float64)
+    edges = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+             np.nextafter(info.tiny, 0.0), info.tiny, info.max, -info.max]
+    for pivot in (1e-4, 1e16):  # where repr switches to exponent notation
+        for start, toward in ((pivot, 0.0), (pivot, np.inf)):
+            v = start
+            for _ in range(8):
+                edges += [v, -v]
+                v = np.nextafter(v, toward)
+    values = np.concatenate([finite, np.array(edges)])
+    assert pipeline._np_reprs(values) == [repr(v) for v in values]
 
 
 class TestCli:

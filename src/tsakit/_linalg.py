@@ -2,13 +2,17 @@
 Durand-Kerner polynomial root finder. Sized for the tiny systems this toolkit
 needs (order <= a few dozen).
 
-Least squares is two steps that callers may also run apart:
-``householder_triangularize`` reduces a design in place to R, applies the same
-reflections to the right-hand side (giving Q^T y), and reports the first
-column that fails the rank check against a scale the caller passes;
-``back_substitute`` then solves R beta = (Q^T y)[:n]. The least-squares AIC
-scan in ``armodel`` triangularizes the rows all orders share once and reuses
-R and Q^T y for every order.
+Designs are regressor-major: an n x m array with one contiguous row per
+regressor and one column per observation (m >= n), so that each Householder
+step is one contiguous matrix-vector product and one rank-1 update. Least
+squares is two steps that callers may also run apart:
+``householder_triangularize`` reduces such a design in place, leaving R
+transposed in its first n columns, applies the same reflections to the
+right-hand side (giving Q^T y), and reports the first regressor that fails
+the rank check against a scale the caller passes; ``back_substitute`` then
+solves R beta = (Q^T y)[:n]. The least-squares AIC scan in ``armodel``
+triangularizes the rows all orders share once and derives every lower order
+from that R and Q^T y by row updates.
 
 The root finder updates every root at once from the pairwise difference matrix
 (O(n^2) memory, fine at these orders) and raises ConvergenceError instead of
@@ -26,28 +30,33 @@ _STEP_TOL = 1e-13
 
 
 def back_substitute(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``r[:n, :n] @ x = rhs[:n]`` for x, reading only the upper triangle
-    of r (n = number of columns of r)."""
-    n = r.shape[1]
+    """Solve ``R @ x = rhs[:n]`` for x, where the n x m array ``r`` holds R
+    transposed in its first n columns (R[i, j] = r[j, i] for i <= j), as
+    ``householder_triangularize`` leaves it. Only that triangle is read."""
+    n = r.shape[0]
     x = np.zeros(n)
     for row in range(n - 1, -1, -1):
-        x[row] = (rhs[row] - float(r[row, row + 1:] @ x[row + 1:])) / r[row, row]
+        x[row] = (rhs[row] - float(r[row + 1:, row] @ x[row + 1:])) / r[row, row]
     return x
 
 
 def householder_triangularize(a: np.ndarray, rhs: np.ndarray, scale: float) -> int:
-    """Reduce the m x n float array ``a`` (m >= n) in place to R by Householder
-    reflections, applying each reflection to the float vector ``rhs`` too.
+    """Reduce the regressor-major n x m float array ``a`` (n regressors as
+    rows, m >= n observations as columns) in place by Householder
+    reflections, applying each reflection to the length-m float vector
+    ``rhs`` too. Afterwards ``a[:, :n]`` holds R transposed:
+    R[i, j] = a[j, i] for i <= j.
 
-    Column k fails the rank check when the norm of ``a[k:, k]`` at its step is
-    below ``1e-12 * scale``. Returns n when every column passes; otherwise
-    stops at the first failing column k and returns k. Columns 0..k-1 of R and
-    the reflections applied to ``rhs`` are then complete. Entries below the
-    diagonal are left as rounding residue rather than zeroed.
+    Regressor k fails the rank check when the norm of ``a[k, k:]`` at its step
+    is below ``1e-12 * scale``. Returns n when every regressor passes;
+    otherwise stops at the first failing regressor k and returns k. Rows
+    0..k-1 of R and the reflections applied to ``rhs`` are then complete.
+    Entries above the diagonal of ``a[:, :n]`` are left as rounding residue
+    rather than zeroed.
     """
-    n = a.shape[1]
+    n = a.shape[0]
     for k in range(n):
-        v = a[k:, k].copy()
+        v = a[k, k:].copy()
         norm = float(np.sqrt((v ** 2).sum()))
         if norm < 1e-12 * scale:
             return k
@@ -56,22 +65,25 @@ def householder_triangularize(a: np.ndarray, rhs: np.ndarray, scale: float) -> i
         else:
             v[0] -= norm
         v /= float(np.sqrt((v ** 2).sum()))
-        # (2 v_i) w_j equals 2 (v_i w_j) bit for bit unless the product is
-        # subnormal, and needs one full-size temporary instead of two.
-        a[k:, k:] -= np.outer(2.0 * v, v @ a[k:, k:])
-        rhs[k:] -= 2.0 * v * float(v @ rhs[k:])
+        # Each regressor row w becomes w - 2 (w . v) v: one contiguous
+        # product with v, then one rank-1 update.
+        block = a[k:, k:]
+        two_v = 2.0 * v
+        block -= np.multiply.outer(block @ v, two_v)
+        rhs[k:] -= two_v * float(v @ rhs[k:])
     return n
 
 
 def least_squares(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize ||design @ beta - y||^2 via Householder QR.
+    """Minimize ||design.T @ beta - y||^2 via Householder QR, where ``design``
+    is regressor-major (one row per regressor, one column per observation).
 
     Returns (beta, sse). Raises DegenerateFitError on rank deficiency, judged
     against the largest |entry| of the design.
     """
     a = np.array(design, dtype=float)
     rhs = np.array(y, dtype=float)
-    m, n = a.shape
+    n, m = a.shape
     if m < n:
         raise DegenerateFitError(f"least squares needs rows >= columns, got {m}x{n}")
     scale = max(float(np.abs(a).max()), 1e-300)

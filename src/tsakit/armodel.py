@@ -176,12 +176,14 @@ def fit_ar_least_squares(x: Sequence[float], p: int) -> ArModel:
 
 
 def _lag_design(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows t = p..N-1 of the order-p regression: columns [1, x_{t-1}, ...,
-    x_{t-p}] and the target x_t."""
+    """Rows t = p..N-1 of the order-p regression, regressor-major: a
+    (p+1) x (N-p) design whose row j is x_{t-j} over those t (row 0 is the
+    ones regressor), and the target x_t."""
     n = arr.size
-    design = np.ones((n - p, p + 1))
+    design = np.empty((p + 1, n - p))
+    design[0] = 1.0
     for j in range(1, p + 1):
-        design[:, j] = arr[p - j: n - j]
+        design[j] = arr[p - j: n - j]
     return design, arr[p:]
 
 
@@ -191,7 +193,8 @@ def select_order_aic(x: Sequence[float], max_order: int,
 
     Yule-Walker runs one Levinson-Durbin recursion for every order. Least
     squares triangularizes the rows all orders share once and derives each
-    order's SSE from that factorization; an order whose columns are
+    lower order's SSE from that factorization by dropping a regressor and
+    adding one row (``_least_squares_rows``); an order whose regressors are
     rank-deficient on the shared rows is fitted on its own, so its row, or
     its error text, is that of ``fit_ar_least_squares``.
     """
@@ -238,45 +241,72 @@ def _least_squares_rows(arr: np.ndarray, max_order: int) -> list[AicRow]:
     """AIC rows of orders 1..K (K = max_order) for conditional least squares.
 
     The rows t = K..N-1 appear in every order's regression. They are
-    triangularized once, as the order-K design, into R and Q^T y. QR nests
-    over column prefixes, so order k's fit is the fit of the small system
-    [R[:k+1, :k+1]; rows t = k..K-1 of the order-k design] with right-hand
-    side [(Q^T y)[:k+1]; x_k..x_{K-1}], and
-    SSE_k = SSE(small system) + sum_{i>k} (Q^T y)_i^2.
-    That costs one O(N K^2) factorization instead of K of them.
+    triangularized once, as the order-K design, into R and Q^T y, and
+    SSE_K = sum_{i>K} (Q^T y)_i^2. The scan then goes down from order K to
+    order 1, updating (R, Q^T y, SSE) in place (Golub & Van Loan, Matrix
+    Computations, secs. 5.2 and 6.5): order k's regression is order k+1's
+    with its last regressor dropped and row t = k added. Dropping the
+    regressor leaves R[:k+1, :k+1] triangular and moves (Q^T y)_{k+1} into
+    the residual; the row is added by k+1 Givens rotations, and its rotated
+    target joins the residual too. That is one O(N K^2) factorization plus
+    O(K^3) plain float operations, instead of one factorization per order.
 
     An order is fitted on its own with ``fit_ar_least_squares``, which gives
     the rows (and error texts) of a per-order scan, when the shared rows
-    fail the rank check at one of its columns, when its small system fails
-    it, or when its SSE is not finite. Adding rows never shrinks |R_jj|, so
-    when the shared rows pass the rank check, each order's own rows pass it
-    too (up to rounding) and no order takes that path.
+    fail the rank check at one of its regressors or when its SSE is not
+    finite. Adding rows never shrinks |R_jj|, so when the shared rows pass
+    the rank check, each order's own rows pass it too (up to rounding) and
+    no order takes that path.
     """
     n = arr.size
-    r, qty = _lag_design(arr, max_order)
-    qty = qty.copy()
-    # Each order-k design (k >= 1) holds the ones column and all of x[:N-1],
-    # as this one does, so every rank check here uses the scale the
+    design, target = _lag_design(arr, max_order)
+    qty = target.copy()
+    # Each order-k design (k >= 1) holds the ones regressor and all of
+    # x[:N-1], as this one does, so the rank check uses the scale the
     # per-order fit would use.
-    scale = float(np.abs(r).max())
-    rank = householder_triangularize(r, qty, scale)
+    rank = householder_triangularize(design, qty, float(np.abs(design).max()))
+    # At order k, (r, z, sse) is the fit over rows t >= k of order `top`,
+    # the highest order <= k whose regressors passed the rank check: r[i] is
+    # row i of R from its diagonal on, and z is (Q^T y)[:top+1].
+    top = min(max_order, rank - 1)
+    r = [design[i:top + 1, i].tolist() for i in range(top + 1)]
+    z = qty[:top + 1].tolist()
+    sse = float((qty[top + 1:] ** 2).sum())
+    values = arr[:max_order].tolist()  # the rows t < K that the updates add
     rows = []
-    for k in range(1, max_order + 1):
-        sse = math.nan
-        if k < rank:
-            extra, extra_target = _lag_design(arr[:max_order], k)
-            a = np.vstack((np.triu(r[:k + 1, :k + 1]), extra))
-            b = np.concatenate((qty[:k + 1], extra_target))
-            if householder_triangularize(a, b, scale) > k:
-                sse = float((b[k + 1:] ** 2).sum()) + float((qty[k + 1:] ** 2).sum())
-        if math.isfinite(sse):
+    for k in range(max_order, 0, -1):
+        if top > k:
+            r.pop()
+            for r_i in r:
+                r_i.pop()
+            dropped = z.pop()
+            sse += dropped * dropped
+            top = k
+        if k < max_order:
+            # Rotate row t = k, [1, x_{k-1}, ..., x_{k-top}] with target
+            # x_k, into R one diagonal entry at a time.
+            u = [1.0, *reversed(values[k - top:k])]
+            b = values[k]
+            for i, r_i in enumerate(r):
+                h = math.hypot(r_i[0], u[i])
+                c, s = r_i[0] / h, u[i] / h
+                r_i[0] = h
+                for j in range(1, len(r_i)):
+                    r_ij, u_j = r_i[j], u[i + j]
+                    r_i[j] = c * r_ij + s * u_j
+                    u[i + j] = c * u_j - s * r_ij
+                z_i = z[i]
+                z[i] = c * z_i + s * b
+                b = c * b - s * z_i
+            sse += b * b
+        if top == k and math.isfinite(sse):
             rows.append(_aic_row(k, sse / (n - k), n))
             continue
         try:
             rows.append(_aic_row(k, fit_ar_least_squares(arr, k).sigma2, n))
         except (DegenerateFitError, InvalidArgumentError) as exc:
             rows.append(AicRow(order=k, sigma2=None, aic=None, error=str(exc)))
-    return rows
+    return rows[::-1]
 
 
 def _aic_row(k: int, sigma2: float, n: int) -> AicRow:

@@ -92,6 +92,31 @@ class TestLeastSquares:
         with pytest.raises(InvalidArgumentError):
             fit_ar_least_squares(rng.normals(6, 10), 0)
 
+    @pytest.mark.parametrize("n,p", [(n, p) for n in (30, 300, 4000)
+                                     for p in (1, 11, 36) if p < n / 2])
+    def test_matches_lapack_least_squares(self, n, p):
+        # Oracle: LAPACK's lstsq on an observation-major design built here.
+        x = _seeded_ar(n, 100 + n + p)
+        design = np.column_stack([np.ones(n - p)] + [x[p - j:n - j] for j in range(1, p + 1)])
+        beta, (sse,), rank, _ = np.linalg.lstsq(design, x[p:], rcond=None)
+        assert rank == p + 1
+        model = fit_ar_least_squares(x, p)
+        phi = np.array(model.phi)
+        assert np.linalg.norm(phi - beta[1:]) <= 1e-9 * np.linalg.norm(beta[1:])
+        assert model.sigma2 * (n - p) == pytest.approx(sse, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("planted", [0, 3, 6])
+    def test_triangularize_stops_at_a_planted_dependent_regressor(self, planted):
+        # Regressor-major 7 x 40 design; regressor `planted` is a combination
+        # of the regressors before it (for the first one, the empty
+        # combination: zero), so the rank check fails exactly there.
+        a = rng.normals(21, 7 * 40).reshape(7, 40)
+        full = a.copy()
+        assert _linalg.householder_triangularize(full, rng.normals(22, 40), 1.0) == 7
+        a[planted] = rng.normals(23, planted) @ a[:planted]
+        scale = float(np.abs(a).max())
+        assert _linalg.householder_triangularize(a, rng.normals(22, 40), scale) == planted
+
 
 def _select_order_aic_ls_loop(x, max_order):
     """The least-squares AIC scan as one full fit per order: the reference for
@@ -286,10 +311,10 @@ class TestSelectOrderAic:
 
     def test_least_squares_scan_factors_shared_rows_once(self, monkeypatch):
         x = rng.normals(13, 300)
-        factored_rows, per_order_fits = [], []
+        factored_shapes, per_order_fits = [], []
 
         def counting_triangularize(a, rhs, scale):
-            factored_rows.append(a.shape[0])
+            factored_shapes.append(a.shape)
             return _linalg.householder_triangularize(a, rhs, scale)
 
         def counting_fit(arr, p):
@@ -301,9 +326,10 @@ class TestSelectOrderAic:
         monkeypatch.setattr("tsakit.armodel.fit_ar_least_squares", counting_fit)
         select_order_aic(x, 8, "least_squares")
         assert per_order_fits == []
-        # One factorization of the 292 shared rows, then one small
-        # (K + 1)-row system per order.
-        assert factored_rows == [300 - 8] + [8 + 1] * 8
+        # One factorization of the 292 shared rows (regressor-major, so
+        # K + 1 regressor rows by 292 observation columns); every lower
+        # order comes from row updates, with no factorization of its own.
+        assert factored_shapes == [(8 + 1, 300 - 8)]
 
 
 class TestCharacteristicRoots:

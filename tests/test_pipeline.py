@@ -737,14 +737,40 @@ class TestCli:
         assert code == 3
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
-    def test_explosive_least_squares_fit_exit_3(self, dataset_path, tmp_path):
-        # On the bundled series the least-squares AIC scan picks a high order
-        # whose fit has a root inside the unit circle; the parametric PSD
-        # stage must refuse it rather than emit a meaningless spectrum.
+    def test_explosive_least_squares_fit_exit_3(self, dataset_path, tmp_path, capsys):
+        # On the bundled series the least-squares AIC scan picks order 18,
+        # whose fit has a root of modulus 0.974, inside the unit circle; the
+        # parametric PSD stage must refuse it rather than emit a meaningless
+        # spectrum.
+        out_dir = tmp_path / "ls"
         code = cli_main(["analyze", "--input", str(dataset_path),
-                         "--output", str(tmp_path / "ls"),
+                         "--output", str(out_dir),
                          "--ar-estimator", "least_squares"])
         assert code == 3
+        assert capsys.readouterr().err == (
+            "error: stage 'spectral' failed: ar_psd requires a stationary model\n")
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_least_squares_report_independent_of_blas_threads(self, tmp_path):
+        # The Householder steps run BLAS matrix-vector products; the report
+        # must not depend on how many threads BLAS splits them over.
+        counts = _bench_workloads().synthetic_counts(77, 0)
+        p = tmp_path / "long.csv"
+        write_csv(p, [f"{1700 + k // 12:04d}-{k % 12 + 1:02d},{v}"
+                      for k, v in enumerate(counts.tolist())])
+        reports = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=str(SRC_DIR), OPENBLAS_NUM_THREADS=threads)
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from tsakit.cli import main; sys.exit(main(sys.argv[1:]))",
+                 "analyze", "--input", str(p), "--output", str(out_dir),
+                 "--ar-estimator", "least_squares"],
+                capture_output=True, env=env, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            reports.append((out_dir / "report.json").read_bytes())
+        assert reports[0] == reports[1]
 
     def test_oversized_truncation_exit_2(self, tmp_path):
         p = tmp_path / "tiny.csv"

@@ -23,7 +23,7 @@ from .pipeline import (AnalysisReport, PipelineConfig, histogram_data,
                        ingest_csv, qq_plot_data, run_pipeline, write_outputs)
 from .regression import (Censoring, LinearTrendFit, PValue, fit_linear_trend,
                          t_distribution_sf)
-from .series import Period, TimeSeries, demean, difference, integrate
+from .series import TimeSeries, demean, difference, integrate
 from .spectral import (EstimatorKind, SpectrumEstimate, ar_psd, daniell_smooth,
                        dft, periodogram)
 from .stattests import (HypothesisTestResult, jarque_bera, kpss_level,

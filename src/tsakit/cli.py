@@ -18,6 +18,7 @@ device, which are written directly; ``--out -`` writes to stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -79,23 +80,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "stationarity diagnostics, AR identification and spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    analyze = sub.add_parser("analyze", help="run the full analysis pipeline")
+    # A flag left out stays unset, so PipelineConfig's field defaults apply.
+    analyze = sub.add_parser("analyze", help="run the full analysis pipeline",
+                             argument_default=argparse.SUPPRESS)
     analyze.add_argument("--input", required=True, help="input CSV path")
     analyze.add_argument("--output", required=True, help="output directory")
-    analyze.add_argument("--date-column", default="period")
-    analyze.add_argument("--value-column", default="deaths")
-    analyze.add_argument("--aic-max-order", type=_auto_or_int, default="auto",
-                         help="maximum AR order for AIC (default: auto = floor(10 log10 N))")
-    analyze.add_argument("--ar-estimator", default="yule_walker",
-                         choices=["yule_walker", "least_squares"])
-    analyze.add_argument("--daniell-spans", type=_parse_spans, default="3,3",
+    analyze.add_argument("--date-column")
+    analyze.add_argument("--value-column")
+    analyze.add_argument("--aic-max-order", type=_auto_or_int,
+                         help="maximum AR order for AIC, or auto = floor(10 log10 N)")
+    analyze.add_argument("--ar-estimator", choices=["yule_walker", "least_squares"])
+    analyze.add_argument("--daniell-spans", type=_parse_spans,
                          help="comma-separated odd spans, e.g. 3,3")
-    analyze.add_argument("--kpss-lag", type=_auto_or_int, default="auto",
-                         help="Bartlett truncation lag (default: auto)")
-    analyze.add_argument("--truncate-head", type=int, default=2,
+    analyze.add_argument("--kpss-lag", type=_auto_or_int,
+                         help="Bartlett truncation lag, or auto")
+    analyze.add_argument("--truncate-head", type=int,
                          help="samples to drop before differencing")
-    analyze.add_argument("--seed", type=int, default=0,
-                         help="seed recorded in the report")
 
     simulate = sub.add_parser("simulate", help="simulate AR or random-walk series")
     sim_sub = simulate.add_subparsers(dest="model", required=True)
@@ -146,18 +146,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "analyze":
-            config = PipelineConfig(
+            fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+            report = run_pipeline(PipelineConfig(
                 input_path=args.input,
-                date_column=args.date_column,
-                value_column=args.value_column,
-                truncate_head=args.truncate_head,
-                aic_max_order=args.aic_max_order,
-                ar_estimator=args.ar_estimator,
-                daniell_spans=args.daniell_spans,
-                kpss_lag=args.kpss_lag,
-                seed=args.seed,
-            )
-            report = run_pipeline(config)
+                **{k: v for k, v in vars(args).items() if k in fields}))
             written = write_outputs(report, args.output)
             sys.stdout.write("\n".join(str(p) for p in written) + "\n")
             sys.stdout.flush()

@@ -1,6 +1,6 @@
 """End-to-end analysis pipeline: CSV ingestion, staged computation, reporting.
 
-Ingestion reads month labels with the parser ``Period.parse`` uses. Stage order
+Ingestion reads month labels as month indices (``series._month_index``). Stage order
 is fixed by the methodology being reproduced: fit the linear trend on the full
 series, diagnose its residuals, then truncate the head, take the first
 difference, demean, and run the stationarity test, AR identification and
@@ -35,8 +35,9 @@ from .correlation import sample_acf
 from .errors import (DuplicateMonthError, InsufficientDataError,
                      InvalidArgumentError, MalformedRowError, MissingInputError,
                      MonthGapError, PipelineStageError, TsaError, _as_index)
-from .regression import LinearTrendFit, fit_linear_trend
-from .series import Period, TimeSeries, _month_index, _month_label, demean, difference
+from .regression import (P_VALUE_CENSOR_THRESHOLD, LinearTrendFit,
+                         fit_linear_trend)
+from .series import TimeSeries, _month_index, _month_label, demean, difference
 from .spectral import ar_psd, daniell_smooth, periodogram
 from .special import norm_ppf
 from .stattests import jarque_bera, kpss_level, shapiro_wilk
@@ -44,14 +45,16 @@ from .stattests import jarque_bera, kpss_level, shapiro_wilk
 REPORT_FORMAT_VERSION = "1"
 AR_PSD_GRID = 257
 
+_SPECTRUM_NP_FILE = "fig_spectrum_np.csv"
+_SPECTRUM_AR_FILE = "fig_spectrum_ar.csv"
 FIGURE_FILES = (
     "fig_trend.csv",
     "fig_residuals.csv",
     "fig_qq.csv",
     "fig_diff_sacf.csv",
     "fig_hist.csv",
-    "fig_spectrum_np.csv",
-    "fig_spectrum_ar.csv",
+    _SPECTRUM_NP_FILE,
+    _SPECTRUM_AR_FILE,
 )
 
 
@@ -65,7 +68,6 @@ class PipelineConfig:
     ar_estimator: str = "yule_walker"
     daniell_spans: tuple[int, ...] = (3, 3)
     kpss_lag: Union[int, str] = "auto"
-    seed: int = 0
 
     def __post_init__(self):
         truncate_head = _as_index(self.truncate_head, "truncate_head")
@@ -140,7 +142,7 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig, *,
 
     if not values:
         raise InsufficientDataError(f"input file {path} contains no data rows")
-    return TimeSeries(np.asarray(values), Period(start // 12, start % 12 + 1))
+    return TimeSeries(np.asarray(values), start)
 
 
 def _read_input(path: Union[str, Path]) -> bytes:
@@ -210,11 +212,11 @@ class AnalysisReport:
 
 def _fingerprint(data: bytes, x: TimeSeries) -> dict:
     digest = hashlib.sha256(data).hexdigest()
-    start = x.start_period
+    start = x.start_month
     return {
         "row_count": len(x),
-        "first_period": str(start),
-        "last_period": str(start.plus_months(len(x) - 1)),
+        "first_period": _month_label(start),
+        "last_period": _month_label(start + len(x) - 1),
         "sha256": digest,
     }
 
@@ -336,11 +338,11 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             "selected_model": model_section,
         },
         "spectra": {
-            "raw_periodogram": {"file": "fig_spectrum_np.csv",
+            "raw_periodogram": {"file": _SPECTRUM_NP_FILE,
                                 "parameters": raw_spec.parameters},
-            "smoothed": {"file": "fig_spectrum_np.csv",
+            "smoothed": {"file": _SPECTRUM_NP_FILE,
                          "parameters": smooth_spec.parameters},
-            "ar_parametric": {"file": "fig_spectrum_ar.csv",
+            "ar_parametric": {"file": _SPECTRUM_AR_FILE,
                               "parameters": ar_spec.parameters},
         },
         "decisions": {
@@ -351,9 +353,9 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             "kpss_lag_rule": ("floor(4*(N/100)^0.25)"
                               if config.kpss_lag == "auto" else "explicit"),
             "truncate_head": config.truncate_head,
-            "p_value_censor_threshold": 2.2e-16,
+            "p_value_censor_threshold": P_VALUE_CENSOR_THRESHOLD,
             "time_index_origin": 1,
-            "seed": config.seed,
+            "seed": 0,  # no stage draws random numbers
         },
         "figure_files": list(FIGURE_FILES),
     }
@@ -367,38 +369,39 @@ def _figure_rows(x, fit, centered, acf, hist, qq, raw_spec, smooth_spec,
                  ar_spec) -> dict:
     # Each column is rendered once, as csv.writer would write its cells:
     # ints as str(), Python floats as repr(), numpy scalars as numpy's repr().
+    # The texts are in FIGURE_FILES' order.
     n, m = len(x), len(centered)
     t = list(map(str, range(1, n + 1)))
     fitted = _np_reprs(fit.fitted.values)
     edges = _np_reprs(hist.bin_edges)
-    return {
-        "fig_trend.csv": _csv_text(
+    return dict(zip(FIGURE_FILES, (
+        _csv_text(
             "period,t,observed,fitted",
             (x.periods(), t, _np_reprs(x.values), fitted)),
-        "fig_residuals.csv": _csv_text(
+        _csv_text(
             "t,fitted,residual", (t, fitted, _np_reprs(fit.residuals.values))),
-        "fig_qq.csv": _csv_text(
+        _csv_text(
             "theoretical_quantile,sample_quantile",
             [map(repr, column) for column in zip(*qq)]),
-        "fig_diff_sacf.csv": _csv_text(
+        _csv_text(
             "panel,x,y,band",
             (repeat("series"), t[:m], _np_reprs(centered.values), repeat("")),
             (repeat("sacf"), map(str, acf.lags.tolist()),
              _reprs(acf.autocorrelation),
              repeat(_np_reprs(np.atleast_1d(acf.band))[0]))),
-        "fig_hist.csv": _csv_text(
+        _csv_text(
             "panel,x,x2,y",
             (repeat("bar"), edges, edges[1:], map(str, hist.counts.tolist())),
             (repeat("normal_density"), _reprs(hist.overlay_x), repeat(""),
              _reprs(hist.overlay_density))),
-        "fig_spectrum_np.csv": _csv_text(
+        _csv_text(
             "frequency,raw_power,smoothed_power",
             (_reprs(raw_spec.frequencies), _reprs(raw_spec.power),
              _reprs(smooth_spec.power))),
-        "fig_spectrum_ar.csv": _csv_text(
+        _csv_text(
             "frequency,power",
             (_reprs(ar_spec.frequencies), _reprs(ar_spec.power))),
-    }
+    ), strict=True))
 
 
 # numpy's repr of a float64 scalar is the float's repr inside this wrapper:

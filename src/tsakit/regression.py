@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InsufficientDataError, InvalidArgumentError
 from .series import TimeSeries
-from .special import betainc_reg
+from .special import _reflects, betainc_reg
 
 P_VALUE_CENSOR_THRESHOLD = 2.2e-16
 
@@ -87,8 +87,15 @@ class LinearTrendFit:
 
 def _t_tail(t2: float, dof: int) -> float:
     """P(T^2 >= t2) for Student's t with ``dof`` degrees of freedom, which is
-    also P(F >= t2) for F with (1, dof) degrees of freedom."""
-    return betainc_reg(dof / 2.0, 0.5, dof / (dof + t2))
+    also P(F >= t2) for F with (1, dof) degrees of freedom.
+
+    This is I_x(dof/2, 1/2) at x = dof/(dof + t2). Where betainc_reg would
+    reflect, it is reflected here on the exact complement t2/(dof + t2),
+    since 1 - x carries x's rounding error, which swamps it near p = 1."""
+    x = dof / (dof + t2)
+    if _reflects(dof / 2.0, 0.5, x):
+        return 1.0 - betainc_reg(0.5, dof / 2.0, t2 / (dof + t2))
+    return betainc_reg(dof / 2.0, 0.5, x)
 
 
 def t_distribution_sf(t: float, dof: int) -> float:

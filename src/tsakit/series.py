@@ -28,45 +28,17 @@ def _month_index(text: str) -> int:
     return int(m.group(1)) * 12 + month - 1
 
 
-@dataclass(frozen=True, order=True)
-class Period:
-    """A calendar year-month label."""
-
-    year: int
-    month: int
-
-    def __post_init__(self):
-        if not 1 <= self.month <= 12:
-            raise InvalidArgumentError(f"month must be in 1..12, got {self.month}")
-
-    @classmethod
-    def parse(cls, text: str) -> "Period":
-        """The period of a YYYY-MM label, parsed as ``ingest_csv`` parses it."""
-        index = _month_index(text)
-        return cls(index // 12, index % 12 + 1)
-
-    @property
-    def index(self) -> int:  # consecutive months differ by 1
-        return self.year * 12 + self.month - 1
-
-    def plus_months(self, n: int) -> "Period":
-        idx = self.index + n
-        return Period(idx // 12, idx % 12 + 1)
-
-    def __str__(self) -> str:
-        return _month_label(self.index)
-
-
 @dataclass(frozen=True)
 class TimeSeries:
     """Ordered, finite, real-valued observations on a contiguous monthly index.
 
-    The time index is implicit: t = 0..N-1. ``start_period`` is calendar
-    metadata for labelled data and may be None for simulated series.
+    The time index is implicit: t = 0..N-1. ``start_month`` labels it: the
+    month index 12 * year + month - 1 of the first observation, whose YYYY-MM
+    label ``_month_label`` gives. It is None for simulated series.
     """
 
     values: np.ndarray
-    start_period: Optional[Period] = None
+    start_month: Optional[int] = None
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=float)
@@ -84,14 +56,14 @@ class TimeSeries:
         return int(self.values.size)
 
     def periods(self) -> Optional[list[str]]:
-        if self.start_period is None:
+        start = self.start_month
+        if start is None:
             return None
-        start = self.start_period.index
         return [_month_label(i) for i in range(start, start + len(self))]
 
     def with_values(self, values: Sequence[float], shift_months: int = 0) -> "TimeSeries":
-        start = self.start_period
-        return TimeSeries(values, start.plus_months(shift_months) if start else None)
+        start = self.start_month
+        return TimeSeries(values, None if start is None else start + shift_months)
 
 
 def difference(x: TimeSeries, d: int) -> TimeSeries:

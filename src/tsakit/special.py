@@ -140,6 +140,12 @@ def _betacf(a: float, b: float, x: float) -> float:
         iterations=_BETACF_MAX_ITER, residual=residual)
 
 
+def _reflects(a: float, b: float, x: float) -> bool:
+    """Whether I_x(a, b) is summed as 1 - I_{1-x}(b, a): the continued
+    fraction for I_x(a, b) converges fast only below x = (a + 1)/(a + b + 2)."""
+    return x >= (a + 1.0) / (a + b + 2.0)
+
+
 def betainc_reg(a: float, b: float, x: float) -> float:
     """Regularized incomplete beta I_x(a, b)."""
     if not (0.0 < a < math.inf and 0.0 < b < math.inf):  # NaN fails too
@@ -151,9 +157,10 @@ def betainc_reg(a: float, b: float, x: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    ln_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    # lgamma(a + b) and the larger shape's lgamma nearly cancel: subtract them first.
+    ln_front = (math.lgamma(a + b) - math.lgamma(max(a, b)) - math.lgamma(min(a, b))
                 + a * math.log(x) + b * math.log1p(-x))
     front = math.exp(ln_front)
-    if x < (a + 1.0) / (a + b + 2.0):
+    if not _reflects(a, b, x):
         return front * _betacf(a, b, x) / a
     return 1.0 - front * _betacf(b, a, 1.0 - x) / b

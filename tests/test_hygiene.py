@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: only numpy and pytest are
 required to run the suite."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -39,35 +40,42 @@ def test_unused_import_is_reported():
     assert _unused_imports(tree) == ["line 2: os", "line 4: c"]
 
 
+def _read_counts(node: ast.AST) -> Counter:
+    """How many times each name is read under ``node``. A read is a loaded
+    name or an attribute of that name; an import is not a read."""
+    counts = Counter()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            counts[child.id] += 1
+        elif isinstance(child, ast.Attribute):
+            counts[child.attr] += 1
+    return counts
+
+
+def _unread(trees: dict[str, ast.Module], definitions) -> list[str]:
+    """The labels of the ``(label, name, node)`` definitions whose name is read
+    nowhere in any module outside ``node`` (so recursion does not count)."""
+    total = sum((_read_counts(tree) for tree in trees.values()), Counter())
+    return [label for label, name, node in definitions
+            if total[name] == _read_counts(node)[name]]
+
+
 def _unread_definitions(trees: dict[str, ast.Module], selected) -> list[str]:
     """Module-level definitions for which ``selected(stmt, name)`` holds and
-    that no statement of any module reads, other than the definition itself
-    (so recursion does not count). A read is a loaded name or an attribute
-    of that name; an import is not a read."""
-    statements = [(module, stmt) for module, tree in trees.items() for stmt in tree.body]
-    reads = []
-    for _, stmt in statements:
-        names = set()
-        for node in ast.walk(stmt):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-        reads.append(names)
-    unread = []
-    for index, (module, stmt) in enumerate(statements):
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined = [stmt.name]
-        elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
-            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
-            defined = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        for name in defined:
-            if (selected(stmt, name)
-                    and not any(name in r for i, r in enumerate(reads) if i != index)):
-                unread.append(f"{module}: {name}")
-    return unread
+    that no statement of any module reads, other than the definition itself."""
+    definitions = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            definitions += [(f"{module}: {name}", name, stmt)
+                            for name in defined if selected(stmt, name)]
+    return _unread(trees, definitions)
 
 
 def _dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
@@ -117,6 +125,43 @@ def test_uncalled_public_name_is_reported():
         "b.py": ast.parse("class Model:\n    pass\n\nclass Orphan:\n    pass\n"),
     }
     assert _uncalled_public_names(trees) == ["a.py: dead", "a.py: caller", "b.py: Orphan"]
+
+
+def _uncalled_public_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """Public methods and properties of the package's classes that nothing
+    reads outside their own body, as ``module: Class.method``. Reads are
+    matched by name alone, whatever the owner, as in ``_unread_definitions``."""
+    return _unread(trees, [
+        (f"{module}: {cls.name}.{stmt.name}", stmt.name, stmt)
+        for module, tree in trees.items() for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) for stmt in cls.body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not stmt.name.startswith("_")])
+
+
+def test_every_public_method_is_called():
+    assert _uncalled_public_methods(_sources()) == []
+
+
+def test_uncalled_public_method_is_reported():
+    trees = {
+        "a.py": ast.parse(
+            "class Model:\n"
+            "    def __init__(self):\n        self.fit()\n\n"
+            "    def fit(self):\n        return self._helper()\n\n"
+            "    def _helper(self):\n        return 1\n\n"
+            "    @property\n    def order(self):\n        return 1\n\n"
+            "    @property\n    def unread(self):\n        return 2\n\n"
+            "    def again(self, n):\n        return self.again(n - 1)\n\n"
+            "    @classmethod\n    def parse(cls, text):\n        return cls()\n\n"
+            "    def shared(self):\n        return 0\n\n"
+            "    class Inner:\n        def nested(self):\n            return 3\n"),
+        "b.py": ast.parse("from a import Model\n\n"
+                          "def use(m, header):\n    return m.order + header.shared()\n"),
+    }
+    assert _uncalled_public_methods(trees) == [
+        "a.py: Model.unread", "a.py: Model.again", "a.py: Model.parse",
+        "a.py: Inner.nested"]
 
 
 def _dynamic_code_calls(trees: dict[str, ast.Module]) -> list[str]:
@@ -241,12 +286,10 @@ def _one_value_parameters(trees: dict[str, ast.Module]) -> list[str]:
 # bench worker and the tests pass argv. ``polynomial_roots(max_iter)``: the
 # oracle tests cap it at 1 and 5 to reach the iteration-cap and rounding-bound
 # paths. ``difference(d)``: the acceptance suite calls difference(x, d) for
-# d = 1..3. ``betainc_reg(b)``: the package's t tails pass b = 0.5, but the
-# reflection I_x(a, b) = 1 - I_{1-x}(b, a) hands b to the continued fraction as
-# its first shape, so the function needs both shapes general either way.
+# d = 1..3.
 ONE_VALUE_PARAMETER_EXEMPT = frozenset({
     "cli.py: main(argv)", "_linalg.py: polynomial_roots(max_iter)",
-    "series.py: difference(d)", "special.py: betainc_reg(b)"})
+    "series.py: difference(d)"})
 
 
 def test_no_one_value_parameter():

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import io
@@ -14,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsakit import pipeline, rng
+from tsakit import cli, pipeline, rng
 from tsakit._linalg import polynomial_roots
 from tsakit.cli import main as cli_main
 from tsakit.errors import (ConvergenceError, DegenerateFitError,
@@ -24,7 +26,7 @@ from tsakit.errors import (ConvergenceError, DegenerateFitError,
 from tsakit.pipeline import (AnalysisReport, PipelineConfig, histogram_data,
                              ingest_csv, qq_plot_data, run_pipeline,
                              write_outputs)
-from tsakit.series import Period
+from tsakit.series import _month_label
 from tsakit.special import norm_ppf
 
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
@@ -53,7 +55,8 @@ def config_for(path, **overrides) -> PipelineConfig:
 class TestIngest:
     def test_bundled_dataset(self, deaths_series):
         assert len(deaths_series) == 67
-        assert str(deaths_series.start_period) == "2015-01"
+        assert deaths_series.start_month == 2015 * 12  # month index of 2015-01
+        assert deaths_series.periods()[0] == "2015-01"
         assert deaths_series.periods()[-1] == "2020-07"
 
     def test_missing_file(self, tmp_path):
@@ -80,7 +83,7 @@ class TestIngest:
         p = tmp_path / "bom.csv"
         p.write_bytes(b"\xef\xbb\xbf" + dataset_path.read_bytes())
         series = ingest_csv(p, config_for(p))
-        assert series.start_period == deaths_series.start_period
+        assert series.start_month == deaths_series.start_month
         assert series.values.tolist() == deaths_series.values.tolist()
 
     def test_empty_file(self, tmp_path):
@@ -130,23 +133,38 @@ class TestIngest:
         series = ingest_csv(p, cfg)
         assert series.values.tolist() == [7.0, 8.0]
 
-    @pytest.mark.parametrize("label", [
-        "2015-01", "2015-12", "0001-01", "9999-12", " 2015-01 ", "２０１５-01",
-        "2015-00", "2015-13", "2015-1", "12015-01", "Jan-2015", "2015/01",
-        "20１5-01", "2015-0²"])
-    def test_period_labels_follow_period_parse(self, tmp_path, label):
+    # Each label with the month index 12 * year + month - 1 and the label it
+    # parses to, or with the error text it is refused with. Blanks around a
+    # label are ignored, and any Unicode decimal digit counts as a digit.
+    LABEL_CASES = [
+        ("2015-01", (24180, "2015-01")),
+        ("2015-12", (24191, "2015-12")),
+        ("0001-01", (12, "0001-01")),
+        ("9999-12", (119999, "9999-12")),
+        (" 2015-01 ", (24180, "2015-01")),
+        ("２０１５-01", (24180, "2015-01")),
+        ("2015-00", "month must be in 1..12, got 0"),
+        ("2015-13", "month must be in 1..12, got 13"),
+        ("2015-1", "period must look like YYYY-MM, got '2015-1'"),
+        ("12015-01", "period must look like YYYY-MM, got '12015-01'"),
+        ("Jan-2015", "period must look like YYYY-MM, got 'Jan-2015'"),
+        ("2015/01", "period must look like YYYY-MM, got '2015/01'"),
+        ("20１5-01", (24180, "2015-01")),
+        ("2015-0²", "period must look like YYYY-MM, got '2015-0²'"),
+    ]
+
+    @pytest.mark.parametrize("label, expected", LABEL_CASES,
+                             ids=[label for label, _ in LABEL_CASES])
+    def test_period_labels_follow_period_parse(self, tmp_path, label, expected):
         # The label sits on line 3, after the month before it when it parses.
-        try:
-            expected = Period.parse(label)
-        except InvalidArgumentError as exc:
-            expected = exc
-        parsed = isinstance(expected, Period)
-        before = str(expected.plus_months(-1)) if parsed else "2014-12"
+        parsed = isinstance(expected, tuple)
+        before = _month_label(expected[0] - 1) if parsed else "2014-12"
         p = tmp_path / "labels.csv"
         write_csv(p, [f"{before},5", f"{label},6"])
         if parsed:
             series = ingest_csv(p, config_for(p))
-            assert series.periods() == [before, str(expected)]
+            assert series.start_month == expected[0] - 1
+            assert series.periods() == [before, expected[1]]
             assert series.values.tolist() == [5.0, 6.0]
             return
         with pytest.raises(MalformedRowError) as info:
@@ -157,8 +175,9 @@ class TestIngest:
 
     def test_non_adjacent_duplicate_after_100_rows(self, tmp_path):
         p = tmp_path / "dup100.csv"
-        start = Period(2000, 1)
-        rows = [f"{start.plus_months(k)},{100 + k}" for k in range(100)]
+        start = 2000 * 12  # month index of 2000-01
+        rows = [f"{_month_label(start + k)},{100 + k}" for k in range(100)]
+        assert rows[40] == "2003-05,140"
         write_csv(p, rows + ["2003-05,7"])
         with pytest.raises(DuplicateMonthError) as info:
             ingest_csv(p, config_for(p))
@@ -951,22 +970,41 @@ class TestCli:
         assert proc.wait(timeout=60) == 0
         assert stderr == b""
 
-    def test_seed_flag_sets_decision_seed(self, dataset_path, tmp_path):
-        code = cli_main(["analyze", "--input", str(dataset_path),
-                         "--output", str(tmp_path / "flag"), "--seed", "9"])
-        assert code == 0
-        body = json.loads((tmp_path / "flag" / "report.json").read_text())
-        assert body["decisions"]["seed"] == 9
+    def test_analyze_defaults_are_pipeline_config_defaults(self, monkeypatch):
+        # A left-out flag stays unset, so PipelineConfig's field defaults are
+        # the only copy of each analyze default; a given flag reaches its field.
+        captured = []
+        monkeypatch.setattr(cli, "run_pipeline", captured.append)
+        monkeypatch.setattr(cli, "write_outputs", lambda report, out: [])
+        required = ["analyze", "--input", "in.csv", "--output", "out"]
+        assert cli_main(required) == 0
+        assert captured[-1] == PipelineConfig(input_path="in.csv")
+
+        given = {"date_column": "month", "value_column": "count",
+                 "aic_max_order": 7, "ar_estimator": "least_squares",
+                 "daniell_spans": (5,), "kpss_lag": 3, "truncate_head": 0}
+        assert cli_main(required + [
+            "--date-column", "month", "--value-column", "count",
+            "--aic-max-order", "7", "--ar-estimator", "least_squares",
+            "--daniell-spans", "5", "--kpss-lag", "3", "--truncate-head", "0"]) == 0
+        assert captured[-1] == PipelineConfig(input_path="in.csv", **given)
+        defaults = {f.name: f.default for f in dataclasses.fields(PipelineConfig)[1:]}
+        assert defaults.keys() == given.keys()
+        assert [name for name in given if given[name] == defaults[name]] == []
+
+        analyze = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)).choices["analyze"]
+        optional = {action.dest: action.default for action in analyze._actions
+                    if not action.required and action.dest != "help"}
+        assert optional == dict.fromkeys(given, argparse.SUPPRESS)
 
     @pytest.mark.parametrize("args", [
         ["analyze", "--input", "in.csv", "--output", "out", "--kpss-lag", "2.5"],
         ["analyze", "--input", "in.csv", "--output", "out", "--aic-max-order", "x"],
-        ["analyze", "--input", "in.csv", "--output", "out", "--seed", "x"],
         ["simulate", "ar", "--phi", "0.5", "--n", "10", "--seed", "1.5"],
         ["simulate", "random-walk", "--n", "10", "--seed", "x"],
         ["simulate", "ar", "--n", "10", "--phi", "0.5,y"],
-    ], ids=["kpss-lag", "aic-max-order", "analyze-seed", "ar-seed", "random-walk-seed",
-            "phi"])
+    ], ids=["kpss-lag", "aic-max-order", "ar-seed", "random-walk-seed", "phi"])
     def test_malformed_numeric_flag_is_an_argparse_error(self, capsys, args):
         flag, value = args[-2:]
         with pytest.raises(SystemExit) as info:

@@ -96,6 +96,24 @@ class TestTDistribution:
             oracle = 2.0 * _tail_integral(pdf, float(t))
             assert t_distribution_sf(float(t), dof) == pytest.approx(oracle, abs=1e-8)
 
+    # P(|T| >= t) from 50-digit mpmath (betainc(dof/2, 1/2, 0, dof/(dof + t^2),
+    # regularized=True)) at t = 1e-6, 0.0016, 0.01, 1 and 5. The small |t|
+    # columns are p-values within 1e-6 to 1e-2 of 1, where the tail must not
+    # be formed from 1 - dof/(dof + t^2) after that ratio has been rounded.
+    @pytest.mark.parametrize("dof, expected", [
+        (65, [0.99999920517821146, 0.99872828568927771, 0.99205191662076647,
+              0.32101878004501529, 4.6053589237099657e-6]),
+        (1000, [0.99999920231488537, 0.99872370436169304, 0.99202328193218729,
+                0.31755241808467231, 6.7672563646486304e-7]),
+        (3998, [0.99999920216533037, 0.99872346507338017, 0.99202178630738947,
+                0.31737102702078123, 5.9788841867267788e-7]),
+        (4998, [0.99999920215534839, 0.99872344910219607, 0.99202168648262636,
+                0.31735891895149713, 5.9290269218316183e-7]),
+    ], ids=["65", "1000", "3998", "4998"])
+    def test_matches_high_precision_table(self, dof, expected):
+        for t, p in zip([1e-6, 0.0016, 0.01, 1.0, 5.0], expected):
+            assert t_distribution_sf(t, dof) == pytest.approx(p, rel=1e-11, abs=0.0)
+
     def test_rejects_non_finite(self):
         with pytest.raises(InvalidArgumentError):
             t_distribution_sf(math.nan, 5)

@@ -3,7 +3,8 @@ import pytest
 
 from tsakit import rng
 from tsakit.errors import InvalidArgumentError
-from tsakit.series import Period, TimeSeries, demean, difference, integrate
+from tsakit.series import (TimeSeries, _month_index, _month_label, demean,
+                           difference, integrate)
 
 
 def ts(values):
@@ -27,25 +28,28 @@ class TestTimeSeries:
             x.values[0] = 5.0
 
     def test_period_arithmetic(self):
-        p = Period.parse("2015-01")
-        assert str(p.plus_months(11)) == "2015-12"
-        assert str(p.plus_months(12)) == "2016-01"
-        assert str(p.plus_months(66)) == "2020-07"
+        # Month index 12 * year + month - 1: consecutive months differ by 1.
+        start = _month_index("2015-01")
+        assert start == 24180
+        assert _month_label(start + 11) == "2015-12"
+        assert _month_label(start + 12) == "2016-01"
+        assert _month_label(start + 66) == "2020-07"
         with pytest.raises(InvalidArgumentError):
-            Period.parse("2015/01")
+            _month_index("2015/01")
 
     def test_periods_listing(self):
-        x = TimeSeries(np.array([1.0, 2.0, 3.0]), start_period=Period(2019, 11))
+        x = TimeSeries(np.array([1.0, 2.0, 3.0]), start_month=2019 * 12 + 10)
         assert x.periods() == ["2019-11", "2019-12", "2020-01"]
 
     def test_periods_listing_matches_plus_months(self):
-        start = Period(998, 7)
-        x = TimeSeries(np.zeros(40), start_period=start)
+        start = 998 * 12 + 6  # 0998-07
+        x = TimeSeries(np.zeros(40), start_month=start)
         labels = x.periods()
-        assert labels == [str(start.plus_months(t)) for t in range(40)]
+        assert labels == [_month_label(start + t) for t in range(40)]
+        assert labels[0] == "0998-07"
         assert labels[5:7] == ["0998-12", "0999-01"]
         assert labels[-1] == "1001-10"
-        assert Period.parse(labels[-1]).index - start.index == 39
+        assert _month_index(labels[-1]) - start == 39
 
 
 class TestDifference:
@@ -76,9 +80,15 @@ class TestDifference:
             out = difference(ts(poly), degree).values
             assert np.abs(out - out[0]).max() < 1e-9 * max(1.0, abs(out[0]))
 
-    def test_start_period_shifts(self):
-        x = TimeSeries(np.array([1.0, 2.0, 4.0]), start_period=Period(2015, 1))
-        assert str(difference(x, 1).start_period) == "2015-02"
+    def test_start_month_shifts(self):
+        x = TimeSeries(np.array([1.0, 2.0, 4.0]), start_month=_month_index("2015-01"))
+        assert difference(x, 1).start_month == _month_index("2015-02")
+        assert difference(x, 1).periods() == ["2015-02", "2015-03"]
+        assert integrate(difference(x, 1), 1, [1.0]).start_month == x.start_month
+        # Month index 0 (0000-01) is a month, not a missing start.
+        first = TimeSeries(np.array([1.0, 2.0]), start_month=0)
+        assert first.with_values([3.0], shift_months=1).periods() == ["0000-02"]
+        assert ts([1.0, 2.0]).with_values([3.0], shift_months=1).periods() is None
 
 
 class TestIntegrate:

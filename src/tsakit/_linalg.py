@@ -11,8 +11,9 @@ transposed in its first n columns, applies the same reflections to the
 right-hand side (giving Q^T y), and reports the first regressor that fails
 the rank check against a scale the caller passes; ``back_substitute`` then
 solves R beta = (Q^T y)[:n]. The least-squares AIC scan in ``armodel``
-triangularizes the rows all orders share once and derives every lower order
-from that R and Q^T y by row updates.
+triangularizes the rows all orders share once, derives every lower order
+from that R and Q^T y by row updates, and back-substitutes only the selected
+order's.
 
 The root finder updates every root at once from the pairwise difference matrix
 (O(n^2) memory, fine at these orders) and raises ConvergenceError instead of

@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from ._linalg import householder_triangularize, least_squares, polynomial_roots
+from ._linalg import (back_substitute, householder_triangularize, least_squares,
+                      polynomial_roots)
 from .correlation import autocovariance
 from .errors import (DegenerateFitError, InvalidArgumentError,
                      NonStationaryModelError, ZeroVarianceError)
@@ -65,10 +66,14 @@ class AicRow:
 
 @dataclass(frozen=True)
 class AicTable:
+    """The AIC rows of orders 0..K, the selected order, and its fitted model
+    (not part of ``to_dict``)."""
+
     rows: tuple[AicRow, ...]
     selected_order: int
     method: str
     n: int
+    model: ArModel
 
     def to_dict(self) -> dict:
         return {
@@ -166,13 +171,18 @@ def fit_ar_least_squares(x: Sequence[float], p: int) -> ArModel:
     if p >= n - 1:
         raise InvalidArgumentError(f"order p={p} must be below N-1 with N={n}")
     beta, sse = least_squares(*_lag_design(arr, p))
+    return _least_squares_model(arr, beta, sse / (n - p))
+
+
+def _least_squares_model(arr: np.ndarray, beta: np.ndarray, sigma2: float) -> ArModel:
+    """The AR model of the least-squares coefficients ``beta`` (intercept
+    first, then phi_1..phi_p) and innovation variance ``sigma2``."""
     intercept = float(beta[0])
     phi = tuple(float(v) for v in beta[1:])
-    sigma2 = sse / (n - p)
     phi_sum = sum(phi)
     mean = intercept / (1.0 - phi_sum) if abs(1.0 - phi_sum) > 1e-10 else float(arr.mean())
     return ArModel(phi=phi, sigma2=sigma2, mean=mean,
-                   estimation_method="least_squares", n_used=n)
+                   estimation_method="least_squares", n_used=arr.size)
 
 
 def _lag_design(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -189,14 +199,21 @@ def _lag_design(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 def select_order_aic(x: Sequence[float], max_order: int,
                      method: str = "yule_walker") -> AicTable:
-    """Evaluate AIC(k) = ln(sigma2_k) + 2k/N for k = 0..max_order.
+    """Evaluate AIC(k) = ln(sigma2_k) + 2k/N for k = 0..max_order, and fit
+    the selected order.
 
-    Yule-Walker runs one Levinson-Durbin recursion for every order. Least
-    squares triangularizes the rows all orders share once and derives each
-    lower order's SSE from that factorization by dropping a regressor and
-    adding one row (``_least_squares_rows``); an order whose regressors are
+    Yule-Walker runs one Levinson-Durbin recursion for every order, and the
+    selected order's model is ``fit_ar_yule_walker``'s. Least squares
+    triangularizes the rows all orders share once and derives each lower
+    order's SSE from that factorization by dropping a regressor and adding
+    one row (``_least_squares_rows``); an order whose regressors are
     rank-deficient on the shared rows is fitted on its own, so its row, or
-    its error text, is that of ``fit_ar_least_squares``.
+    its error text, is that of ``fit_ar_least_squares``. The selected
+    order's model comes from the scan too, with no refit: its phi and
+    intercept solve R beta = Q^T y on the factor its AIC row was computed
+    from, and its sigma2 is that row's, so the model and the table agree
+    exactly. An order fitted on its own keeps that fit, and order 0 gets the
+    Yule-Walker model under either estimator.
     """
     arr = np.asarray(x, dtype=float)
     n = arr.size
@@ -228,17 +245,32 @@ def select_order_aic(x: Sequence[float], max_order: int,
         sigma2_0 = float((centered ** 2).mean())
         rows = [_aic_row(0, sigma2_0, n) if sigma2_0 > 0.0 else
                 AicRow(order=0, sigma2=None, aic=None, error="zero variance")]
-        rows += _least_squares_rows(arr, max_order)
+        ls_rows, fits = _least_squares_rows(arr, max_order)
+        rows += ls_rows
 
     valid = [r for r in rows if r.error is None]
     if not valid:
         raise DegenerateFitError("AIC evaluation failed at every candidate order")
     best = min(valid, key=lambda r: (r.aic, r.order))
-    return AicTable(rows=tuple(rows), selected_order=best.order, method=method, n=n)
+    if method == "yule_walker" or best.order == 0:
+        model = fit_ar_yule_walker(arr, best.order)
+    else:
+        model = fits[best.order - 1]
+        if not isinstance(model, ArModel):
+            r, z = model
+            # R transposed, as back_substitute reads it: column i is row i of R.
+            r_t = np.zeros((len(r), len(r)))
+            for i, r_i in enumerate(r):
+                r_t[i:, i] = r_i
+            model = _least_squares_model(arr, back_substitute(r_t, np.array(z)),
+                                         best.sigma2)
+    return AicTable(rows=tuple(rows), selected_order=best.order, method=method,
+                    n=n, model=model)
 
 
-def _least_squares_rows(arr: np.ndarray, max_order: int) -> list[AicRow]:
-    """AIC rows of orders 1..K (K = max_order) for conditional least squares.
+def _least_squares_rows(arr: np.ndarray, max_order: int) -> tuple[list[AicRow], list]:
+    """AIC rows of orders 1..K (K = max_order) for conditional least squares,
+    and each order's fit.
 
     The rows t = K..N-1 appear in every order's regression. They are
     triangularized once, as the order-K design, into R and Q^T y, and
@@ -257,6 +289,12 @@ def _least_squares_rows(arr: np.ndarray, max_order: int) -> list[AicRow]:
     finite. Adding rows never shrinks |R_jj|, so when the shared rows pass
     the rank check, each order's own rows pass it too (up to rounding) and
     no order takes that path.
+
+    The fit of order k, the (k-1)th entry of the second list, is the
+    ``ArModel`` of an order fitted on its own (None if that failed), or else
+    a copy of (r, z), order k's R rows from the diagonal on and Q^T y, taken
+    when its row is written. Back-substituting only the selected order's
+    copy costs far less than solving every order.
     """
     n = arr.size
     design, target = _lag_design(arr, max_order)
@@ -273,7 +311,7 @@ def _least_squares_rows(arr: np.ndarray, max_order: int) -> list[AicRow]:
     z = qty[:top + 1].tolist()
     sse = float((qty[top + 1:] ** 2).sum())
     values = arr[:max_order].tolist()  # the rows t < K that the updates add
-    rows = []
+    rows, fits = [], []
     for k in range(max_order, 0, -1):
         if top > k:
             r.pop()
@@ -301,12 +339,17 @@ def _least_squares_rows(arr: np.ndarray, max_order: int) -> list[AicRow]:
             sse += b * b
         if top == k and math.isfinite(sse):
             rows.append(_aic_row(k, sse / (n - k), n))
+            fits.append(([r_i.copy() for r_i in r], z.copy()))
             continue
         try:
-            rows.append(_aic_row(k, fit_ar_least_squares(arr, k).sigma2, n))
+            fit = fit_ar_least_squares(arr, k)
         except (DegenerateFitError, InvalidArgumentError) as exc:
             rows.append(AicRow(order=k, sigma2=None, aic=None, error=str(exc)))
-    return rows[::-1]
+            fit = None
+        else:
+            rows.append(_aic_row(k, fit.sigma2, n))
+        fits.append(fit)
+    return rows[::-1], fits[::-1]
 
 
 def _aic_row(k: int, sigma2: float, n: int) -> AicRow:

@@ -1,11 +1,14 @@
 """End-to-end analysis pipeline: CSV ingestion, staged computation, reporting.
 
-Ingestion reads month labels as month indices (``series._month_index``). Stage order
-is fixed by the methodology being reproduced: fit the linear trend on the full
-series, diagnose its residuals, then truncate the head, take the first
-difference, demean, and run the stationarity test, AR identification and
-spectral estimation on the result; the fitted model's roots are solved once,
-for the report's root list. The report is a versioned JSON document and each
+Ingestion checks each month label against the one the row must carry
+(``series._month_labels``) and parses only a label that differs
+(``series._month_index``). Stage order is fixed by the methodology being
+reproduced: fit the linear trend on the full series, diagnose its residuals,
+then truncate the head, take the first difference, demean, and run the
+stationarity test, AR identification and spectral estimation on the result.
+The AR model is fitted once, by the AIC scan that identifies its order
+(``select_order_aic``); the estimation stage only solves its roots, once, for
+the report's root list. The report is a versioned JSON document and each
 figure's plot data goes to its own CSV. Each column is rendered once, the
 figure's text is joined from those columns in the bytes a cell-by-cell
 ``csv.writer`` gave, and each file is written with one ``write`` call; files
@@ -20,7 +23,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import islice, repeat
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -29,15 +32,15 @@ import numpy as np
 from . import __version__ as _toolkit_version
 from ._fileio import staged_files
 from .armodel import (UNIT_ROOT_TOL, ArModel, characteristic_roots,
-                      fit_ar_least_squares, fit_ar_yule_walker, is_stationary,
-                      select_order_aic)
+                      is_stationary, select_order_aic)
 from .correlation import sample_acf
 from .errors import (DuplicateMonthError, InsufficientDataError,
                      InvalidArgumentError, MalformedRowError, MissingInputError,
                      MonthGapError, PipelineStageError, TsaError, _as_index)
 from .regression import (P_VALUE_CENSOR_THRESHOLD, LinearTrendFit,
                          fit_linear_trend)
-from .series import TimeSeries, _month_index, _month_label, demean, difference
+from .series import (_LAST_MONTH, TimeSeries, _month_index, _month_label,
+                     _month_labels, demean, difference)
 from .spectral import ar_psd, daniell_smooth, periodogram
 from .special import norm_ppf
 from .stattests import jarque_bera, kpss_level, shapiro_wilk
@@ -102,16 +105,23 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig, *,
         value_idx = header.index(config.value_column)
 
         start = last = None  # month indices of the first and previous rows
+        # The label of month last + 1 as _month_label writes it, or None. A
+        # date cell equal to it is that month; any other cell is parsed. The
+        # labels stop at 9999-12, the last month _month_index accepts.
+        expected = None
         values: list[float] = []
         for line_number, row in enumerate(reader, start=2):
             if not any(map(str.strip, row)):  # blank line
                 continue
             if len(row) <= max(date_idx, value_idx):
                 raise MalformedRowError("row has too few columns", line_number)
-            try:
-                month = _month_index(row[date_idx])
-            except InvalidArgumentError as exc:
-                raise MalformedRowError(str(exc), line_number) from None
+            if row[date_idx] == expected:
+                month = last + 1
+            else:
+                try:
+                    month = _month_index(row[date_idx])
+                except InvalidArgumentError as exc:
+                    raise MalformedRowError(str(exc), line_number) from None
             raw = row[value_idx].strip()
             digits = raw[1:] if raw[:1] in ("+", "-") else raw
             if not (digits.isascii() and digits.isdigit()):
@@ -128,6 +138,7 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig, *,
                     "count is too large to represent", line_number) from None
             if start is None:
                 start = month
+                labels = islice(_month_labels(start + 1), _LAST_MONTH - start)
             elif month != last + 1:
                 # Months so far are contiguous, so a repeat lies in [start, last].
                 if start <= month <= last:
@@ -139,6 +150,7 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig, *,
                     f"after {_month_label(last)}", line_number)
             last = month
             values.append(value)
+            expected = next(labels, None)
 
     if not values:
         raise InsufficientDataError(f"input file {path} contains no data rows")
@@ -301,10 +313,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         aic = select_order_aic(centered.values, max_order, config.ar_estimator)
 
     with _stage("estimation"):
-        if config.ar_estimator == "yule_walker" or aic.selected_order == 0:
-            model = fit_ar_yule_walker(centered.values, aic.selected_order)
-        else:
-            model = fit_ar_least_squares(centered.values, aic.selected_order)
+        model = aic.model  # fitted by the AIC scan, not refitted
         model_section = _model_section(model)  # the root list solves the roots
 
     with _stage("spectral"):

@@ -3,18 +3,34 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidArgumentError
 
 _PERIOD_RE = re.compile(r"^(\d{4})-(\d{2})$")
+_LAST_MONTH = 9999 * 12 + 11  # the month index of 9999-12, the last _PERIOD_RE reads
 
 
 def _month_label(index: int) -> str:
     """The YYYY-MM label of month index 12 * year + month - 1."""
     return f"{index // 12:04d}-{index % 12 + 1:02d}"
+
+
+_MONTH_SUFFIXES = tuple(f"-{month:02d}" for month in range(1, 13))
+
+
+def _month_labels(start: int) -> Iterator[str]:
+    """The labels ``_month_label`` gives month indices start, start + 1, ...,
+    without end; each year is formatted once."""
+    year, month = divmod(start, 12)
+    while True:
+        prefix = f"{year:04d}"
+        for suffix in _MONTH_SUFFIXES[month:]:
+            yield prefix + suffix
+        year, month = year + 1, 0
 
 
 def _month_index(text: str) -> int:
@@ -59,7 +75,7 @@ class TimeSeries:
         start = self.start_month
         if start is None:
             return None
-        return [_month_label(i) for i in range(start, start + len(self))]
+        return list(islice(_month_labels(start), len(self)))
 
     def with_values(self, values: Sequence[float], shift_months: int = 0) -> "TimeSeries":
         start = self.start_month

@@ -1,5 +1,7 @@
 """Shared fixtures. Heavy Monte Carlo results are session-scoped so the module
 property tests and the acceptance suite reuse one computation."""
+import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,18 @@ from tsakit.stattests import jarque_bera, kpss_level, shapiro_wilk
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATASET = REPO_ROOT / "data" / "brazil_monthly_deaths.csv"
+
+
+@pytest.fixture(scope="session")
+def bench_workloads():
+    """bench/workloads.py, loaded by path: its N = 4000 input generator."""
+    name = "bench_workloads"
+    if name not in sys.modules:
+        path = REPO_ROOT / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 @pytest.fixture(scope="session")

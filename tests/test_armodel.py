@@ -135,8 +135,10 @@ def _select_order_aic_ls_loop(x, max_order):
     valid = [r for r in rows if r.error is None and r.aic is not None]
     if not valid:
         raise DegenerateFitError("AIC evaluation failed at every candidate order")
-    return AicTable(rows=tuple(rows), selected_order=min(
-        valid, key=lambda r: (r.aic, r.order)).order, method="least_squares", n=n)
+    order = min(valid, key=lambda r: (r.aic, r.order)).order
+    model = fit_ar_least_squares(arr, order) if order else fit_ar_yule_walker(arr, 0)
+    return AicTable(rows=tuple(rows), selected_order=order, method="least_squares",
+                    n=n, model=model)
 
 
 def _assert_same_aic(got, want):
@@ -154,6 +156,27 @@ def _assert_same_aic(got, want):
             continue
         assert g.sigma2 == pytest.approx(w.sigma2, rel=1e-12, abs=0.0)
         assert g.aic == pytest.approx(w.aic, rel=1e-12, abs=0.0)
+
+
+def _assert_scan_model_is_the_fit(x, max_order):
+    """The least-squares scan's model against the per-order scan's refit of
+    the selected order: the same order, phi within 1e-12 norm-relative, a
+    mean as close on the data's scale, the selected row's sigma2 bit for bit,
+    and at order 0 the very Yule-Walker fit."""
+    table = select_order_aic(x, max_order, "least_squares")
+    oracle = _select_order_aic_ls_loop(x, max_order)
+    assert table.selected_order == oracle.selected_order
+    got, want = table.model, oracle.model
+    assert got.sigma2 == table.rows[table.selected_order].sigma2
+    assert (got.order, got.estimation_method, got.n_used) == \
+        (want.order, want.estimation_method, want.n_used)
+    if got.order == 0:
+        assert got == want
+        return table
+    phi, want_phi = np.array(got.phi), np.array(want.phi)
+    assert np.linalg.norm(phi - want_phi) <= 1e-12 * np.linalg.norm(want_phi)
+    assert abs(got.mean - want.mean) <= 1e-12 * max(abs(want.mean), float(np.std(x)))
+    return table
 
 
 def _seeded_ar(n, seed):
@@ -181,6 +204,9 @@ class TestSelectOrderAic:
         assert aic_table_64.selected_order == 11
         assert aic_table_64.method == "yule_walker"
 
+    def test_yule_walker_model_is_the_selected_fit(self, aic_table_64, fitted_ar11):
+        assert aic_table_64.model == fitted_ar11
+
     def test_selected_is_argmin_with_smallest_tie(self, aic_table_64):
         valid = [r for r in aic_table_64.rows if r.error is None]
         best = min(valid, key=lambda r: (r.aic, r.order))
@@ -205,8 +231,10 @@ class TestSelectOrderAic:
             return levinson_durbin(gamma, order)
 
         monkeypatch.setattr("tsakit.armodel.levinson_durbin", counting)
-        select_order_aic(rng.normals(12, 300), 8, "yule_walker")
-        assert orders == [8]
+        table = select_order_aic(rng.normals(12, 300), 8, "yule_walker")
+        # One recursion for the rows of every order, then the selected
+        # order's fit (fit_ar_yule_walker), which the scan returns.
+        assert orders == [8, table.selected_order]
 
     def test_variances_non_increasing(self):
         x = rng.normals(8, 400)
@@ -271,6 +299,35 @@ class TestSelectOrderAic:
         x, max_order = _LS_SCAN_CASES[name]()
         _assert_same_aic(select_order_aic(x, max_order, "least_squares"),
                          _select_order_aic_ls_loop(x, max_order))
+
+    @pytest.mark.parametrize("name", sorted(_LS_SCAN_CASES))
+    def test_least_squares_scan_returns_the_selected_fit(self, name):
+        _assert_scan_model_is_the_fit(*_LS_SCAN_CASES[name]())
+
+    @pytest.mark.parametrize("seed", [77, 1, 8675309])
+    def test_least_squares_scan_returns_the_selected_fit_on_long_inputs(
+            self, bench_workloads, seed):
+        # The series the pipeline fits: truncate 2, first difference, demean,
+        # K = floor(10 log10 N).
+        for index in range(8):
+            counts = bench_workloads.synthetic_counts(seed, index).astype(float)
+            diffed = np.diff(counts[2:])
+            x = diffed - diffed.mean()
+            _assert_scan_model_is_the_fit(x, int(10.0 * math.log10(x.size)))
+
+    def test_least_squares_fallback_order_keeps_its_own_fit(self):
+        # Orders 2-4 fail the rank check on the shared rows and are fitted
+        # on their own; the scan selects order 4.
+        x, max_order = _LS_SCAN_CASES["rank-deficient-shared-rows"]()
+        table = _assert_scan_model_is_the_fit(x, max_order)
+        assert table.selected_order == 4
+        assert table.model == fit_ar_least_squares(x, 4)
+
+    def test_least_squares_scan_selecting_order_zero_returns_yule_walker(self):
+        x = rng.normals(1, 200)
+        table = _assert_scan_model_is_the_fit(x, 4)
+        assert table.selected_order == 0
+        assert table.model == fit_ar_yule_walker(x, 0)
 
     def test_least_squares_scan_matches_per_order_fits_on_bundled_series(self, diff64):
         table = select_order_aic(diff64, 18, "least_squares")

@@ -3,7 +3,6 @@ import contextlib
 import csv
 import dataclasses
 import hashlib
-import importlib.util
 import io
 import json
 import math
@@ -16,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsakit import cli, pipeline, rng
+from tsakit import _linalg, armodel, cli, pipeline, rng
 from tsakit._linalg import polynomial_roots
 from tsakit.cli import main as cli_main
 from tsakit.errors import (ConvergenceError, DegenerateFitError,
@@ -31,17 +30,6 @@ from tsakit.special import norm_ppf
 
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
-
-
-def _bench_workloads():
-    """bench/workloads.py, loaded by path: its N = 4000 input generator."""
-    name = "bench_workloads"
-    if name not in sys.modules:
-        path = BENCH_REFERENCE.parent / "workloads.py"
-        spec = importlib.util.spec_from_file_location(name, path)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
 
 
 def write_csv(path: Path, rows, header="period,deaths"):
@@ -199,6 +187,45 @@ class TestIngest:
         with pytest.raises(MonthGapError) as info:
             ingest_csv(p, config_for(p))
         assert str(info.value) == "month gap in input: 2016-01 is missing"
+
+    # A label that parses to the expected month without being its canonical
+    # text, then a row that breaks the run of months.
+    OFF_TEXT_LABELS = [" 2015-03", "2015-03 ", "\uff12\uff10\uff11\uff15-03"]
+    BREAKS = [
+        ("2015-03", DuplicateMonthError, "duplicate month in input: 2015-03", None),
+        ("2015-01", DuplicateMonthError, "duplicate month in input: 2015-01", None),
+        ("2015-05", MonthGapError, "month gap in input: 2015-04 is missing", None),
+        ("2014-11", MalformedRowError,
+         "line 6: periods must be increasing, got 2014-11 after 2015-03", 6),
+    ]
+
+    @pytest.mark.parametrize("label", OFF_TEXT_LABELS, ids=["lead", "trail", "fullwidth"])
+    @pytest.mark.parametrize("after, error, text, line", BREAKS,
+                             ids=["repeat", "earlier-repeat", "gap", "decrease"])
+    def test_break_after_off_text_label(self, tmp_path, label, after, error, text, line):
+        p = tmp_path / "break.csv"
+        write_csv(p, ["2014-12,0", "2015-01,1", "2015-02,2", f"{label},3", f"{after},4"])
+        with pytest.raises(error) as info:
+            ingest_csv(p, config_for(p))
+        assert type(info.value) is error
+        assert str(info.value) == text
+        assert getattr(info.value, "line_number", None) == line
+
+    @pytest.mark.parametrize("label", OFF_TEXT_LABELS, ids=["lead", "trail", "fullwidth"])
+    def test_off_text_label_continues_the_run(self, tmp_path, label):
+        p = tmp_path / "run.csv"
+        write_csv(p, ["2015-02,2", f"{label},3", "2015-04,4", "2015-05,5"])
+        series = ingest_csv(p, config_for(p))
+        assert series.periods() == ["2015-02", "2015-03", "2015-04", "2015-05"]
+        assert series.values.tolist() == [2.0, 3.0, 4.0, 5.0]
+
+    def test_no_month_after_9999_12(self, tmp_path):
+        # _month_label(9999 * 12 + 12) is "10000-01", which no label may be.
+        p = tmp_path / "end.csv"
+        write_csv(p, ["9999-11,1", "9999-12,2", "10000-01,3"])
+        with pytest.raises(MalformedRowError) as info:
+            ingest_csv(p, config_for(p))
+        assert str(info.value) == "line 4: period must look like YYYY-MM, got '10000-01'"
 
     def test_count_too_large_to_represent(self, tmp_path, capsys):
         p = tmp_path / "huge.csv"
@@ -401,7 +428,8 @@ class TestRunPipeline:
         ("difference", "difference"),
         ("stationarity-test", "kpss_level"),
         ("identification", "select_order_aic"),
-        ("estimation", "fit_ar_yule_walker"),
+        ("identification", "armodel.fit_ar_yule_walker"),
+        ("estimation", "characteristic_roots"),
         ("spectral", "ar_psd"),
         ("sacf", "sample_acf"),
         ("figure-data", "histogram_data"),
@@ -411,7 +439,9 @@ class TestRunPipeline:
         def failing(*args, **kwargs):
             raise DegenerateFitError(f"{function} failed")
 
-        monkeypatch.setattr(pipeline, function, failing)
+        # A bare name is the pipeline's own; a dotted one is a module's.
+        monkeypatch.setattr("tsakit." + (function if "." in function
+                                         else "pipeline." + function), failing)
         with pytest.raises(PipelineStageError) as info:
             run_pipeline(default_config)
         assert info.value.stage == stage
@@ -421,6 +451,35 @@ class TestRunPipeline:
         assert code == 3
         assert capsys.readouterr().err == (
             f"error: stage '{stage}' failed: {function} failed\n")
+
+    def test_least_squares_run_factors_once(self, tmp_path, monkeypatch, bench_workloads):
+        # The AIC scan's one factorization gives the model too: nothing is
+        # refitted on a full-rank input.
+        counts = bench_workloads.synthetic_counts(77, 0)
+        p = tmp_path / "long.csv"
+        write_csv(p, [f"{_month_label(1700 * 12 + k)},{v}"
+                      for k, v in enumerate(counts.tolist())])
+        calls = []
+
+        def count(module, name):
+            real = getattr(module, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+
+        for module in (armodel, _linalg):
+            count(module, "householder_triangularize")
+            count(module, "least_squares")
+        count(armodel, "fit_ar_least_squares")
+        report = run_pipeline(config_for(p, ar_estimator="least_squares"))
+        assert calls == ["householder_triangularize"]
+        model = report.body["difference"]["selected_model"]
+        assert model["estimation_method"] == "least_squares"
+        assert model["order"] == 36
+        assert model["sigma2"] == report.body["difference"]["aic"]["rows"][36]["sigma2"]
 
     def test_unsolved_roots_fail_the_estimation_stage(self, default_config, monkeypatch):
         # The report's root list is the only user of the root finder.
@@ -675,8 +734,9 @@ class TestFigureWriter:
 
     @pytest.mark.parametrize("estimator", ["yule_walker", "least_squares"])
     @pytest.mark.parametrize("index", [0, 1, 2])
-    def test_long_synthetic_inputs(self, tmp_path, monkeypatch, index, estimator):
-        counts = _bench_workloads().synthetic_counts(77, index)
+    def test_long_synthetic_inputs(self, tmp_path, monkeypatch, bench_workloads,
+                                   index, estimator):
+        counts = bench_workloads.synthetic_counts(77, index)
         p = tmp_path / "long.csv"
         write_csv(p, [f"{1700 + k // 12:04d}-{k % 12 + 1:02d},{v}"
                       for k, v in enumerate(counts.tolist())])
@@ -770,10 +830,11 @@ class TestCli:
             "error: stage 'spectral' failed: ar_psd requires a stationary model\n")
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
-    def test_least_squares_report_independent_of_blas_threads(self, tmp_path):
+    def test_least_squares_report_independent_of_blas_threads(self, tmp_path,
+                                                              bench_workloads):
         # The Householder steps run BLAS matrix-vector products; the report
         # must not depend on how many threads BLAS splits them over.
-        counts = _bench_workloads().synthetic_counts(77, 0)
+        counts = bench_workloads.synthetic_counts(77, 0)
         p = tmp_path / "long.csv"
         write_csv(p, [f"{1700 + k // 12:04d}-{k % 12 + 1:02d},{v}"
                       for k, v in enumerate(counts.tolist())])

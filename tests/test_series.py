@@ -3,8 +3,8 @@ import pytest
 
 from tsakit import rng
 from tsakit.errors import InvalidArgumentError
-from tsakit.series import (TimeSeries, _month_index, _month_label, demean,
-                           difference, integrate)
+from tsakit.series import (_LAST_MONTH, TimeSeries, _month_index, _month_label,
+                           demean, difference, integrate)
 
 
 def ts(values):
@@ -50,6 +50,20 @@ class TestTimeSeries:
         assert labels[5:7] == ["0998-12", "0999-01"]
         assert labels[-1] == "1001-10"
         assert _month_index(labels[-1]) - start == 39
+
+    # 0000-01, a January, a December, mid-year, and runs that end at 9999-12
+    # or go past it (five-digit years, which no input label can carry).
+    @pytest.mark.parametrize("start", [0, 11, 2015 * 12, 2015 * 12 + 11, 2019 * 12 + 5,
+                                       _LAST_MONTH - 29, _LAST_MONTH])
+    @pytest.mark.parametrize("n", [1, 2, 12, 13, 30])
+    def test_periods_are_month_labels(self, start, n):
+        x = TimeSeries(np.zeros(n), start_month=start)
+        assert x.periods() == [_month_label(i) for i in range(start, start + n)]
+
+    def test_last_month_is_9999_12(self):
+        assert _month_label(_LAST_MONTH) == "9999-12"
+        assert _month_index("9999-12") == _LAST_MONTH
+        assert _month_index("0000-01") == 0
 
 
 class TestDifference:

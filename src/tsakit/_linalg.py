@@ -1,19 +1,16 @@
-"""Small dense linear-algebra kernels: Householder least squares and a
+"""Small dense linear-algebra kernels: a Householder triangularization and a
 Durand-Kerner polynomial root finder. Sized for the tiny systems this toolkit
 needs (order <= a few dozen).
 
 Designs are regressor-major: an n x m array with one contiguous row per
 regressor and one column per observation (m >= n), so that each Householder
-step is one contiguous matrix-vector product and one rank-1 update. Least
-squares is two steps that callers may also run apart:
+step is one contiguous matrix-vector product and one rank-1 update.
 ``householder_triangularize`` reduces such a design in place, leaving R
 transposed in its first n columns, applies the same reflections to the
 right-hand side (giving Q^T y), and reports the first regressor that fails
-the rank check against a scale the caller passes; ``back_substitute`` then
-solves R beta = (Q^T y)[:n]. The least-squares AIC scan in ``armodel``
-triangularizes the rows all orders share once, derives every lower order
-from that R and Q^T y by row updates, and back-substitutes only the selected
-order's.
+the rank check against a scale the caller passes. ``armodel._factor`` is its
+one caller: it builds each least-squares design, and ``armodel`` solves the
+triangular system.
 
 The root finder updates every root at once from the pairwise difference matrix
 (O(n^2) memory, fine at these orders) and raises ConvergenceError instead of
@@ -28,17 +25,6 @@ from .special import _horner
 
 # An update has settled when no root moves more than this times max(1, max |z_i|).
 _STEP_TOL = 1e-13
-
-
-def back_substitute(r: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``R @ x = rhs[:n]`` for x, where the n x m array ``r`` holds R
-    transposed in its first n columns (R[i, j] = r[j, i] for i <= j), as
-    ``householder_triangularize`` leaves it. Only that triangle is read."""
-    n = r.shape[0]
-    x = np.zeros(n)
-    for row in range(n - 1, -1, -1):
-        x[row] = (rhs[row] - float(r[row + 1:, row] @ x[row + 1:])) / r[row, row]
-    return x
 
 
 def householder_triangularize(a: np.ndarray, rhs: np.ndarray, scale: float) -> int:
@@ -73,25 +59,6 @@ def householder_triangularize(a: np.ndarray, rhs: np.ndarray, scale: float) -> i
         block -= np.multiply.outer(block @ v, two_v)
         rhs[k:] -= two_v * float(v @ rhs[k:])
     return n
-
-
-def least_squares(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
-    """Minimize ||design.T @ beta - y||^2 via Householder QR, where ``design``
-    is regressor-major (one row per regressor, one column per observation).
-
-    Returns (beta, sse). Raises DegenerateFitError on rank deficiency, judged
-    against the largest |entry| of the design.
-    """
-    a = np.array(design, dtype=float)
-    rhs = np.array(y, dtype=float)
-    n, m = a.shape
-    if m < n:
-        raise DegenerateFitError(f"least squares needs rows >= columns, got {m}x{n}")
-    scale = max(float(np.abs(a).max()), 1e-300)
-    if householder_triangularize(a, rhs, scale) < n:
-        raise DegenerateFitError("rank-deficient design matrix")
-    sse = float((rhs[n:] ** 2).sum())
-    return back_substitute(a, rhs), sse
 
 
 def polynomial_roots(coeffs: np.ndarray, max_iter: int = 800) -> np.ndarray:

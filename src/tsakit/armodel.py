@@ -2,7 +2,10 @@
 
 Yule-Walker fits run Levinson-Durbin on the biased autocovariances, which keeps
 every fitted model stationary; conditional least squares is the alternative
-estimator whose stationarity is checked but not enforced. Order selection
+estimator whose stationarity is checked but not enforced. A least-squares fit
+is one Householder factor of its regression (``_factor``) and one
+back-substitution on R's rows (``_back_substitute``); the AIC scan takes the
+same two steps, with row updates between them. Order selection
 minimizes AIC(k) = ln(sigma2_k) + 2k/N with ties broken toward the smaller
 order. Simulators draw Gaussian innovations from the counter-based generator so
 that output is a pure function of (model, n, seed); ``simulate_ar`` runs its
@@ -17,8 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from ._linalg import (back_substitute, householder_triangularize, least_squares,
-                      polynomial_roots)
+from ._linalg import householder_triangularize, polynomial_roots
 from .correlation import autocovariance
 from .errors import (DegenerateFitError, InvalidArgumentError,
                      NonStationaryModelError, ZeroVarianceError)
@@ -170,11 +172,53 @@ def fit_ar_least_squares(x: Sequence[float], p: int) -> ArModel:
         raise InvalidArgumentError(f"order must be >= 1, got {p}")
     if p >= n - 1:
         raise InvalidArgumentError(f"order p={p} must be below N-1 with N={n}")
-    beta, sse = least_squares(*_lag_design(arr, p))
-    return _least_squares_model(arr, beta, sse / (n - p))
+    if n - p < p + 1:
+        raise DegenerateFitError(
+            f"least squares needs rows >= columns, got {n - p}x{p + 1}")
+    r, z, sse = _factor(arr, p)
+    if len(r) <= p:
+        raise DegenerateFitError("rank-deficient design matrix")
+    return _least_squares_model(arr, _back_substitute(r, z), sse / (n - p))
 
 
-def _least_squares_model(arr: np.ndarray, beta: np.ndarray, sigma2: float) -> ArModel:
+def _factor(arr: np.ndarray, p: int) -> tuple[list[list[float]], list[float], float]:
+    """Triangularize the order-p regression over rows t = p..N-1, and return
+    (r, z, sse): r[i] is row i of R from its diagonal on and z the matching
+    entries of Q^T y, for the regressors before the first that fails the rank
+    check (all p + 1 when none fails), and sse the residual sum of squares on
+    those regressors.
+
+    The design is regressor-major: row 0 is the ones regressor and row j is
+    x_{t-j} over those t. The rank check's scale is its largest |entry|. That
+    is the same for every order p >= 1, since each order-p design holds the
+    ones regressor and all of x[:N-1], so a scan that derives lower orders
+    from order K's factor judges each order's rank as its own fit would.
+    """
+    n = arr.size
+    design = np.empty((p + 1, n - p))
+    design[0] = 1.0
+    for j in range(1, p + 1):
+        design[j] = arr[p - j: n - j]
+    qty = arr[p:].copy()
+    rank = householder_triangularize(design, qty, float(np.abs(design).max()))
+    r = [design[i:rank, i].tolist() for i in range(rank)]
+    return r, qty[:rank].tolist(), float((qty[rank:] ** 2).sum())
+
+
+def _back_substitute(r: list[list[float]], z: list[float]) -> list[float]:
+    """Solve R beta = z, where r[i] is row i of R from its diagonal on, as
+    ``_factor`` and the AIC scan's row updates leave it."""
+    beta = [0.0] * len(r)
+    for i in range(len(r) - 1, -1, -1):
+        r_i = r[i]
+        acc = z[i]
+        for j in range(1, len(r_i)):
+            acc -= r_i[j] * beta[i + j]
+        beta[i] = acc / r_i[0]
+    return beta
+
+
+def _least_squares_model(arr: np.ndarray, beta: Sequence[float], sigma2: float) -> ArModel:
     """The AR model of the least-squares coefficients ``beta`` (intercept
     first, then phi_1..phi_p) and innovation variance ``sigma2``."""
     intercept = float(beta[0])
@@ -183,18 +227,6 @@ def _least_squares_model(arr: np.ndarray, beta: np.ndarray, sigma2: float) -> Ar
     mean = intercept / (1.0 - phi_sum) if abs(1.0 - phi_sum) > 1e-10 else float(arr.mean())
     return ArModel(phi=phi, sigma2=sigma2, mean=mean,
                    estimation_method="least_squares", n_used=arr.size)
-
-
-def _lag_design(arr: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows t = p..N-1 of the order-p regression, regressor-major: a
-    (p+1) x (N-p) design whose row j is x_{t-j} over those t (row 0 is the
-    ones regressor), and the target x_t."""
-    n = arr.size
-    design = np.empty((p + 1, n - p))
-    design[0] = 1.0
-    for j in range(1, p + 1):
-        design[j] = arr[p - j: n - j]
-    return design, arr[p:]
 
 
 def select_order_aic(x: Sequence[float], max_order: int,
@@ -211,8 +243,9 @@ def select_order_aic(x: Sequence[float], max_order: int,
     its error text, is that of ``fit_ar_least_squares``. The selected
     order's model comes from the scan too, with no refit: its phi and
     intercept solve R beta = Q^T y on the factor its AIC row was computed
-    from, and its sigma2 is that row's, so the model and the table agree
-    exactly. An order fitted on its own keeps that fit, and order 0 gets the
+    from, by the back-substitution ``fit_ar_least_squares`` uses, and its
+    sigma2 is that row's, so the model and the table agree exactly (order K
+    gives ``fit_ar_least_squares(x, K)`` itself). An order fitted on its own keeps that fit, and order 0 gets the
     Yule-Walker model under either estimator.
     """
     arr = np.asarray(x, dtype=float)
@@ -257,13 +290,7 @@ def select_order_aic(x: Sequence[float], max_order: int,
     else:
         model = fits[best.order - 1]
         if not isinstance(model, ArModel):
-            r, z = model
-            # R transposed, as back_substitute reads it: column i is row i of R.
-            r_t = np.zeros((len(r), len(r)))
-            for i, r_i in enumerate(r):
-                r_t[i:, i] = r_i
-            model = _least_squares_model(arr, back_substitute(r_t, np.array(z)),
-                                         best.sigma2)
+            model = _least_squares_model(arr, _back_substitute(*model), best.sigma2)
     return AicTable(rows=tuple(rows), selected_order=best.order, method=method,
                     n=n, model=model)
 
@@ -272,9 +299,10 @@ def _least_squares_rows(arr: np.ndarray, max_order: int) -> tuple[list[AicRow], 
     """AIC rows of orders 1..K (K = max_order) for conditional least squares,
     and each order's fit.
 
-    The rows t = K..N-1 appear in every order's regression. They are
-    triangularized once, as the order-K design, into R and Q^T y, and
-    SSE_K = sum_{i>K} (Q^T y)_i^2. The scan then goes down from order K to
+    The rows t = K..N-1 appear in every order's regression. ``_factor``
+    triangularizes them once, as the order-K design, into R, Q^T y and
+    SSE_K, the same step ``fit_ar_least_squares`` takes for one order. The
+    scan then goes down from order K to
     order 1, updating (R, Q^T y, SSE) in place (Golub & Van Loan, Matrix
     Computations, secs. 5.2 and 6.5): order k's regression is order k+1's
     with its last regressor dropped and row t = k added. Dropping the
@@ -293,23 +321,15 @@ def _least_squares_rows(arr: np.ndarray, max_order: int) -> tuple[list[AicRow], 
     The fit of order k, the (k-1)th entry of the second list, is the
     ``ArModel`` of an order fitted on its own (None if that failed), or else
     a copy of (r, z), order k's R rows from the diagonal on and Q^T y, taken
-    when its row is written. Back-substituting only the selected order's
-    copy costs far less than solving every order.
+    when its row is written. Back-substituting (``_back_substitute``) only
+    the selected order's copy costs far less than solving every order.
     """
     n = arr.size
-    design, target = _lag_design(arr, max_order)
-    qty = target.copy()
-    # Each order-k design (k >= 1) holds the ones regressor and all of
-    # x[:N-1], as this one does, so the rank check uses the scale the
-    # per-order fit would use.
-    rank = householder_triangularize(design, qty, float(np.abs(design).max()))
     # At order k, (r, z, sse) is the fit over rows t >= k of order `top`,
     # the highest order <= k whose regressors passed the rank check: r[i] is
     # row i of R from its diagonal on, and z is (Q^T y)[:top+1].
-    top = min(max_order, rank - 1)
-    r = [design[i:top + 1, i].tolist() for i in range(top + 1)]
-    z = qty[:top + 1].tolist()
-    sse = float((qty[top + 1:] ** 2).sum())
+    r, z, sse = _factor(arr, max_order)
+    top = len(r) - 1
     values = arr[:max_order].tolist()  # the rows t < K that the updates add
     rows, fits = [], []
     for k in range(max_order, 0, -1):

@@ -172,7 +172,7 @@ def main(argv=None) -> int:
                                   InvalidArgumentError)):
             return EXIT_INPUT
         return EXIT_NUMERICAL
-    except (IngestionError, InsufficientDataError, InvalidArgumentError, ValueError) as exc:
+    except ValueError as exc:  # the package's input errors are ValueErrors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except TsaError as exc:

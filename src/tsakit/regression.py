@@ -3,7 +3,8 @@
 The regressor is the 1-based time index t = 1..N. p-values come from the
 in-repo Student-t tail and are censored below 2.2e-16 to match the usual
 statistical-package reporting convention. The model F statistic has (1, N - 2)
-degrees of freedom, so its tail is the two-sided t tail at t^2 = F.
+degrees of freedom and equals the slope's t statistic squared, so its p-value
+is the slope's two-sided t p-value, not a tail evaluated apart.
 """
 from __future__ import annotations
 
@@ -85,28 +86,24 @@ class LinearTrendFit:
     dof: int
 
 
-def _t_tail(t2: float, dof: int) -> float:
-    """P(T^2 >= t2) for Student's t with ``dof`` degrees of freedom, which is
-    also P(F >= t2) for F with (1, dof) degrees of freedom.
-
-    This is I_x(dof/2, 1/2) at x = dof/(dof + t2). Where betainc_reg would
-    reflect, it is reflected here on the exact complement t2/(dof + t2),
-    since 1 - x carries x's rounding error, which swamps it near p = 1."""
-    x = dof / (dof + t2)
-    if _reflects(dof / 2.0, 0.5, x):
-        return 1.0 - betainc_reg(0.5, dof / 2.0, t2 / (dof + t2))
-    return betainc_reg(dof / 2.0, 0.5, x)
-
-
 def t_distribution_sf(t: float, dof: int) -> float:
-    """Two-sided tail probability P(|T| >= |t|) for Student's t."""
+    """Two-sided tail probability P(|T| >= |t|) for Student's t, which is
+    also P(F >= t^2) for F with (1, dof) degrees of freedom.
+
+    This is I_x(dof/2, 1/2) at x = dof/(dof + t^2). Where betainc_reg would
+    reflect, it is reflected here on the exact complement t^2/(dof + t^2),
+    since 1 - x carries x's rounding error, which swamps it near p = 1."""
     if dof < 1:
         raise InvalidArgumentError(f"dof must be >= 1, got {dof}")
     if not math.isfinite(t):
         raise InvalidArgumentError(f"t statistic must be finite, got {t}")
     if t == 0.0:
         return 1.0
-    return _t_tail(t * t, dof)
+    t2 = t * t
+    x = dof / (dof + t2)
+    if _reflects(dof / 2.0, 0.5, x):
+        return 1.0 - betainc_reg(0.5, dof / 2.0, t2 / (dof + t2))
+    return betainc_reg(dof / 2.0, 0.5, x)
 
 
 def fit_linear_trend(x: TimeSeries) -> LinearTrendFit:
@@ -142,7 +139,6 @@ def fit_linear_trend(x: TimeSeries) -> LinearTrendFit:
         f_stat = ssr / sigma2
         p0 = PValue.exact_or_censored(t_distribution_sf(t0, dof))
         p1 = PValue.exact_or_censored(t_distribution_sf(t1, dof))
-        p_model = PValue.exact_or_censored(_t_tail(f_stat, dof))
     else:
         # Noiseless input: an exact line gives infinite statistics and zero
         # tails; a constant gives null statistics and unit tails.
@@ -152,7 +148,6 @@ def fit_linear_trend(x: TimeSeries) -> LinearTrendFit:
         f_stat = math.inf if beta1 != 0.0 else 0.0
         p0 = PValue.exact_or_censored(0.0 if beta0 != 0.0 else 1.0)
         p1 = PValue.exact_or_censored(0.0 if beta1 != 0.0 else 1.0)
-        p_model = p1
 
     return LinearTrendFit(
         beta0=beta0, beta1=beta1,
@@ -161,7 +156,7 @@ def fit_linear_trend(x: TimeSeries) -> LinearTrendFit:
         p_beta0=p0, p_beta1=p1,
         r_squared=max(0.0, min(1.0, r_squared)),
         f_statistic=f_stat,
-        model_p_value=p_model,
+        model_p_value=p1,  # F = t1^2 on (1, dof), so its tail is the slope's
         residuals=x.with_values(residuals),
         fitted=x.with_values(fitted),
         n=n, dof=dof,

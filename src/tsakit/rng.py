@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .special import norm_ppf_array
+from .special import _acklam
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -42,4 +42,4 @@ def uniforms(seed: int, count: int) -> np.ndarray:
 
 def normals(seed: int, count: int) -> np.ndarray:
     """``count`` standard normal variates via the inverse-CDF transform."""
-    return norm_ppf_array(uniforms(seed, count))
+    return _acklam(uniforms(seed, count))

@@ -4,7 +4,9 @@ Everything here is implemented directly (a continued fraction, rational
 approximations) on top of ``math`` primitives, so p-values and quantiles do not
 depend on any third-party statistics library. The package's one Horner loop,
 ``_horner``, serves Acklam's approximation, the Royston polynomials in
-``stattests`` and the root finder in ``_linalg``. The regularized incomplete
+``stattests`` and the root finder in ``_linalg``. ``norm_ppf`` is the one
+public inverse normal; ``rng`` and the Shapiro-Wilk weights call Acklam's
+unrefined approximation, ``_acklam``, directly. The regularized incomplete
 beta function, which gives the Student-t tails of ``regression``, sums its
 continued fraction by the modified Lentz method in ``_betacf``.
 
@@ -57,6 +59,12 @@ _ACKLAM_P_LOW = 0.02425
 
 
 def _acklam(p):
+    """Acklam's approximation to the inverse normal CDF at each p, which
+    must lie in (0, 1); nothing checks it.
+
+    Deliberately unrefined: ``rng.normals`` and the Shapiro-Wilk scores are
+    defined by these exact values. ``norm_ppf`` is the refined, checked
+    quantile."""
     p = np.asarray(p, dtype=float)
     x = np.empty_like(p)
     central = (p >= _ACKLAM_P_LOW) & (p <= 1.0 - _ACKLAM_P_LOW)
@@ -96,18 +104,6 @@ def norm_ppf(p):
     u = e * math.sqrt(2.0 * math.pi) * _math_exp(x * x / 2.0)
     x = x - u / (1.0 + x * u / 2.0)
     return float(x) if arr.ndim == 0 else x
-
-
-def norm_ppf_array(p: np.ndarray) -> np.ndarray:
-    """Vectorized inverse normal CDF (Acklam approximation, ~1e-9 accuracy).
-
-    Deliberately unrefined: ``rng.normals`` and the Shapiro-Wilk scores are
-    defined by these exact values.
-    """
-    p = np.asarray(p, dtype=float)
-    if not ((p > 0.0) & (p < 1.0)).all():  # NaN fails too
-        raise InvalidArgumentError("norm_ppf_array requires all p in (0, 1)")
-    return _acklam(p)
 
 
 def _betacf(a: float, b: float, x: float) -> float:

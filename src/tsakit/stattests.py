@@ -19,7 +19,7 @@ from .correlation import autocovariance
 from .errors import (InsufficientDataError, InvalidArgumentError, ZeroVarianceError,
                      _as_index)
 from .regression import Censoring, PValue
-from .special import _horner, norm_ppf_array, normal_sf
+from .special import _acklam, _horner, normal_sf
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def _shapiro_wilk_weights(n: int) -> np.ndarray:
         a = np.array([math.sqrt(0.5)])
     else:
         i = np.arange(1, half + 1, dtype=float)
-        m = norm_ppf_array((i - 0.375) / (n + 0.25))  # negative lower-half scores
+        m = _acklam((i - 0.375) / (n + 0.25))  # negative lower-half scores
         summ2 = 2.0 * float((m ** 2).sum())
         ssumm2 = math.sqrt(summ2)
         rsn = 1.0 / math.sqrt(n)

@@ -308,12 +308,20 @@ class TestSelectOrderAic:
     def test_least_squares_scan_returns_the_selected_fit_on_long_inputs(
             self, bench_workloads, seed):
         # The series the pipeline fits: truncate 2, first difference, demean,
-        # K = floor(10 log10 N).
+        # K = floor(10 log10 N). Order K's factor is the one
+        # fit_ar_least_squares(x, K) takes, and both back-substitute it the
+        # same way, so when the scan selects K the models are equal.
+        selected_k = 0
         for index in range(8):
             counts = bench_workloads.synthetic_counts(seed, index).astype(float)
             diffed = np.diff(counts[2:])
             x = diffed - diffed.mean()
-            _assert_scan_model_is_the_fit(x, int(10.0 * math.log10(x.size)))
+            max_order = int(10.0 * math.log10(x.size))
+            table = _assert_scan_model_is_the_fit(x, max_order)
+            if table.selected_order == max_order:
+                selected_k += 1
+                assert table.model == fit_ar_least_squares(x, max_order)
+        assert selected_k >= 4
 
     def test_least_squares_fallback_order_keeps_its_own_fit(self):
         # Orders 2-4 fail the rank check on the shared rows and are fitted

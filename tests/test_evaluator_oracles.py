@@ -209,11 +209,6 @@ class TestHornerOracle:
     def test_acklam_zero_dimensional_input(self, p):
         assert special._acklam(np.float64(p)).tobytes() == _ref_acklam(np.float64(p)).tobytes()
 
-    def test_norm_ppf_array_is_unrefined_acklam(self):
-        p = _acklam_inputs()[:2000]
-        p = p[(p > 0.0) & (p < 1.0)]
-        assert special.norm_ppf_array(p).tobytes() == _ref_acklam(p).tobytes()
-
     @pytest.mark.parametrize("name", sorted(_REF_SW))
     def test_royston_polynomials_bit_identical(self, name):
         draw = np.random.default_rng(sorted(_REF_SW).index(name))

@@ -1,6 +1,7 @@
 """Source hygiene checks that need no linter: only numpy and pytest are
 required to run the suite."""
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -361,3 +362,100 @@ def test_unread_record_field_is_reported():
             "def read(r, s):\n    r.unread = 1\n    return r.used, s.kind\n"),
     }
     assert _unread_record_fields(trees) == ["a.py: R.unread", "a.py: S.other"]
+
+
+def _foreign_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """Imports of anything but ``__future__``, the package itself (a relative
+    import), numpy and the standard library, as ``module: line N: name``."""
+    found = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [(module, node.lineno, name) for name in names
+                      if name.split(".")[0] not in ("__future__", "numpy")
+                      and name.split(".")[0] not in sys.stdlib_module_names]
+    return [f"{module}: line {line}: {name}" for module, line, name in sorted(found)]
+
+
+# numpy's numerical routines. The package implements these jobs itself and
+# takes only arrays and arithmetic from numpy.
+NUMPY_NUMERICS = frozenset({"linalg", "fft", "polynomial", "random", "roots",
+                            "polyfit", "polyval", "interp"})
+
+
+def _numpy_numerics(trees: dict[str, ast.Module]) -> list[str]:
+    """Uses of ``NUMPY_NUMERICS``, as ``module: line N: numpy.name``: an
+    import of one (``import numpy.fft``, ``from numpy.linalg import ...``,
+    ``from numpy import random``) or an attribute of a name bound to numpy
+    (``np.roots``)."""
+    found = set()
+    for module, tree in trees.items():
+        bound = set()  # the names that hold numpy in this module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    parts = alias.name.split(".")
+                    if parts[0] != "numpy":
+                        continue
+                    if len(parts) > 1 and parts[1] in NUMPY_NUMERICS:
+                        found.add((module, node.lineno, parts[1]))
+                    if alias.asname is None or len(parts) == 1:
+                        bound.add(alias.asname or "numpy")
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                parts = (node.module or "").split(".")
+                if parts[0] != "numpy":
+                    continue
+                if len(parts) > 1:
+                    names = parts[1:2]
+                else:
+                    names = [alias.name for alias in node.names]
+                found |= {(module, node.lineno, name) for name in names
+                          if name in NUMPY_NUMERICS}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr in NUMPY_NUMERICS
+                    and isinstance(node.value, ast.Name) and node.value.id in bound):
+                found.add((module, node.lineno, node.attr))
+    return [f"{module}: line {line}: numpy.{name}" for module, line, name in sorted(found)]
+
+
+def test_imports_only_numpy_and_the_standard_library():
+    assert _foreign_imports(_sources()) == []
+
+
+def test_foreign_import_is_reported():
+    trees = {"a.py": ast.parse(
+        "from __future__ import annotations\nimport math, os.path\n"
+        "import numpy as np\nimport scipy.stats\nfrom . import rng\n"
+        "from .special import _horner\nfrom numpy.linalg import norm\n\n"
+        "def f():\n    from mpmath import mp\n    import numba as nb\n"
+        "    return mp, nb\n")}
+    assert _foreign_imports(trees) == [
+        "a.py: line 4: scipy.stats", "a.py: line 10: mpmath", "a.py: line 11: numba"]
+
+
+def test_no_numpy_numerical_routines():
+    assert _numpy_numerics(_sources()) == []
+
+
+def test_numpy_numerical_routine_is_reported():
+    trees = {
+        "a.py": ast.parse(
+            "import numpy as np\nimport numpy.fft\nfrom numpy import linalg, zeros\n"
+            "from numpy.polynomial import polynomial as P\nimport numpy.random as npr\n\n"
+            "def f(x, obj):\n    obj.roots(x)\n    np.sort(x)\n"
+            "    return np.linalg.norm(x) + numpy.interp(x, x, x) + np.roots(x)\n"),
+        "b.py": ast.parse("import numpy\n\nnumpy.polyfit([0], [0], 1)\nnumpy.polyval\n"
+                          "from numpy.random import default_rng\n"),
+        "c.py": ast.parse("import random\n\nrandom.random()\nnp = object()\n"),
+    }
+    assert _numpy_numerics(trees) == [
+        "a.py: line 2: numpy.fft", "a.py: line 3: numpy.linalg",
+        "a.py: line 4: numpy.polynomial", "a.py: line 5: numpy.random",
+        "a.py: line 10: numpy.interp", "a.py: line 10: numpy.linalg",
+        "a.py: line 10: numpy.roots", "b.py: line 3: numpy.polyfit",
+        "b.py: line 4: numpy.polyval", "b.py: line 5: numpy.random"]

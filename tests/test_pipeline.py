@@ -472,7 +472,6 @@ class TestRunPipeline:
 
         for module in (armodel, _linalg):
             count(module, "householder_triangularize")
-            count(module, "least_squares")
         count(armodel, "fit_ar_least_squares")
         report = run_pipeline(config_for(p, ar_estimator="least_squares"))
         assert calls == ["householder_triangularize"]

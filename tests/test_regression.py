@@ -128,6 +128,15 @@ class TestTDistribution:
 class TestFDistribution:
     # The trend's F statistic has (1, N - 2) degrees of freedom, and that tail
     # is the two-sided t tail at t^2 = F.
+    def test_model_p_value_is_the_slope_p_value(self, trend_fit, bench_workloads):
+        # F = t_beta1^2, so the model p-value is the slope's, not a third
+        # tail evaluation that differs from it by rounding.
+        counts = bench_workloads.synthetic_counts(77, 0).astype(float)
+        t = np.arange(40, dtype=float)
+        for fit in (trend_fit, fit_linear_trend(ts(counts)),
+                    fit_linear_trend(ts(3.0 + 0.5 * t)), fit_linear_trend(ts(np.full(40, 7.0)))):
+            assert fit.model_p_value == fit.p_beta1
+
     def test_agrees_with_squared_t(self):
         for seed, (n, slope) in enumerate([(12, 0.5), (40, 0.05), (67, 0.02), (67, 0.0)]):
             fit = fit_linear_trend(ts(5.0 + slope * np.arange(n) + rng.normals(60 + seed, n)))

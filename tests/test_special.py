@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsakit.errors import ConvergenceError, InvalidArgumentError
-from tsakit.special import betainc_reg, norm_ppf, norm_ppf_array, normal_sf
+from tsakit.special import _acklam, betainc_reg, norm_ppf, normal_sf
 
 
 class TestNormal:
@@ -29,16 +29,10 @@ class TestNormal:
             with pytest.raises(InvalidArgumentError):
                 norm_ppf(bad)
 
-    def test_array_ppf_domain(self):
-        # NaN fails the domain test too, rather than leaving a slot unwritten.
-        for bad in (0.0, 1.0, -0.1, 1.5, float("nan"), np.array([0.5, 1.0]),
-                    np.array([np.nan, 0.5, np.nan])):
-            with pytest.raises(InvalidArgumentError, match="requires all p in"):
-                norm_ppf_array(np.asarray(bad))
-
     def test_array_version_matches_scalar(self):
+        # The unrefined approximation is within Acklam's ~1.15e-9 of norm_ppf.
         ps = np.array([0.01, 0.2, 0.5, 0.9, 0.999])
-        vec = norm_ppf_array(ps)
+        vec = _acklam(ps)
         for p, v in zip(ps, vec):
             assert v == pytest.approx(norm_ppf(float(p)), abs=2e-9)
 

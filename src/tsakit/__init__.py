@@ -2,14 +2,15 @@
 
 All numerical machinery (distribution tails, FFT, Levinson-Durbin, polynomial
 roots, random number generation) is implemented inside this package; numpy is
-used for array storage and arithmetic only.
+used for array storage and arithmetic only. ``select_order_aic`` returns the
+AIC-selected AR model from its own scan, with no refit.
 """
 
 __version__ = "0.1.0"
 
 from .armodel import (AicRow, AicTable, ArModel, RandomWalkMoments,
                       RandomWalkSpec, characteristic_roots,
-                      fit_ar_least_squares, fit_ar_yule_walker, is_stationary,
+                      fit_ar_least_squares, is_stationary,
                       random_walk_moments, select_order_aic, simulate_ar,
                       simulate_random_walk)
 from .correlation import AcfEstimate, sample_acf, theoretical_ar_acf

@@ -1,14 +1,15 @@
 """AR(p) estimation, AIC order identification, root checks, and simulators.
 
 Yule-Walker fits run Levinson-Durbin on the biased autocovariances, which keeps
-every fitted model stationary; conditional least squares is the alternative
-estimator whose stationarity is checked but not enforced. A least-squares fit
-is one Householder factor of its regression (``_factor``) and one
-back-substitution on R's rows (``_back_substitute``); the AIC scan takes the
-same two steps, with row updates between them. Order selection
-minimizes AIC(k) = ln(sigma2_k) + 2k/N with ties broken toward the smaller
-order. Simulators draw Gaussian innovations from the counter-based generator so
-that output is a pure function of (model, n, seed); ``simulate_ar`` runs its
+every fitted model stationary; one recursion to order K gives the fit of every
+order up to K. Conditional least squares is the alternative estimator whose
+stationarity is checked but not enforced. A least-squares fit is one
+Householder factor of its regression (``_factor``) and one back-substitution
+on R's rows (``_back_substitute``); the AIC scan takes the same two steps,
+with row updates between them. Order selection minimizes
+AIC(k) = ln(sigma2_k) + 2k/N with ties broken toward the smaller order.
+Simulators draw Gaussian innovations from the counter-based generator so that
+output is a pure function of (model, n, seed); ``simulate_ar`` runs its
 recursion in a loop that ``_ar_recursion`` compiles for the model's order.
 """
 from __future__ import annotations
@@ -115,53 +116,41 @@ class RandomWalkMoments:
     acf: float
 
 
-def levinson_durbin(gamma: Sequence[float], order: int) -> tuple[np.ndarray, list[float]]:
+def levinson_durbin(gamma: Sequence[float], order: int) -> tuple[list[np.ndarray], list[float]]:
     """Levinson-Durbin recursion on autocovariances gamma_0..gamma_order.
 
-    Returns (phi, variances): ``phi`` is the order-``order`` coefficient
-    vector and ``variances[k]`` the innovation variance of order k, for
-    k = 0..order.
+    Returns (phis, variances): ``phis[k]`` is the order-k coefficient vector
+    and ``variances[k]`` the innovation variance of order k, for
+    k = 0..order. Step k solves the order-k Yule-Walker equations (Durbin,
+    1960), so ``phis[k]`` and ``variances[k]`` are the order-k Yule-Walker
+    fit.
 
     A reflection coefficient with |kappa| >= 1 at order k raises
-    ``DegenerateFitError``; its ``variances`` attribute holds the innovation
-    variances of orders 0..k-1, which the recursion had completed.
+    ``DegenerateFitError``; its ``phis`` and ``variances`` attributes hold
+    the vectors and variances of orders 0..k-1, which the recursion had
+    completed.
     """
     gamma = np.asarray(gamma, dtype=float)
     if gamma.size < order + 1:
         raise InvalidArgumentError("need autocovariances up to the requested order")
     if gamma[0] <= 0.0:
         raise ZeroVarianceError("lag-zero autocovariance must be positive")
+    phis = [np.empty(0)]
     variances = [float(gamma[0])]
-    phi = np.empty(0)
     v = float(gamma[0])
     for k in range(1, order + 1):
+        phi = phis[-1]
         num = gamma[k] - float(phi @ gamma[k - 1:0:-1])
         kappa = num / v
         if not math.isfinite(kappa) or abs(kappa) >= 1.0:
             exc = DegenerateFitError(
                 f"reflection coefficient magnitude >= 1 at order {k} (got {kappa})")
-            exc.variances = variances
+            exc.phis, exc.variances = phis, variances
             raise exc
-        phi = np.concatenate((phi - kappa * phi[::-1], [kappa]))
+        phis.append(np.concatenate((phi - kappa * phi[::-1], [kappa])))
         v *= 1.0 - kappa * kappa
         variances.append(v)
-    return phi, variances
-
-
-def fit_ar_yule_walker(x: Sequence[float], p: int) -> ArModel:
-    """Order-p Yule-Walker fit; the result is always stationary."""
-    arr = np.asarray(x, dtype=float)
-    n = arr.size
-    if p < 0:
-        raise InvalidArgumentError(f"order must be >= 0, got {p}")
-    if p >= n / 2:
-        raise InvalidArgumentError(f"order p={p} must be below N/2 with N={n}")
-    gamma = autocovariance(arr, p)
-    if gamma[0] <= 0.0:
-        raise ZeroVarianceError("Yule-Walker requires a non-constant series")
-    phi, variances = levinson_durbin(gamma, p)
-    return ArModel(phi=tuple(phi), sigma2=variances[p], mean=float(arr.mean()),
-                   estimation_method="yule_walker", n_used=n)
+    return phis, variances
 
 
 def fit_ar_least_squares(x: Sequence[float], p: int) -> ArModel:
@@ -231,22 +220,23 @@ def _least_squares_model(arr: np.ndarray, beta: Sequence[float], sigma2: float) 
 
 def select_order_aic(x: Sequence[float], max_order: int,
                      method: str = "yule_walker") -> AicTable:
-    """Evaluate AIC(k) = ln(sigma2_k) + 2k/N for k = 0..max_order, and fit
-    the selected order.
+    """Evaluate AIC(k) = ln(sigma2_k) + 2k/N for k = 0..max_order, and
+    return the selected order's model with the table. No order is refitted.
 
-    Yule-Walker runs one Levinson-Durbin recursion for every order, and the
-    selected order's model is ``fit_ar_yule_walker``'s. Least squares
-    triangularizes the rows all orders share once and derives each lower
-    order's SSE from that factorization by dropping a regressor and adding
-    one row (``_least_squares_rows``); an order whose regressors are
-    rank-deficient on the shared rows is fitted on its own, so its row, or
-    its error text, is that of ``fit_ar_least_squares``. The selected
-    order's model comes from the scan too, with no refit: its phi and
-    intercept solve R beta = Q^T y on the factor its AIC row was computed
-    from, by the back-substitution ``fit_ar_least_squares`` uses, and its
-    sigma2 is that row's, so the model and the table agree exactly (order K
-    gives ``fit_ar_least_squares(x, K)`` itself). An order fitted on its own keeps that fit, and order 0 gets the
-    Yule-Walker model under either estimator.
+    Yule-Walker runs one Levinson-Durbin recursion, whose step k is the
+    order-k fit, so the selected model is that step's vector and variance.
+    Least squares triangularizes the rows all orders share once and derives
+    each lower order's SSE from that factorization by dropping a regressor
+    and adding one row (``_least_squares_rows``); an order whose regressors
+    are rank-deficient on the shared rows is fitted on its own, so its row,
+    or its error text, is that of ``fit_ar_least_squares``. The selected
+    order's phi and intercept solve R beta = Q^T y on the factor its AIC row
+    was computed from, by the back-substitution ``fit_ar_least_squares``
+    uses, and its sigma2 is that row's, so the model and the table agree
+    exactly (order K gives ``fit_ar_least_squares(x, K)`` itself); an order
+    fitted on its own keeps that fit. Order 0 is the same white-noise model
+    under either estimator, labelled Yule-Walker: phi = (), row 0's sigma2
+    (the lag-0 autocovariance) and the sample mean.
     """
     arr = np.asarray(x, dtype=float)
     n = arr.size
@@ -262,14 +252,14 @@ def select_order_aic(x: Sequence[float], max_order: int,
         gamma = autocovariance(arr, max_order)
         if gamma[0] <= 0.0:
             raise ZeroVarianceError("AIC scan requires a non-constant series")
-        # One recursion yields every order's variance. A degenerate reflection
-        # at order j breaks orders j and above only; earlier orders keep their
-        # valid rows.
+        # One recursion yields every order's fit. A degenerate reflection at
+        # order j breaks orders j and above only; earlier orders keep their
+        # valid rows and vectors.
         try:
-            _, variances = levinson_durbin(gamma, max_order)
+            phis, variances = levinson_durbin(gamma, max_order)
             error = None
         except DegenerateFitError as exc:
-            variances, error = exc.variances, str(exc)
+            phis, variances, error = exc.phis, exc.variances, str(exc)
         rows = [_aic_row(k, v, n) for k, v in enumerate(variances)]
         rows += [AicRow(order=k, sigma2=None, aic=None, error=error)
                  for k in range(len(variances), max_order + 1)]
@@ -286,7 +276,9 @@ def select_order_aic(x: Sequence[float], max_order: int,
         raise DegenerateFitError("AIC evaluation failed at every candidate order")
     best = min(valid, key=lambda r: (r.aic, r.order))
     if method == "yule_walker" or best.order == 0:
-        model = fit_ar_yule_walker(arr, best.order)
+        model = ArModel(phi=phis[best.order] if best.order else (),
+                        sigma2=best.sigma2, mean=float(arr.mean()),
+                        estimation_method="yule_walker", n_used=n)
     else:
         model = fits[best.order - 1]
         if not isinstance(model, ArModel):

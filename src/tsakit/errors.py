@@ -12,11 +12,13 @@ class InvalidArgumentError(TsaError, ValueError):
 
 
 def _as_index(value, name: str) -> int:
-    """``value`` as a Python int (numpy integers included, floats not)."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as a Python int (numpy integers included; floats and bools not)."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 class InsufficientDataError(TsaError, ValueError):

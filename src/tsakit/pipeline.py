@@ -302,14 +302,13 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         kpss = kpss_level(centered.values, config.kpss_lag)
 
     n_diff = len(centered)
-    if config.aic_max_order == "auto":
-        # floor(10 log10 N), clamped so short inputs keep K below N/2.
-        max_order = max(1, min(int(10.0 * math.log10(n_diff)),
-                               (n_diff - 1) // 2))
-    else:
-        max_order = _as_index(config.aic_max_order, "aic_max_order")
-
     with _stage("identification"):
+        if config.aic_max_order == "auto":
+            # floor(10 log10 N), clamped so short inputs keep K below N/2.
+            max_order = max(1, min(int(10.0 * math.log10(n_diff)),
+                                   (n_diff - 1) // 2))
+        else:
+            max_order = _as_index(config.aic_max_order, "aic_max_order")
         aic = select_order_aic(centered.values, max_order, config.ar_estimator)
 
     with _stage("estimation"):

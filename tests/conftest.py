@@ -8,14 +8,25 @@ import numpy as np
 import pytest
 
 from tsakit import rng
-from tsakit.armodel import (ArModel, fit_ar_yule_walker, select_order_aic,
+from tsakit.armodel import (ArModel, levinson_durbin, select_order_aic,
                             simulate_ar)
+from tsakit.correlation import autocovariance
 from tsakit.pipeline import PipelineConfig, ingest_csv
 from tsakit.regression import fit_linear_trend
 from tsakit.stattests import jarque_bera, kpss_level, shapiro_wilk
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DATASET = REPO_ROOT / "data" / "brazil_monthly_deaths.csv"
+
+
+def yule_walker_fit(x, p: int) -> ArModel:
+    """The order-p Yule-Walker fit by a recursion of its own,
+    ``levinson_durbin(autocovariance(x, p), p)`` with the top vector: the
+    reference that the AIC scan's Yule-Walker model must equal bit for bit."""
+    arr = np.asarray(x, dtype=float)
+    phis, variances = levinson_durbin(autocovariance(arr, p), p)
+    return ArModel(phi=tuple(phis[p]), sigma2=variances[p], mean=float(arr.mean()),
+                   estimation_method="yule_walker", n_used=arr.size)
 
 
 @pytest.fixture(scope="session")
@@ -65,7 +76,7 @@ def aic_table_64(diff64):
 
 @pytest.fixture(scope="session")
 def fitted_ar11(diff64):
-    return fit_ar_yule_walker(diff64, 11)
+    return yule_walker_fit(diff64, 11)
 
 
 @pytest.fixture(scope="session")
@@ -76,9 +87,9 @@ def ar_recovery():
     err1, err2 = [], []
     for s in range(50):
         x = simulate_ar(ar1, 10_000, seed=600 + s)
-        err1.append(abs(fit_ar_yule_walker(x.values, 1).phi[0] - 0.5))
+        err1.append(abs(yule_walker_fit(x.values, 1).phi[0] - 0.5))
         y = simulate_ar(ar2, 10_000, seed=6_000 + s)
-        fit = fit_ar_yule_walker(y.values, 2)
+        fit = yule_walker_fit(y.values, 2)
         err2.append(max(abs(fit.phi[0] - 0.5), abs(fit.phi[1] - 0.3)))
     return {"ar1_median": float(np.median(err1)),
             "ar2_median": float(np.median(err2))}

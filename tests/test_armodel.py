@@ -9,8 +9,7 @@ from tsakit import _linalg, armodel, rng
 from tsakit._linalg import polynomial_roots
 from tsakit.armodel import (AicRow, AicTable, ArModel, RandomWalkSpec, _aic_row,
                             _step_down, characteristic_roots, default_burn_in,
-                            fit_ar_least_squares, fit_ar_yule_walker,
-                            is_stationary, levinson_durbin,
+                            fit_ar_least_squares, is_stationary, levinson_durbin,
                             random_walk_moments, select_order_aic,
                             simulate_ar, simulate_random_walk)
 from tsakit.cli import main as cli_main
@@ -22,43 +21,56 @@ from tsakit.pipeline import _model_section
 from tsakit.spectral import ar_psd
 from tsakit.stattests import jarque_bera
 
+from conftest import yule_walker_fit
+
 
 class TestYuleWalker:
     def test_order_zero(self):
         x = rng.normals(1, 100)
-        model = fit_ar_yule_walker(x, 0)
+        model = yule_walker_fit(x, 0)
         assert model.phi == ()
         assert model.sigma2 == pytest.approx(autocovariance(x, 0)[0])
 
     def test_order_one_closed_form(self):
         x = rng.normals(2, 200)
         gamma = autocovariance(x, 1)
-        model = fit_ar_yule_walker(x, 1)
+        model = yule_walker_fit(x, 1)
         assert model.phi[0] == pytest.approx(gamma[1] / gamma[0], abs=1e-12)
 
     def test_mean_is_sample_mean(self):
         x = 5.0 + rng.normals(3, 150)
-        assert fit_ar_yule_walker(x, 2).mean == pytest.approx(float(x.mean()))
+        assert yule_walker_fit(x, 2).mean == pytest.approx(float(x.mean()))
 
     def test_always_stationary(self):
         for seed in range(6):
             walk = np.cumsum(rng.normals(40 + seed, 120))  # worst case input
-            model = fit_ar_yule_walker(walk, 5)
+            model = yule_walker_fit(walk, 5)
             assert is_stationary(model)
 
     def test_order_bound(self):
+        # The scan refuses K >= N/2; the recursion, an order past its
+        # autocovariances.
+        x = rng.normals(4, 20)
         with pytest.raises(InvalidArgumentError):
-            fit_ar_yule_walker(rng.normals(4, 20), 10)
+            select_order_aic(x, 10, "yule_walker")
+        with pytest.raises(InvalidArgumentError):
+            levinson_durbin(autocovariance(x, 9), 10)
 
     def test_levinson_guards_against_unit_reflection(self):
-        with pytest.raises(DegenerateFitError):
+        with pytest.raises(DegenerateFitError) as info:
             levinson_durbin([1.0, 1.0], 1)
+        assert [phi.tolist() for phi in info.value.phis] == [[]]
+        assert info.value.variances == [1.0]
 
-    def test_levinson_returns_the_top_order_and_every_variance(self):
+    def test_levinson_returns_every_orders_vector_and_variance(self):
         # AR(2) Yule-Walker by hand with rho_1 = 0.5, rho_2 = 0.1:
-        # phi = (0.6, -0.2); v_1 = 1 - 0.5^2, v_2 = v_1 (1 - 0.2^2).
-        phi, variances = levinson_durbin([1.0, 0.5, 0.1], 2)
-        assert phi.tolist() == pytest.approx([0.6, -0.2], abs=1e-15)
+        # phi_1 = (0.5,), phi_2 = (0.6, -0.2); v_1 = 1 - 0.5^2,
+        # v_2 = v_1 (1 - 0.2^2).
+        phis, variances = levinson_durbin([1.0, 0.5, 0.1], 2)
+        assert len(phis) == 3
+        assert phis[0].tolist() == []
+        assert phis[1].tolist() == [0.5]
+        assert phis[2].tolist() == pytest.approx([0.6, -0.2], abs=1e-15)
         assert variances == pytest.approx([1.0, 0.75, 0.72], abs=1e-15)
 
 
@@ -136,7 +148,7 @@ def _select_order_aic_ls_loop(x, max_order):
     if not valid:
         raise DegenerateFitError("AIC evaluation failed at every candidate order")
     order = min(valid, key=lambda r: (r.aic, r.order)).order
-    model = fit_ar_least_squares(arr, order) if order else fit_ar_yule_walker(arr, 0)
+    model = fit_ar_least_squares(arr, order) if order else yule_walker_fit(arr, 0)
     return AicTable(rows=tuple(rows), selected_order=order, method="least_squares",
                     n=n, model=model)
 
@@ -179,6 +191,15 @@ def _assert_scan_model_is_the_fit(x, max_order):
     return table
 
 
+def _assert_bit_identical(got, want):
+    """The same order, label and N, and phi, sigma2 and mean bit for bit."""
+    assert (got.order, got.estimation_method, got.n_used) == \
+        (want.order, want.estimation_method, want.n_used)
+    assert [v.hex() for v in got.phi] == [v.hex() for v in want.phi]
+    assert got.sigma2.hex() == want.sigma2.hex()
+    assert got.mean.hex() == want.mean.hex()
+
+
 def _seeded_ar(n, seed):
     model = ArModel(phi=(0.6, -0.3, 0.2), sigma2=4.0, mean=12.0)
     return simulate_ar(model, n, seed).values + 0.01 * np.cumsum(rng.normals(seed, n))
@@ -206,6 +227,7 @@ class TestSelectOrderAic:
 
     def test_yule_walker_model_is_the_selected_fit(self, aic_table_64, fitted_ar11):
         assert aic_table_64.model == fitted_ar11
+        _assert_bit_identical(aic_table_64.model, fitted_ar11)
 
     def test_selected_is_argmin_with_smallest_tie(self, aic_table_64):
         valid = [r for r in aic_table_64.rows if r.error is None]
@@ -216,12 +238,28 @@ class TestSelectOrderAic:
         # gamma = (1, 0.5, 1, 0.3) gives kappa_1 = 0.5 and kappa_2 = 1 exactly.
         monkeypatch.setattr("tsakit.armodel.autocovariance",
                             lambda x, max_lag: np.array([1.0, 0.5, 1.0, 0.3]))
-        table = select_order_aic(rng.normals(11, 50), 3, "yule_walker")
+        x = rng.normals(11, 50)
+        table = select_order_aic(x, 3, "yule_walker")
         assert [r.sigma2 for r in table.rows[:2]] == [1.0, 0.75]
         assert all(r.error is None for r in table.rows[:2])
         assert all("at order 2" in r.error and r.sigma2 is None and r.aic is None
                    for r in table.rows[2:])
         assert table.rows[2].error == table.rows[3].error
+        # Order 1 (AIC ln 0.75 + 2/50 < 0) is selected, with the vector the
+        # exception carries from the completed orders.
+        assert table.selected_order == 1
+        assert table.model == ArModel(phi=(0.5,), sigma2=0.75, mean=float(x.mean()),
+                                      estimation_method="yule_walker", n_used=50)
+
+    def test_yule_walker_model_is_bit_identical_to_its_own_fit_on_long_inputs(
+            self, bench_workloads):
+        # The series the pipeline fits, as in the least-squares test below.
+        for index in range(8):
+            counts = bench_workloads.synthetic_counts(77, index).astype(float)
+            diffed = np.diff(counts[2:])
+            x = diffed - diffed.mean()
+            table = select_order_aic(x, int(10.0 * math.log10(x.size)), "yule_walker")
+            _assert_bit_identical(table.model, yule_walker_fit(x, table.selected_order))
 
     def test_yule_walker_scan_runs_one_recursion(self, monkeypatch):
         orders = []
@@ -231,10 +269,10 @@ class TestSelectOrderAic:
             return levinson_durbin(gamma, order)
 
         monkeypatch.setattr("tsakit.armodel.levinson_durbin", counting)
-        table = select_order_aic(rng.normals(12, 300), 8, "yule_walker")
-        # One recursion for the rows of every order, then the selected
-        # order's fit (fit_ar_yule_walker), which the scan returns.
-        assert orders == [8, table.selected_order]
+        select_order_aic(rng.normals(12, 300), 8, "yule_walker")
+        # One recursion gives every order's row and fit; the selected model
+        # is its step, not a second recursion.
+        assert orders == [8]
 
     def test_variances_non_increasing(self):
         x = rng.normals(8, 400)
@@ -335,7 +373,7 @@ class TestSelectOrderAic:
         x = rng.normals(1, 200)
         table = _assert_scan_model_is_the_fit(x, 4)
         assert table.selected_order == 0
-        assert table.model == fit_ar_yule_walker(x, 0)
+        assert table.model == yule_walker_fit(x, 0)
 
     def test_least_squares_scan_matches_per_order_fits_on_bundled_series(self, diff64):
         table = select_order_aic(diff64, 18, "least_squares")

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from tsakit import rng
-from tsakit.armodel import ArModel, fit_ar_yule_walker, simulate_ar
+from tsakit.armodel import ArModel, simulate_ar
 from tsakit.correlation import autocovariance, sample_acf, theoretical_ar_acf
 from tsakit.errors import (InvalidArgumentError, NonStationaryModelError,
                            ZeroVarianceError)
+
+from conftest import yule_walker_fit
 
 
 class TestSampleAcf:
@@ -90,7 +92,7 @@ class TestTheoreticalArAcf:
         deviations = []
         for s in range(50):
             sim = simulate_ar(truth, 10_000, seed=6_000 + s)
-            fitted = fit_ar_yule_walker(sim.values, 2)
+            fitted = yule_walker_fit(sim.values, 2)
             rho = theoretical_ar_acf(fitted, 5)
             deviations.append(np.abs(rho[1:] - target[1:]).max())
         assert float(np.median(deviations)) < 0.1

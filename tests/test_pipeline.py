@@ -382,16 +382,25 @@ class TestRunPipeline:
         assert "kpss_lag" in body["decisions"]
 
     def test_non_integer_truncate_head_rejected(self, dataset_path):
-        with pytest.raises(InvalidArgumentError, match="truncate_head must be an integer"):
-            config_for(dataset_path, truncate_head=2.5)
+        for value in (2.5, True):  # operator.index would take True as 1
+            with pytest.raises(InvalidArgumentError, match="truncate_head must be an integer"):
+                config_for(dataset_path, truncate_head=value)
 
     def test_non_integer_aic_max_order_rejected(self, dataset_path):
-        with pytest.raises(InvalidArgumentError, match="aic_max_order must be an integer"):
-            run_pipeline(config_for(dataset_path, aic_max_order=12.9))
+        # Resolved in the identification stage, so the error names it.
+        for value in (12.9, "x"):
+            with pytest.raises(PipelineStageError,
+                               match="aic_max_order must be an integer") as info:
+                run_pipeline(config_for(dataset_path, aic_max_order=value))
+            assert info.value.stage == "identification"
+            assert isinstance(info.value.cause, InvalidArgumentError)
 
     @pytest.mark.parametrize("setting, value, stage, message", [
         ("kpss_lag", 3.5, "stationarity-test", "truncation_lag must be an integer"),
         ("daniell_spans", (3.9, 3.2), "spectral", "span must be an integer"),
+        ("aic_max_order", True, "identification", "aic_max_order must be an integer, got True"),
+        ("kpss_lag", True, "stationarity-test", "truncation_lag must be an integer, got True"),
+        ("daniell_spans", (True, 3), "spectral", "span must be an integer, got True"),
     ])
     def test_non_integer_stage_setting_rejected(self, dataset_path, setting, value,
                                                 stage, message):
@@ -428,7 +437,7 @@ class TestRunPipeline:
         ("difference", "difference"),
         ("stationarity-test", "kpss_level"),
         ("identification", "select_order_aic"),
-        ("identification", "armodel.fit_ar_yule_walker"),
+        ("identification", "armodel.autocovariance"),
         ("estimation", "characteristic_roots"),
         ("spectral", "ar_psd"),
         ("sacf", "sample_acf"),

@@ -42,6 +42,7 @@ def householder_triangularize(a: np.ndarray, rhs: np.ndarray, scale: float) -> i
     rather than zeroed.
     """
     n = a.shape[0]
+    outer = np.empty(a.shape)  # each step's rank-1 update, in its corner
     for k in range(n):
         v = a[k, k:].copy()
         norm = float(np.sqrt((v ** 2).sum()))
@@ -53,10 +54,11 @@ def householder_triangularize(a: np.ndarray, rhs: np.ndarray, scale: float) -> i
             v[0] -= norm
         v /= float(np.sqrt((v ** 2).sum()))
         # Each regressor row w becomes w - 2 (w . v) v: one contiguous
-        # product with v, then one rank-1 update.
+        # product with v, then one rank-1 update written into ``outer``
+        # rather than a new temporary.
         block = a[k:, k:]
         two_v = 2.0 * v
-        block -= np.multiply.outer(block @ v, two_v)
+        block -= np.multiply.outer(block @ v, two_v, out=outer[k:, k:])
         rhs[k:] -= two_v * float(v @ rhs[k:])
     return n
 

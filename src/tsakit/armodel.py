@@ -128,8 +128,10 @@ def levinson_durbin(gamma: Sequence[float], order: int) -> tuple[list[np.ndarray
     A reflection coefficient with |kappa| >= 1 at order k raises
     ``DegenerateFitError``; its ``phis`` and ``variances`` attributes hold
     the vectors and variances of orders 0..k-1, which the recursion had
-    completed.
+    completed. A negative order raises ``InvalidArgumentError``.
     """
+    if order < 0:
+        raise InvalidArgumentError(f"order must be >= 0, got {order}")
     gamma = np.asarray(gamma, dtype=float)
     if gamma.size < order + 1:
         raise InvalidArgumentError("need autocovariances up to the requested order")

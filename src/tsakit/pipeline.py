@@ -1,8 +1,12 @@
 """End-to-end analysis pipeline: CSV ingestion, staged computation, reporting.
 
-Ingestion checks each month label against the one the row must carry
-(``series._month_labels``) and parses only a label that differs
-(``series._month_index``). Stage order is fixed by the methodology being
+Ingestion reads an input in the canonical form (a header of the two columns,
+then "YYYY-MM,count" rows of consecutive months) in one bulk pass: one regex
+match, ``str.split`` and ``float``. Any other input, and every invalid one, is
+read one ``csv.reader`` row at a time; that loop checks each month label
+against the one the row must carry (``series._month_labels``), parses only a
+label that differs (``series._month_index``), and is the one source of error
+texts and line numbers. Stage order is fixed by the methodology being
 reproduced: fit the linear trend on the full series, diagnose its residuals,
 then truncate the head, take the first difference, demean, and run the
 stationarity test, AR identification and spectral estimation on the result.
@@ -12,7 +16,10 @@ the report's root list. The report is a versioned JSON document and each
 figure's plot data goes to its own CSV. Each column is rendered once, the
 figure's text is joined from those columns in the bytes a cell-by-cell
 ``csv.writer`` gave, and each file is written with one ``write`` call; files
-are only written after every stage has succeeded.
+are only written after every stage has succeeded. The trend's residuals are
+rendered once for two figures: fig_residuals wraps each text as numpy's repr,
+and fig_qq's sample column is the same texts in the QQ plot's stable sort
+order (``qq_plot_data``).
 """
 from __future__ import annotations
 
@@ -21,6 +28,7 @@ import hashlib
 import io
 import json
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice, repeat
@@ -83,15 +91,63 @@ def ingest_csv(path: Union[str, Path], config: PipelineConfig, *,
                _data: Optional[bytes] = None) -> TimeSeries:
     """Parse and validate a (period, count) CSV into a contiguous TimeSeries.
 
+    An input in the canonical form (see ``_ingest_canonical``) is read in one
+    bulk pass. Any other input, and every invalid one, is read row by row
+    (``_ingest_rows``), the one source of error texts and line numbers; on
+    the canonical form both give the same series.
+
     ``_data`` is the file's bytes when the caller has read them, so that the
     bytes it hashes are the bytes parsed here.
     """
     path = Path(path)
     if _data is None:
         _data = _read_input(path)
+    series = _ingest_canonical(_data, config)
+    if series is None:
+        series = _ingest_rows(path, _data, config)
+    return series
+
+
+# The canonical form: a header of two column names made of ASCII letters,
+# digits and underscores, then rows "YYYY-MM,count" of at most 15 digits
+# (below 2**53, so float(count) is exact), each ended by "\n" or "\r\n"
+# except that the last may lack one, and no blank line.
+_CANONICAL_CSV = re.compile(
+    r"(\w+),(\w+)\r?\n"
+    r"((?:[0-9]{4}-[0-9]{2},[0-9]{1,15}\r?\n)*[0-9]{4}-[0-9]{2},[0-9]{1,15})(?:\r?\n)?",
+    re.ASCII)
+
+
+def _ingest_canonical(data: bytes, config: PipelineConfig) -> Optional[TimeSeries]:
+    """The series of an input in the canonical form whose header is the
+    configured date column then value column, and whose labels are
+    consecutive months from one ``_month_index`` accepts up to 9999-12; None
+    for any other input. Such an input is one ``_ingest_rows`` reads without
+    an error, into the same series."""
+    if not data.isascii():  # a BOM or any other non-ASCII byte
+        return None
+    m = _CANONICAL_CSV.fullmatch(data.decode("ascii"))
+    # One name for both columns makes the row loop read both from the first.
+    if (m is None or m[1] != config.date_column or m[2] != config.value_column
+            or m[1] == m[2]):
+        return None
+    cells = m[3].replace("\r", "").replace("\n", ",").split(",")
+    labels = cells[0::2]
+    n = len(labels)
+    try:
+        start = _month_index(labels[0])
+    except InvalidArgumentError:
+        return None
+    if start + n - 1 > _LAST_MONTH or labels != list(islice(_month_labels(start), n)):
+        return None
+    return TimeSeries(np.asarray(list(map(float, cells[1::2]))), start)
+
+
+def _ingest_rows(path: Path, data: bytes, config: PipelineConfig) -> TimeSeries:
+    """``ingest_csv``'s reading of any input, one CSV row at a time."""
     # Decoded as a file opened with newline="" and encoding="utf-8-sig" is, in
     # the same chunks, so a bad byte is reported at the same row and offset.
-    with io.TextIOWrapper(io.BytesIO(_data), encoding="utf-8-sig", newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -164,14 +220,23 @@ def _read_input(path: Union[str, Path]) -> bytes:
     return path.read_bytes()
 
 
-def qq_plot_data(x: Sequence[float]) -> list[tuple[float, float]]:
-    """Normal QQ pairs: (Phi^-1((i - 3/8)/(N + 1/4)), i-th order statistic)."""
-    arr = np.sort(np.asarray(x, dtype=float))
+@dataclass(frozen=True)
+class QqPlotData:
+    theoretical: np.ndarray  # Phi^-1((i - 3/8)/(N + 1/4)), i = 1..N
+    order: np.ndarray  # x's stable sort order: x[order[i - 1]] is the i-th order statistic
+
+
+def qq_plot_data(x: Sequence[float]) -> QqPlotData:
+    """Normal QQ plot data: the i-th theoretical quantile pairs with the i-th
+    order statistic, ``x[order[i - 1]]``. The sort is stable, so values that
+    compare equal (-0.0 and +0.0) keep their order in x; the figure's sample
+    column is x's text in that order."""
+    arr = np.asarray(x, dtype=float)
     n = arr.size
     if n < 3:
         raise InsufficientDataError(f"QQ plot needs at least 3 points, got {n}")
     theoretical = norm_ppf((np.arange(1, n + 1) - 0.375) / (n + 0.25))
-    return list(zip(theoretical.tolist(), arr.tolist()))
+    return QqPlotData(theoretical=theoretical, order=np.argsort(arr, kind="stable"))
 
 
 @dataclass(frozen=True)
@@ -378,19 +443,22 @@ def _figure_rows(x, fit, centered, acf, hist, qq, raw_spec, smooth_spec,
     # Each column is rendered once, as csv.writer would write its cells:
     # ints as str(), Python floats as repr(), numpy scalars as numpy's repr().
     # The texts are in FIGURE_FILES' order.
+    # A residual's text is rendered once: numpy's repr in fig_residuals, the
+    # float's repr (the text inside it) in fig_qq, in the QQ plot's order.
     n, m = len(x), len(centered)
     t = list(map(str, range(1, n + 1)))
     fitted = _np_reprs(fit.fitted.values)
+    residuals = _reprs(fit.residuals.values)
     edges = _np_reprs(hist.bin_edges)
     return dict(zip(FIGURE_FILES, (
         _csv_text(
             "period,t,observed,fitted",
             (x.periods(), t, _np_reprs(x.values), fitted)),
         _csv_text(
-            "t,fitted,residual", (t, fitted, _np_reprs(fit.residuals.values))),
+            "t,fitted,residual", (t, fitted, _np_wrapped(residuals))),
         _csv_text(
             "theoretical_quantile,sample_quantile",
-            [map(repr, column) for column in zip(*qq)]),
+            (_reprs(qq.theoretical), map(residuals.__getitem__, qq.order.tolist()))),
         _csv_text(
             "panel,x,y,band",
             (repeat("series"), t[:m], _np_reprs(centered.values), repeat("")),
@@ -419,7 +487,12 @@ _NP_PREFIX, _NP_SUFFIX = repr(np.float64(0.5)).split("0.5")
 
 def _np_reprs(values: np.ndarray) -> list[str]:
     """numpy's repr of each element as a float64 scalar."""
-    return [_NP_PREFIX + r + _NP_SUFFIX for r in map(repr, values.tolist())]
+    return _np_wrapped(map(repr, values.tolist()))
+
+
+def _np_wrapped(reprs) -> list[str]:
+    """Each float's repr as numpy writes that float as a float64 scalar."""
+    return [_NP_PREFIX + r + _NP_SUFFIX for r in reprs]
 
 
 def _reprs(values: np.ndarray) -> list[str]:

@@ -56,6 +56,12 @@ class TestYuleWalker:
         with pytest.raises(InvalidArgumentError):
             levinson_durbin(autocovariance(x, 9), 10)
 
+    def test_levinson_refuses_a_negative_order(self):
+        with pytest.raises(InvalidArgumentError, match="order must be >= 0, got -3"):
+            levinson_durbin([1.0, 0.5], -3)
+        phis, variances = levinson_durbin([1.0, 0.5], 0)
+        assert [phi.tolist() for phi in phis] == [[]] and variances == [1.0]
+
     def test_levinson_guards_against_unit_reflection(self):
         with pytest.raises(DegenerateFitError) as info:
             levinson_durbin([1.0, 1.0], 1)

@@ -1,12 +1,14 @@
-"""Bit-identity oracles for the shared Horner loop and the incomplete beta's
-modified-Lentz loop.
+"""Bit-identity oracles for the shared Horner loop, the incomplete beta's
+modified-Lentz loop and the Householder triangularization.
 
 ``special._horner`` replaced hand-written loops in ``_acklam``, the Royston
 polynomials of ``stattests`` and ``_linalg.polynomial_roots``, and
 ``special._betacf`` sums the incomplete beta's continued fraction. The loops
 as they first stood are kept below verbatim as references. On seeded inputs
 each kernel must return the same bits, or raise ConvergenceError with the same
-message, iteration count and residual.
+message, iteration count and residual. ``householder_triangularize`` writes
+each rank-1 update into one buffer; the version that allocated a temporary
+per step is kept as its reference, and must leave the same R, Q^T y and rank.
 """
 import math
 
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 
 from tsakit import special, stattests
-from tsakit._linalg import polynomial_roots
+from tsakit._linalg import householder_triangularize, polynomial_roots
 from tsakit.errors import ConvergenceError, DegenerateFitError
 
 # --- reference copies of the replaced loops --------------------------------
@@ -163,6 +165,27 @@ def _ref_polynomial_roots(coeffs, max_iter=800, tol=1e-13):
         f"(max |p(z)| = {residual:.3g})", iterations=max_iter, residual=residual)
 
 
+def _ref_householder_triangularize(a, rhs, scale):
+    n = a.shape[0]
+    for k in range(n):
+        v = a[k, k:].copy()
+        norm = float(np.sqrt((v ** 2).sum()))
+        if norm < 1e-12 * scale:
+            return k
+        if v[0] >= 0:
+            v[0] += norm
+        else:
+            v[0] -= norm
+        v /= float(np.sqrt((v ** 2).sum()))
+        # Each regressor row w becomes w - 2 (w . v) v: one contiguous
+        # product with v, then one rank-1 update.
+        block = a[k:, k:]
+        two_v = 2.0 * v
+        block -= np.multiply.outer(block @ v, two_v)
+        rhs[k:] -= two_v * float(v @ rhs[k:])
+    return n
+
+
 # --- comparison helpers ------------------------------------------------------
 
 def _outcome(fn, *args):
@@ -247,3 +270,38 @@ class TestLentzOracle:
         outcome = _outcome(new, *args)
         assert outcome[0] == "raised" and outcome[2] == cap
         assert outcome == _outcome(ref, *args)
+
+
+class TestHouseholderOracle:
+    @staticmethod
+    def _assert_same_factor(design, rhs, scale=None):
+        if scale is None:
+            scale = float(np.abs(design).max())
+        a, b = design.copy(), rhs.copy()
+        ref_a, ref_b = design.copy(), rhs.copy()
+        rank = householder_triangularize(a, b, scale)
+        assert rank == _ref_householder_triangularize(ref_a, ref_b, scale)
+        assert a.tobytes() == ref_a.tobytes()
+        assert b.tobytes() == ref_b.tobytes()
+        return rank
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (3, 3), (5, 40),
+                                      (12, 200), (37, 3964)])
+    def test_random_designs_bit_identical(self, n, m):
+        draw = np.random.default_rng(1000 * n + m)
+        design = draw.normal(size=(n, m)) * 10.0 ** draw.uniform(-3.0, 3.0, (n, 1))
+        assert self._assert_same_factor(design, draw.normal(size=m)) == n
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rank_deficient_designs_bit_identical(self, seed):
+        # Regressor `dup` repeats an earlier one, so the check stops there
+        # with the earlier rows of R and the reflections applied so far.
+        draw = np.random.default_rng(seed)
+        n, m = 8, 60
+        design = draw.normal(size=(n, m))
+        dup = 2 + seed % (n - 2)
+        design[dup] = design[draw.integers(0, dup)] * 3.0
+        assert self._assert_same_factor(design, draw.normal(size=m)) == dup
+
+    def test_zero_design_stops_at_once(self):
+        assert self._assert_same_factor(np.zeros((4, 9)), np.ones(9), 1.0) == 0

@@ -21,7 +21,8 @@ from tsakit.cli import main as cli_main
 from tsakit.errors import (ConvergenceError, DegenerateFitError,
                            DuplicateMonthError, InsufficientDataError,
                            InvalidArgumentError, MalformedRowError,
-                           MissingInputError, MonthGapError, PipelineStageError)
+                           MissingInputError, MonthGapError, PipelineStageError,
+                           TsaError)
 from tsakit.pipeline import (AnalysisReport, PipelineConfig, histogram_data,
                              ingest_csv, qq_plot_data, run_pipeline,
                              write_outputs)
@@ -295,9 +296,143 @@ class TestIngest:
         assert str(info.value) == f"line 3: count must be non-negative, got {shown}"
 
 
+def _ingest_outcome(read):
+    """The series as float.hex values and start month, or the error's class,
+    text and line number."""
+    try:
+        series = read()
+    except (TsaError, ValueError) as exc:  # a bad byte is a UnicodeDecodeError
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return [v.hex() for v in series.values.tolist()], series.start_month
+
+
+# Inputs in the canonical form, each with its configured columns.
+CANONICAL_INPUTS = {
+    "lf": (b"period,deaths\n2015-01,89004\n2015-02,50281\n", {}),
+    "crlf": (b"period,deaths\r\n2015-12,1\r\n2016-01,2\r\n", {}),
+    "mixed-ends": (b"period,deaths\r\n2015-11,1\n2015-12,2\r\n2016-01,3\n", {}),
+    "no-final-newline": (b"period,deaths\n2015-01,7\n2015-02,8", {}),
+    "one-row": (b"period,deaths\n2015-01,7\n", {}),
+    "zeros-and-15-digits": (b"period,deaths\n2015-01,0\n2015-02,000000000000042\n"
+                            b"2015-03,999999999999999\n2015-04,123456789012345\n", {}),
+    "year-0": (b"period,deaths\n0000-01,1\n0000-02,2\n", {}),
+    "ends-at-9999-12": (b"period,deaths\n9999-11,1\n9999-12,2\n", {}),
+    "custom-columns": (b"month,count\n2015-01,7\n2015-02,8\n",
+                       {"date_column": "month", "value_column": "count"}),
+}
+
+# Inputs outside the canonical form, valid or not: the row-by-row reading
+# gives each one's series or error.
+DECLINED_INPUTS = {
+    "cr-only": b"period,deaths\r2015-01,1\r2015-02,2\r",
+    "bom": b"\xef\xbb\xbfperiod,deaths\n2015-01,1\n2015-02,2\n",
+    "blank-line": b"period,deaths\n2015-01,1\n\n2015-02,2\n",
+    "trailing-blank-line": b"period,deaths\n2015-01,1\n2015-02,2\n\n",
+    "blank-cells-line": b"period,deaths\n2015-01,1\n,\n2015-02,2\n",
+    "quoted-label": b'period,deaths\n"2015-01",1\n2015-02,2\n',
+    "quoted-count": b'period,deaths\n2015-01,"1"\n2015-02,2\n',
+    "padded-label": b"period,deaths\n2015-01,1\n 2015-02,2\n",
+    "padded-count": b"period,deaths\n2015-01,1\n2015-02, 2\n",
+    "fullwidth-label": "period,deaths\n2015-01,1\n\uff12\uff10\uff11\uff15-02,2\n".encode(),
+    "plus-count": b"period,deaths\n2015-01,+5\n2015-02,2\n",
+    "minus-zero-count": b"period,deaths\n2015-01,-0\n2015-02,2\n",
+    "16-digit-count": b"period,deaths\n2015-01,1234567890123456\n2015-02,2\n",
+    "20-digit-count": b"period,deaths\n2015-01,12345678901234567891\n2015-02,2\n",
+    "reordered-columns": b"deaths,period\n1,2015-01\n2,2015-02\n",
+    "extra-column": b"period,deaths,note\n2015-01,1,a\n2015-02,2,b\n",
+    "padded-header": b" period,deaths\n2015-01,1\n2015-02,2\n",
+    "header-only": b"period,deaths\n",
+    "empty": b"",
+    "month-13": b"period,deaths\n2015-13,1\n2016-01,2\n",
+    "gap": b"period,deaths\n2015-01,1\n2015-03,2\n",
+    "repeat": b"period,deaths\n2015-01,1\n2015-01,2\n",
+    "decrease": b"period,deaths\n2015-02,1\n2015-01,2\n",
+    "past-9999-12": b"period,deaths\n9999-12,1\n10000-01,2\n",
+    "short-year": b"period,deaths\n2015-01,1\n215-02,2\n",
+    "negative-count": b"period,deaths\n2015-01,1\n2015-02,-2\n",
+    "bad-utf8": b"period,deaths\n2015-01,1\n2015-02,\xff\n",
+}
+
+
+class TestBulkIngest:
+    """The bulk pass over a canonical input and the row-by-row reading give
+    the same series; on any other input the bulk pass declines, and the
+    row-by-row reading gives the series or the error."""
+
+    @staticmethod
+    def _both(tmp_path, data, **columns):
+        p = tmp_path / "in.csv"
+        p.write_bytes(data)
+        cfg = config_for(p, **columns)
+        return (pipeline._ingest_canonical(data, cfg),
+                _ingest_outcome(lambda: pipeline._ingest_rows(p, data, cfg)),
+                _ingest_outcome(lambda: ingest_csv(p, cfg)))
+
+    @pytest.mark.parametrize("name", sorted(CANONICAL_INPUTS))
+    def test_canonical_input_gives_the_rows_series(self, tmp_path, name):
+        data, columns = CANONICAL_INPUTS[name]
+        bulk, rows, ingested = self._both(tmp_path, data, **columns)
+        assert bulk is not None
+        assert _ingest_outcome(lambda: bulk) == rows == ingested
+        assert isinstance(rows[0], list)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_canonical_inputs(self, tmp_path, seed):
+        draw = np.random.default_rng(seed)
+        n = int(draw.integers(1, 300))
+        start = int(draw.integers(0, 9999 * 12 + 12 - n))
+        counts = [str(int(draw.integers(0, 10 ** int(draw.integers(1, 16)))))
+                  .zfill(int(draw.integers(1, 4))) for _ in range(n)]
+        ends = draw.choice(["\n", "\r\n"], n).tolist()
+        if draw.random() < 0.3:
+            ends[-1] = ""
+        data = "period,deaths\n" + "".join(
+            f"{_month_label(start + k)},{count}{end}"
+            for k, (count, end) in enumerate(zip(counts, ends)))
+        bulk, rows, ingested = self._both(tmp_path, data.encode())
+        assert bulk is not None
+        assert _ingest_outcome(lambda: bulk) == rows == ingested
+
+    @pytest.mark.parametrize("name", sorted(DECLINED_INPUTS))
+    def test_other_input_is_declined(self, tmp_path, name):
+        bulk, rows, ingested = self._both(tmp_path, DECLINED_INPUTS[name])
+        assert bulk is None
+        assert ingested == rows
+
+    @pytest.mark.parametrize("date_column, value_column",
+                             [("deaths", "period"), ("period", "period"),
+                              ("period", "count"), (" period", "deaths"),
+                              ("period", 5)])
+    def test_other_columns_are_declined(self, tmp_path, date_column, value_column):
+        bulk, rows, ingested = self._both(
+            tmp_path, b"period,deaths\n2015-01,1\n2015-02,2\n",
+            date_column=date_column, value_column=value_column)
+        assert bulk is None
+        assert ingested == rows
+
+    def test_bundled_and_benchmark_inputs_take_the_bulk_pass(
+            self, tmp_path, dataset_path, bench_workloads):
+        p = tmp_path / "long.csv"
+        bench_workloads._write_counts(p, bench_workloads.synthetic_counts(77, 0))
+        for path in (dataset_path, p):
+            data = path.read_bytes()
+            cfg = config_for(path)
+            bulk = pipeline._ingest_canonical(data, cfg)
+            assert bulk is not None
+            assert _ingest_outcome(lambda: bulk) == \
+                _ingest_outcome(lambda: pipeline._ingest_rows(path, data, cfg))
+        assert len(bulk) == 4000
+
+
+def _qq_pairs(x):
+    """qq_plot_data(x) as (theoretical quantile, order statistic) pairs."""
+    qq = qq_plot_data(x)
+    return list(zip(qq.theoretical.tolist(), np.asarray(x, dtype=float)[qq.order].tolist()))
+
+
 class TestQqPlotData:
     def test_three_point_plotting_positions(self):
-        pairs = qq_plot_data([5.0, 1.0, 3.0])
+        pairs = _qq_pairs([5.0, 1.0, 3.0])
         positions = [0.5 * math.erfc(-q / math.sqrt(2)) for q, _ in pairs]
         assert positions == pytest.approx([0.19231, 0.5, 0.80769], abs=1e-5)
         assert [s for _, s in pairs] == [1.0, 3.0, 5.0]
@@ -305,7 +440,7 @@ class TestQqPlotData:
     def test_normal_scores_are_collinear(self):
         n = 40
         scores = [norm_ppf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
-        pairs = qq_plot_data(scores)
+        pairs = _qq_pairs(scores)
         theo = np.array([t for t, _ in pairs])
         samp = np.array([s for _, s in pairs])
         assert np.corrcoef(theo, samp)[0, 1] > 0.9999
@@ -313,7 +448,7 @@ class TestQqPlotData:
     def test_symmetry_under_negation(self):
         x = rng.normals(50, 31)
         x = np.concatenate((x, -x))  # force exact symmetry
-        pairs = qq_plot_data(x)
+        pairs = _qq_pairs(x)
         flipped = [(-t, -s) for t, s in reversed(pairs)]
         for (t1, s1), (t2, s2) in zip(pairs, flipped):
             assert t1 == pytest.approx(t2, abs=1e-9)
@@ -325,9 +460,16 @@ class TestQqPlotData:
 
     @pytest.mark.parametrize("n", [3, 67, 4000])
     def test_quantiles_match_scalar_norm_ppf(self, n):
-        pairs = qq_plot_data(np.arange(n, dtype=float))
+        pairs = _qq_pairs(np.arange(n, dtype=float))
         scalar = [norm_ppf((i - 0.375) / (n + 0.25)) for i in range(1, n + 1)]
         assert [t for t, _ in pairs] == pytest.approx(scalar, rel=1e-15, abs=0.0)
+
+    def test_signed_zeros_keep_their_input_order(self):
+        x = np.array([0.0, 2.0, -0.0, -1.0, 0.0, -0.0])
+        qq = qq_plot_data(x)
+        assert qq.order.tolist() == [3, 0, 2, 4, 5, 1]
+        assert list(map(repr, x[qq.order].tolist())) == \
+            ["-1.0", "0.0", "-0.0", "0.0", "-0.0", "2.0"]
 
 
 class TestHistogramData:
@@ -660,8 +802,8 @@ def _figure_rows_per_cell(x, fit, centered, acf, hist, qq, raw_spec,
     for i in range(len(x)):
         rows.append((i + 1, fit.fitted.values[i], fit.residuals.values[i]))
     figures["fig_residuals.csv"] = rows
-    figures["fig_qq.csv"] = [("theoretical_quantile", "sample_quantile")] + [
-        (t, s) for t, s in qq]
+    figures["fig_qq.csv"] = [("theoretical_quantile", "sample_quantile")] + list(
+        zip(qq.theoretical.tolist(), sorted(fit.residuals.values.tolist())))
     rows = [("panel", "x", "y", "band")]
     for i in range(len(centered)):
         rows.append(("series", i + 1, centered.values[i], ""))
@@ -764,6 +906,27 @@ class TestFigureWriter:
         got = self._assert_same_bytes(config_for(dataset_path),
                                       tmp_path, monkeypatch, swap_hist)
         assert got["fig_hist.csv"].count(b"\n") == 3  # header, 1 bar, 1 point
+
+    def test_signed_zero_residuals(self, dataset_path, tmp_path, monkeypatch):
+        # Residuals that compare equal keep their order in fig_qq's sample
+        # column, each written as its own text in fig_residuals and fig_qq.
+        signs = []
+
+        def swap_residuals(args):
+            fit = args[1]
+            values = fit.residuals.values.copy()
+            values[::5] = 0.0
+            values[2::5] = -0.0
+            signs.extend(repr(v) for v in values.tolist() if v == 0.0)
+            fit = dataclasses.replace(fit, residuals=fit.residuals.with_values(values))
+            return args[:1] + (fit,) + args[2:5] + (qq_plot_data(values),) + args[6:]
+
+        got = self._assert_same_bytes(config_for(dataset_path),
+                                      tmp_path, monkeypatch, swap_residuals)
+        assert signs.count("-0.0") == 13 and signs.count("0.0") == 14
+        qq_rows = got["fig_qq.csv"].decode().split("\r\n")[1:-1]
+        zeros = [row.split(",")[1] for row in qq_rows if float(row.split(",")[1]) == 0.0]
+        assert zeros == signs
 
     def test_custom_columns(self, dataset_path, tmp_path, monkeypatch):
         with open(dataset_path, newline="", encoding="utf-8-sig") as fh:
@@ -1066,6 +1229,22 @@ class TestCli:
         optional = {action.dest: action.default for action in analyze._actions
                     if not action.required and action.dest != "help"}
         assert optional == dict.fromkeys(given, argparse.SUPPRESS)
+
+        # main reuses one parser; a flag given to one call is not carried
+        # into the next.
+        assert cli_main(required) == 0
+        assert captured[-1] == PipelineConfig(input_path="in.csv")
+
+    def test_main_builds_its_parser_once_and_not_at_import(self):
+        code = ("import tsakit.cli as cli; "
+                "assert cli._parser.cache_info().currsize == 0; "
+                "cli.main(['simulate', 'ar', '--phi', '0.5', '--n', '2', '--out', '-']); "
+                "first = cli._parser(); "
+                "cli.main(['simulate', 'random-walk', '--n', '2']); "
+                "assert cli._parser() is first and cli.build_parser() is not first")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("args", [
         ["analyze", "--input", "in.csv", "--output", "out", "--kpss-lag", "2.5"],

@@ -12,8 +12,8 @@ from .armodel import (AicRow, AicTable, ArModel, RandomWalkMoments,
                       RandomWalkSpec, characteristic_roots,
                       fit_ar_least_squares, is_stationary,
                       random_walk_moments, select_order_aic, simulate_ar,
-                      simulate_random_walk)
-from .correlation import AcfEstimate, sample_acf, theoretical_ar_acf
+                      simulate_random_walk, theoretical_ar_acf)
+from .correlation import AcfEstimate, sample_acf
 from .errors import (ConvergenceError, DegenerateFitError, DuplicateMonthError,
                      IngestionError, InsufficientDataError,
                      InvalidArgumentError, MalformedRowError,

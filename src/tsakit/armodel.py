@@ -8,6 +8,9 @@ Householder factor of its regression (``_factor``) and one back-substitution
 on R's rows (``_back_substitute``); the AIC scan takes the same two steps,
 with row updates between them. Order selection minimizes
 AIC(k) = ln(sigma2_k) + 2k/N with ties broken toward the smaller order.
+``_step_down`` runs the recursion backwards, from a model's coefficients to
+its reflection coefficients; it decides stationarity and gives the model's
+theoretical autocorrelations (``theoretical_ar_acf``).
 Simulators draw Gaussian innovations from the counter-based generator so that
 output is a pure function of (model, n, seed); ``simulate_ar`` runs its
 recursion in a loop that ``_ar_recursion`` compiles for the model's order.
@@ -24,7 +27,7 @@ from . import rng
 from ._linalg import householder_triangularize, polynomial_roots
 from .correlation import autocovariance
 from .errors import (DegenerateFitError, InvalidArgumentError,
-                     NonStationaryModelError, ZeroVarianceError)
+                     NonStationaryModelError, ZeroVarianceError, _as_index)
 from .series import TimeSeries
 
 UNIT_ROOT_TOL = 1e-8
@@ -402,6 +405,33 @@ def _step_down(phi: Sequence[float]) -> Optional[list[list[float]]]:
     return orders[::-1]
 
 
+def theoretical_ar_acf(model: ArModel, max_lag: int) -> np.ndarray:
+    """Autocorrelations rho_0..rho_max_lag implied by a stationary AR model.
+
+    Steps the model down to its reflection coefficients kappa_k and
+    lower-order coefficient vectors phi_{k,j} (``_step_down``), then
+    runs the Levinson relation forward: rho_k = kappa_k v_{k-1} +
+    sum_j phi_{k-1,j} rho_{k-j} with v_0 = 1 and v_k = v_{k-1} (1 - kappa_k^2),
+    for k = 1..p. Lags past p follow the recursion rho_h = sum_j phi_j rho_{h-j}.
+    """
+    if max_lag < 1:
+        raise InvalidArgumentError(f"max_lag must be >= 1, got {max_lag}")
+    orders = _step_down(model.phi)
+    if orders is None:
+        raise NonStationaryModelError(
+            "theoretical ACF requires a stationary model (all roots outside the unit circle)")
+    rho = [1.0]
+    v = 1.0
+    for lower, upper in zip(orders, orders[1:]):
+        kappa = upper[-1]
+        rho.append(kappa * v + sum(c * r for c, r in zip(lower, reversed(rho))))
+        v *= 1.0 - kappa * kappa
+    phi = orders[-1]
+    while len(rho) <= max_lag:
+        rho.append(sum(c * r for c, r in zip(phi, reversed(rho))))
+    return np.array(rho[:max_lag + 1])
+
+
 def is_stationary(model: ArModel) -> bool:
     """True when every characteristic root lies strictly outside the unit circle.
 
@@ -460,10 +490,12 @@ def simulate_ar(model: ArModel, n: int, seed: int,
     ``np.convolve``): every simulated value, and with it the seed-0 output
     digest the tests and the benchmark check, would change.
     """
+    n = _as_index(n, "n")
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
     if burn_in is None:
         burn_in = default_burn_in(model.order)
+    burn_in = _as_index(burn_in, "burn_in")
     if burn_in < 0:
         raise InvalidArgumentError(f"burn_in must be >= 0, got {burn_in}")
     if not is_stationary(model):
@@ -488,6 +520,7 @@ def simulate_ar(model: ArModel, n: int, seed: int,
 
 def simulate_random_walk(spec: RandomWalkSpec, n: int, seed: int) -> TimeSeries:
     """Random walk with drift observed at t = 1..n (the y0 seed is not emitted)."""
+    n = _as_index(n, "n")
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
     steps = math.sqrt(spec.innovation_sigma2) * rng.normals(seed, n)

@@ -3,13 +3,13 @@
 Ingestion reads an input in the canonical form (a header of the two columns,
 then "YYYY-MM,count" rows of consecutive months) in one bulk pass: one regex
 match, ``str.split`` and ``float``. Any other input, and every invalid one, is
-read one ``csv.reader`` row at a time; that loop checks each month label
-against the one the row must carry (``series._month_labels``), parses only a
-label that differs (``series._month_index``), and is the one source of error
-texts and line numbers. Stage order is fixed by the methodology being
-reproduced: fit the linear trend on the full series, diagnose its residuals,
-then truncate the head, take the first difference, demean, and run the
-stationarity test, AR identification and spectral estimation on the result.
+read one ``csv.reader`` row at a time; that loop parses every row's month
+label (``series._month_index``), checks that the months are consecutive, and
+is the one source of error texts and line numbers. Stage order is fixed by the
+methodology being reproduced: fit the linear trend on the full series,
+diagnose its residuals, then truncate the head, take the first difference,
+demean, and run the stationarity test, AR identification and spectral
+estimation on the result.
 The AR model is fitted once, by the AIC scan that identifies its order
 (``select_order_aic``); the estimation stage only solves its roots, once, for
 the report's root list. The report is a versioned JSON document and each
@@ -47,8 +47,8 @@ from .errors import (DuplicateMonthError, InsufficientDataError,
                      MonthGapError, PipelineStageError, TsaError, _as_index)
 from .regression import (P_VALUE_CENSOR_THRESHOLD, LinearTrendFit,
                          fit_linear_trend)
-from .series import (_LAST_MONTH, TimeSeries, _month_index, _month_label,
-                     _month_labels, demean, difference)
+from .series import (TimeSeries, _month_index, _month_label, _month_labels,
+                     demean, difference)
 from .spectral import ar_psd, daniell_smooth, periodogram
 from .special import norm_ppf
 from .stattests import jarque_bera, kpss_level, shapiro_wilk
@@ -133,12 +133,12 @@ def _ingest_canonical(data: bytes, config: PipelineConfig) -> Optional[TimeSerie
         return None
     cells = m[3].replace("\r", "").replace("\n", ",").split(",")
     labels = cells[0::2]
-    n = len(labels)
     try:
         start = _month_index(labels[0])
     except InvalidArgumentError:
         return None
-    if start + n - 1 > _LAST_MONTH or labels != list(islice(_month_labels(start), n)):
+    # A label past 9999-12 has a five-digit year, which no canonical row has.
+    if labels != list(islice(_month_labels(start), len(labels))):
         return None
     return TimeSeries(np.asarray(list(map(float, cells[1::2]))), start)
 
@@ -161,23 +161,16 @@ def _ingest_rows(path: Path, data: bytes, config: PipelineConfig) -> TimeSeries:
         value_idx = header.index(config.value_column)
 
         start = last = None  # month indices of the first and previous rows
-        # The label of month last + 1 as _month_label writes it, or None. A
-        # date cell equal to it is that month; any other cell is parsed. The
-        # labels stop at 9999-12, the last month _month_index accepts.
-        expected = None
         values: list[float] = []
         for line_number, row in enumerate(reader, start=2):
             if not any(map(str.strip, row)):  # blank line
                 continue
             if len(row) <= max(date_idx, value_idx):
                 raise MalformedRowError("row has too few columns", line_number)
-            if row[date_idx] == expected:
-                month = last + 1
-            else:
-                try:
-                    month = _month_index(row[date_idx])
-                except InvalidArgumentError as exc:
-                    raise MalformedRowError(str(exc), line_number) from None
+            try:
+                month = _month_index(row[date_idx])
+            except InvalidArgumentError as exc:
+                raise MalformedRowError(str(exc), line_number) from None
             raw = row[value_idx].strip()
             digits = raw[1:] if raw[:1] in ("+", "-") else raw
             if not (digits.isascii() and digits.isdigit()):
@@ -194,7 +187,6 @@ def _ingest_rows(path: Path, data: bytes, config: PipelineConfig) -> TimeSeries:
                     "count is too large to represent", line_number) from None
             if start is None:
                 start = month
-                labels = islice(_month_labels(start + 1), _LAST_MONTH - start)
             elif month != last + 1:
                 # Months so far are contiguous, so a repeat lies in [start, last].
                 if start <= month <= last:
@@ -206,7 +198,6 @@ def _ingest_rows(path: Path, data: bytes, config: PipelineConfig) -> TimeSeries:
                     f"after {_month_label(last)}", line_number)
             last = month
             values.append(value)
-            expected = next(labels, None)
 
     if not values:
         raise InsufficientDataError(f"input file {path} contains no data rows")

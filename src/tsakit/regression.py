@@ -97,8 +97,6 @@ def t_distribution_sf(t: float, dof: int) -> float:
         raise InvalidArgumentError(f"dof must be >= 1, got {dof}")
     if not math.isfinite(t):
         raise InvalidArgumentError(f"t statistic must be finite, got {t}")
-    if t == 0.0:
-        return 1.0
     t2 = t * t
     x = dof / (dof + t2)
     if _reflects(dof / 2.0, 0.5, x):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _as_index
 from .special import _acklam
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -30,6 +30,7 @@ def _splitmix64(v: np.ndarray) -> np.ndarray:
 
 def uniforms(seed: int, count: int) -> np.ndarray:
     """``count`` doubles in the open interval (0, 1)."""
+    count = _as_index(count, "count")
     if count < 0:
         raise InvalidArgumentError(f"count must be non-negative, got {count}")
     mask = 0xFFFFFFFFFFFFFFFF

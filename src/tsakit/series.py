@@ -10,8 +10,7 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
-_PERIOD_RE = re.compile(r"^(\d{4})-(\d{2})$")
-_LAST_MONTH = 9999 * 12 + 11  # the month index of 9999-12, the last _PERIOD_RE reads
+_PERIOD_RE = re.compile(r"^(\d{4})-(\d{2})$")  # four-digit years: 9999-12 is the last month
 
 
 def _month_label(index: int) -> str:

@@ -11,8 +11,7 @@ import pytest
 
 from tsakit import rng
 from tsakit.armodel import (ArModel, random_walk_moments, RandomWalkSpec,
-                            select_order_aic)
-from tsakit.correlation import theoretical_ar_acf
+                            select_order_aic, theoretical_ar_acf)
 from tsakit.pipeline import run_pipeline
 from tsakit.regression import Censoring, fit_linear_trend
 from tsakit.series import TimeSeries, difference, integrate

@@ -11,9 +11,10 @@ from tsakit.armodel import (AicRow, AicTable, ArModel, RandomWalkSpec, _aic_row,
                             _step_down, characteristic_roots, default_burn_in,
                             fit_ar_least_squares, is_stationary, levinson_durbin,
                             random_walk_moments, select_order_aic,
-                            simulate_ar, simulate_random_walk)
+                            simulate_ar, simulate_random_walk,
+                            theoretical_ar_acf)
 from tsakit.cli import main as cli_main
-from tsakit.correlation import autocovariance, theoretical_ar_acf
+from tsakit.correlation import autocovariance
 from tsakit.errors import (ConvergenceError, DegenerateFitError,
                            InvalidArgumentError, NonStationaryModelError,
                            TsaError)
@@ -608,6 +609,23 @@ class TestSimulateAr:
     def test_default_burn_in(self):
         assert default_burn_in(11) == 160
 
+    # A float or bool n or burn_in would draw ceil(n) values or fail in numpy.
+    @pytest.mark.parametrize("name, n, burn_in", [
+        ("n", 2.5, None), ("n", 3.0, None), ("n", True, None),
+        ("burn_in", 10, 2.5), ("burn_in", 10, 3.0), ("burn_in", 10, False)])
+    def test_n_and_burn_in_must_be_integers(self, name, n, burn_in):
+        with pytest.raises(InvalidArgumentError) as info:
+            simulate_ar(ArModel(phi=(0.5,), sigma2=1.0), n, 0, burn_in=burn_in)
+        value = n if name == "n" else burn_in
+        assert str(info.value) == f"{name} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("phi", [(), (0.5, -0.2)])
+    def test_numpy_integer_n_gives_the_same_bits(self, phi):
+        model = ArModel(phi=phi, sigma2=1.0, mean=2.0)
+        want = simulate_ar(model, 200, seed=3, burn_in=20).values.tobytes()
+        assert simulate_ar(model, np.int64(200), seed=3,
+                           burn_in=np.int32(20)).values.tobytes() == want
+
     @pytest.mark.parametrize("burn_in", [0, 7, None])
     @pytest.mark.parametrize("name", sorted(_ORACLE_MODELS))
     def test_bit_identical_to_numpy_scalar_loop(self, name, burn_in):
@@ -811,6 +829,17 @@ class TestRandomWalk:
             if jarque_bera(steps).p_value.value >= 0.05:
                 passes += 1
         assert passes / runs >= 0.90
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(InvalidArgumentError) as info:
+            simulate_random_walk(RandomWalkSpec(), n, 0)
+        assert str(info.value) == f"n must be an integer, got {n!r}"
+
+    def test_numpy_integer_n_gives_the_same_bits(self):
+        spec = RandomWalkSpec(drift=0.5, innovation_sigma2=2.0, y0=1.0)
+        assert simulate_random_walk(spec, np.int64(150), 8).values.tobytes() == \
+            simulate_random_walk(spec, 150, 8).values.tobytes()
 
     def test_ensemble_variance(self, random_walk_ensemble):
         var_100 = float(random_walk_ensemble[:, 99].var())

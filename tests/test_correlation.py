@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from tsakit import rng
-from tsakit.armodel import ArModel, simulate_ar
-from tsakit.correlation import autocovariance, sample_acf, theoretical_ar_acf
+from tsakit.armodel import ArModel, simulate_ar, theoretical_ar_acf
+from tsakit.correlation import autocovariance, sample_acf
 from tsakit.errors import (InvalidArgumentError, NonStationaryModelError,
                            ZeroVarianceError)
 

@@ -438,6 +438,43 @@ def test_foreign_import_is_reported():
         "a.py: line 4: scipy.stats", "a.py: line 10: mpmath", "a.py: line 11: numba"]
 
 
+def _nested_imports(trees: dict[str, ast.Module]) -> list[str]:
+    """``import`` statements inside a function or class body, each as
+    ``module: line N: enclosing scope``. A function-level import hides a
+    dependency, often a cycle between modules, from the module's header."""
+    found = []
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if scope is None else f"{scope}.{child.name}"
+            elif isinstance(child, (ast.Import, ast.ImportFrom)) and scope is not None:
+                found.append(f"{module}: line {child.lineno}: {scope}")
+            visit(child, module, inner)
+
+    for module, tree in trees.items():
+        visit(tree, module, None)
+    return found
+
+
+def test_no_function_level_import():
+    assert _nested_imports(_sources()) == []
+
+
+def test_function_level_import_is_reported():
+    tree = ast.parse("import math\nif math.pi:\n    import os\n\n"
+                     "def f():\n    from .armodel import _step_down\n"
+                     "    def g():\n        import re\n        return re\n"
+                     "    return _step_down, g\n\n"
+                     "class K:\n    import json\n\n"
+                     "    def method(self):\n        if self:\n"
+                     "            from . import rng\n        return rng\n")
+    assert _nested_imports({"m.py": tree}) == [
+        "m.py: line 6: f", "m.py: line 8: f.g", "m.py: line 13: K",
+        "m.py: line 17: K.method"]
+
+
 def test_no_numpy_numerical_routines():
     assert _numpy_numerics(_sources()) == []
 

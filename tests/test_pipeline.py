@@ -348,6 +348,7 @@ DECLINED_INPUTS = {
     "repeat": b"period,deaths\n2015-01,1\n2015-01,2\n",
     "decrease": b"period,deaths\n2015-02,1\n2015-01,2\n",
     "past-9999-12": b"period,deaths\n9999-12,1\n10000-01,2\n",
+    "wrap-after-9999-12": b"period,deaths\n9999-11,3\n9999-12,1\n0000-01,2\n",
     "short-year": b"period,deaths\n2015-01,1\n215-02,2\n",
     "negative-count": b"period,deaths\n2015-01,1\n2015-02,-2\n",
     "bad-utf8": b"period,deaths\n2015-01,1\n2015-02,\xff\n",
@@ -398,6 +399,15 @@ class TestBulkIngest:
         bulk, rows, ingested = self._both(tmp_path, DECLINED_INPUTS[name])
         assert bulk is None
         assert ingested == rows
+
+    def test_wrap_after_9999_12_is_a_decrease(self, tmp_path):
+        # Canonical in form, but the month after 9999-12 has a five-digit
+        # year, so the bulk pass's label comparison declines the run.
+        bulk, rows, ingested = self._both(tmp_path, DECLINED_INPUTS["wrap-after-9999-12"])
+        assert bulk is None
+        assert rows == ingested == (
+            MalformedRowError,
+            "line 4: periods must be increasing, got 0000-01 after 9999-12", 4)
 
     @pytest.mark.parametrize("date_column, value_column",
                              [("deaths", "period"), ("period", "period"),

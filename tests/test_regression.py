@@ -72,8 +72,9 @@ def f_density(d1, d2):
 
 class TestTDistribution:
     def test_zero_statistic(self):
-        for dof in (1, 5, 100):
-            assert t_distribution_sf(0.0, dof) == 1.0
+        for t in (0.0, -0.0):
+            for dof in (1, 5, 100):
+                assert t_distribution_sf(t, dof) == 1.0
 
     def test_cauchy_quartile(self):
         assert t_distribution_sf(1.0, 1) == pytest.approx(0.5, abs=1e-12)

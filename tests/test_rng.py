@@ -33,6 +33,19 @@ class TestUniforms:
     def test_zero_count(self):
         assert rng.uniforms(1, 0).size == 0
 
+    # A float or bool count would draw ceil(count) values.
+    @pytest.mark.parametrize("draw", [rng.uniforms, rng.normals])
+    @pytest.mark.parametrize("count", [2.5, 3.0, True])
+    def test_count_must_be_an_integer(self, draw, count):
+        with pytest.raises(InvalidArgumentError) as info:
+            draw(0, count)
+        assert str(info.value) == f"count must be an integer, got {count!r}"
+
+    @pytest.mark.parametrize("draw", [rng.uniforms, rng.normals])
+    def test_numpy_integer_count_gives_the_same_draws(self, draw):
+        assert draw(4, np.int64(37)).tobytes() == draw(4, 37).tobytes()
+        assert draw(4, np.uint8(37)).tobytes() == draw(4, 37).tobytes()
+
     def test_negative_seed_allowed(self):
         assert np.array_equal(rng.uniforms(-3, 8), rng.uniforms(-3, 8))
 

@@ -3,8 +3,10 @@ import pytest
 
 from tsakit import rng
 from tsakit.errors import InvalidArgumentError
-from tsakit.series import (_LAST_MONTH, TimeSeries, _month_index, _month_label,
-                           demean, difference, integrate)
+from tsakit.series import (TimeSeries, _month_index, _month_label, demean,
+                           difference, integrate)
+
+_LAST_MONTH = 9999 * 12 + 11  # the month index of 9999-12, the last label a four-digit year gives
 
 
 def ts(values):

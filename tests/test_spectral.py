@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from tsakit import rng
-from tsakit.armodel import ArModel
-from tsakit.correlation import theoretical_ar_acf
+from tsakit.armodel import ArModel, theoretical_ar_acf
 from tsakit.errors import (InsufficientDataError, InvalidArgumentError,
                            NonStationaryModelError)
 from tsakit.spectral import (EstimatorKind, SpectrumEstimate, ar_psd,

@@ -12,14 +12,21 @@ AIC(k) = ln(sigma2_k) + 2k/N with ties broken toward the smaller order.
 its reflection coefficients; it decides stationarity and gives the model's
 theoretical autocorrelations (``theoretical_ar_acf``).
 Simulators draw Gaussian innovations from the counter-based generator so that
-output is a pure function of (model, n, seed); ``simulate_ar`` runs its
-recursion in a loop that ``_ar_recursion`` compiles for the model's order.
+output is a pure function of (model, n, seed). They run in chunks of
+``_CHUNK`` samples (``_ar_chunks``, ``_random_walk_chunks``): each chunk draws
+its slice of the innovations, carries the AR lags or the walk's running sum
+over from the chunk before, and is checked finite, so memory does not grow
+with n or the burn-in and every bit is the one a whole-array run gives. The
+CLI writes each chunk as it comes; ``simulate_ar`` and
+``simulate_random_walk`` join the chunks into one series. The AR recursion is
+a loop that ``_ar_recursion`` compiles for the model's order.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,7 +35,7 @@ from ._linalg import householder_triangularize, polynomial_roots
 from .correlation import autocovariance
 from .errors import (DegenerateFitError, InvalidArgumentError,
                      NonStationaryModelError, ZeroVarianceError, _as_index)
-from .series import TimeSeries
+from .series import TimeSeries, _check_finite
 
 UNIT_ROOT_TOL = 1e-8
 
@@ -414,6 +421,7 @@ def theoretical_ar_acf(model: ArModel, max_lag: int) -> np.ndarray:
     sum_j phi_{k-1,j} rho_{k-j} with v_0 = 1 and v_k = v_{k-1} (1 - kappa_k^2),
     for k = 1..p. Lags past p follow the recursion rho_h = sum_j phi_j rho_{h-j}.
     """
+    max_lag = _as_index(max_lag, "max_lag")
     if max_lag < 1:
         raise InvalidArgumentError(f"max_lag must be >= 1, got {max_lag}")
     orders = _step_down(model.phi)
@@ -446,9 +454,15 @@ def default_burn_in(order: int) -> int:
     return 10 * order + 50
 
 
+_CHUNK = 4096  # samples a simulator draws, recurses and yields at a time
+
+
 def _ar_recursion(p: int):
-    """Compile ``run(y, c0, ..., c{p-1})``, the AR(p) recursion over the list
-    ``y`` in place, with phi_j and y_{t-j} held in local variables.
+    """Compile ``run(y, c0, ..., c{p-1}, y0, ..., y{p-1})``, the AR(p)
+    recursion over the list ``y`` in place, with phi_j and the lags held in
+    local variables. The lags y0, ..., y{p-1} are y_{t-1}, ..., y_{t-p} of
+    the first sample; ``run`` returns them for the sample after the last, so
+    a series can be run a chunk at a time.
 
     Each step is ``acc = y[t]``, one ``acc += c_j * y_j`` statement per lag
     in j order (c_j = phi_{j+1}, y_j = y_{t-1-j}), a shift of the lags by
@@ -460,35 +474,29 @@ def _ar_recursion(p: int):
     """
     lags = range(p)
     src = "\n".join([
-        f"def run(y, {', '.join(f'c{j}' for j in lags)}):",
-        *(f"    y{j} = 0.0" for j in lags),
+        f"def run(y, {', '.join(f'c{j}' for j in lags)}, "
+        f"{', '.join(f'y{j}' for j in lags)}):",
         "    for t, acc in enumerate(y):",
         *(f"        acc += c{j} * y{j}" for j in lags),
         *(f"        y{j} = y{j - 1}" for j in reversed(lags[1:])),
         "        y0 = acc",
         "        y[t] = acc",
+        f"    return ({''.join(f'y{j}, ' for j in lags)})",
     ])
     namespace: dict = {}
     exec(src, {}, namespace)
     return namespace["run"]
 
 
-def simulate_ar(model: ArModel, n: int, seed: int,
-                burn_in: Optional[int] = None) -> TimeSeries:
-    """Simulate a stationary AR model with Gaussian innovations.
+def _ar_chunks(model: ArModel, n: int, seed: int,
+               burn_in: Optional[int]) -> Iterator[np.ndarray]:
+    """``simulate_ar``'s series as consecutive arrays of ``_CHUNK`` samples
+    (the last may be shorter), each checked finite. The arguments are checked
+    when the first chunk is asked for.
 
-    Deterministic in (model, n, seed, burn_in); the recursion warm-starts at
-    zero and discards ``burn_in`` samples (default 10p + 50).
-
-    The recursion is a loop compiled for the model's order
-    (``_ar_recursion``). Each step is ``acc = e_t`` then
-    ``acc += phi_j * y_{t-j}`` for j = 1..p, left to right, on plain Python
-    floats held in local variables. Python floats and ``np.float64`` are both
-    IEEE-754 binary64 without fused multiply-add, so this gives the same bits
-    as the same loop on numpy scalars. Do not change the order or the
-    rounding of the additions (``sum()``, ``math.fsum``, ``np.dot``,
-    ``np.convolve``): every simulated value, and with it the seed-0 output
-    digest the tests and the benchmark check, would change.
+    The burn-in is drawn, recursed and dropped in chunks of its own, so the
+    first chunk yielded starts at t = 1. Innovation t is draw burn_in + t - 1
+    of ``rng.normals(seed, ·)``, whichever chunk it falls in.
     """
     n = _as_index(n, "n")
     if n < 1:
@@ -502,30 +510,75 @@ def simulate_ar(model: ArModel, n: int, seed: int,
         raise NonStationaryModelError(
             "simulate_ar requires a stationary model; integrate a stationary "
             "simulation instead for unit-root processes")
-    total = n + burn_in
-    innovations = math.sqrt(model.sigma2) * rng.normals(seed, total)
     p = model.order
-    if p == 0:
-        values = innovations[burn_in:]
-    else:
-        run = _ar_recursion(p)
-        y = innovations.tolist()  # overwritten in place by the series
-        del innovations
-        run(y, *model.phi)
-        del y[:burn_in]
-        values = np.array(y)
-    values += model.mean
-    return TimeSeries(values)
+    run = _ar_recursion(p) if p else None
+    lags = (0.0,) * p  # the recursion warm-starts at zero
+    scale = math.sqrt(model.sigma2)
+    end = burn_in + n
+    bounds = itertools.chain(range(0, burn_in, _CHUNK), range(burn_in, end, _CHUNK), (end,))
+    for start, stop in itertools.pairwise(bounds):
+        values = scale * rng._normals_at(seed, start, stop - start)
+        if p:
+            y = values.tolist()  # overwritten in place by the series
+            lags = run(y, *model.phi, *lags)
+            values = np.array(y)
+        if start >= burn_in:
+            values += model.mean
+            _check_finite(values)
+            yield values
 
 
-def simulate_random_walk(spec: RandomWalkSpec, n: int, seed: int) -> TimeSeries:
-    """Random walk with drift observed at t = 1..n (the y0 seed is not emitted)."""
+def simulate_ar(model: ArModel, n: int, seed: int,
+                burn_in: Optional[int] = None) -> TimeSeries:
+    """Simulate a stationary AR model with Gaussian innovations.
+
+    Deterministic in (model, n, seed, burn_in); the recursion warm-starts at
+    zero and discards ``burn_in`` samples (default 10p + 50). The series is
+    the chunks of ``_ar_chunks`` joined.
+
+    The recursion is a loop compiled for the model's order
+    (``_ar_recursion``). Each step is ``acc = e_t`` then
+    ``acc += phi_j * y_{t-j}`` for j = 1..p, left to right, on plain Python
+    floats held in local variables. Python floats and ``np.float64`` are both
+    IEEE-754 binary64 without fused multiply-add, so this gives the same bits
+    as the same loop on numpy scalars. Do not change the order or the
+    rounding of the additions (``sum()``, ``math.fsum``, ``np.dot``,
+    ``np.convolve``): every simulated value, and with it the seed-0 output
+    digest the tests and the benchmark check, would change.
+    """
+    return TimeSeries(np.concatenate([*_ar_chunks(model, n, seed, burn_in)]))
+
+
+def _random_walk_chunks(spec: RandomWalkSpec, n: int, seed: int) -> Iterator[np.ndarray]:
+    """``simulate_random_walk``'s series as consecutive arrays of ``_CHUNK``
+    samples (the last may be shorter), each checked finite. The arguments are
+    checked when the first chunk is asked for.
+
+    Each chunk after the first prepends the running sum of the steps before it
+    as the first term of its ``np.cumsum``, which adds left to right, so every
+    sum is the one a cumsum over all n steps gives.
+    """
     n = _as_index(n, "n")
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    steps = math.sqrt(spec.innovation_sigma2) * rng.normals(seed, n)
-    t = np.arange(1, n + 1, dtype=float)
-    return TimeSeries(spec.y0 + spec.drift * t + np.cumsum(steps))
+    scale = math.sqrt(spec.innovation_sigma2)
+    carried = np.empty(0)  # the running sum so far, once a chunk has been made
+    for start in range(0, n, _CHUNK):
+        stop = min(start + _CHUNK, n)
+        steps = scale * rng._normals_at(seed, start, stop - start)
+        sums = np.cumsum(np.concatenate((carried, steps)))[carried.size:]
+        carried = sums[-1:]
+        t = np.arange(start + 1, stop + 1, dtype=float)
+        values = spec.y0 + spec.drift * t + sums
+        _check_finite(values)
+        yield values
+
+
+def simulate_random_walk(spec: RandomWalkSpec, n: int, seed: int) -> TimeSeries:
+    """Random walk with drift observed at t = 1..n (the y0 seed is not emitted):
+    y_t = y0 + drift t + the cumulative sum of the first t steps, the chunks
+    of ``_random_walk_chunks`` joined."""
+    return TimeSeries(np.concatenate([*_random_walk_chunks(spec, n, seed)]))
 
 
 def random_walk_moments(spec: RandomWalkSpec, t: int, k: int) -> RandomWalkMoments:

@@ -14,18 +14,24 @@ any stage runs.
 ``simulate --out FILE`` writes a temporary file beside FILE and renames it
 into place only once it is complete, unless FILE is a symlink, a FIFO or a
 device, which are written directly; ``--out -`` writes to stdout.
+``simulate`` makes and writes its series one chunk of samples at a time
+(``armodel._CHUNK``), so its memory does not grow with ``--n`` or
+``--burn-in``. Every check that can fail on the first chunk runs before any
+byte is written. A later chunk that overflows (a random walk with a large
+drift) ends the run with exit 2 after the rows before it: on stdout those
+rows stay written, while ``--out FILE`` leaves FILE as it was.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
 import functools
+import itertools
 import os
 import sys
 
 from ._fileio import staged_files
-from .armodel import (ArModel, RandomWalkSpec, simulate_ar,
-                      simulate_random_walk)
+from .armodel import ArModel, RandomWalkSpec, _ar_chunks, _random_walk_chunks
 from .errors import (IngestionError, InsufficientDataError,
                      InvalidArgumentError, PipelineStageError, TsaError)
 from .pipeline import PipelineConfig, run_pipeline, write_outputs
@@ -127,25 +133,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-_CHUNK_ROWS = 4096
-
-
-def _write_rows(fh, values) -> None:
+def _write_rows(fh, chunks) -> None:
     """``t,value`` header, then one ``t,repr(value)`` row per sample, written
-    _CHUNK_ROWS rows at a time so the text of all n rows never sits in memory."""
-    fh.write("t,value\n")
-    for start in range(0, len(values), _CHUNK_ROWS):
-        chunk = values[start:start + _CHUNK_ROWS].tolist()
-        fh.write("".join([f"{t},{v!r}\n" for t, v in enumerate(chunk, start + 1)]))
+    one chunk of the series at a time as each arrives, with the header in the
+    first chunk's write. Neither the series nor its text is ever held whole."""
+    head, start = "t,value\n", 1
+    for chunk in chunks:
+        fh.write(head + "".join([f"{t},{v!r}\n" for t, v in enumerate(chunk.tolist(), start)]))
+        head, start = "", start + len(chunk)
 
 
-def _emit_series(values, destination: str) -> None:
+def _emit_series(chunks, destination: str) -> None:
     if destination == "-":
-        _write_rows(sys.stdout, values)
+        _write_rows(sys.stdout, chunks)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return
     with staged_files() as open_staged, open_staged(destination) as fh:
-        _write_rows(fh, values)
+        _write_rows(fh, chunks)
 
 
 def main(argv=None) -> int:
@@ -163,12 +167,15 @@ def main(argv=None) -> int:
         # The subcommand is required, so anything else is "simulate".
         if args.model == "ar":
             model = ArModel(phi=args.phi, sigma2=args.sigma2, mean=args.mean)
-            series = simulate_ar(model, args.n, seed=args.seed, burn_in=args.burn_in)
+            chunks = _ar_chunks(model, args.n, args.seed, args.burn_in)
         else:
             spec = RandomWalkSpec(drift=args.drift,
                                   innovation_sigma2=args.sigma2, y0=args.y0)
-            series = simulate_random_walk(spec, args.n, seed=args.seed)
-        _emit_series(series.values, args.out)
+            chunks = _random_walk_chunks(spec, args.n, args.seed)
+        # The first chunk, with every argument check, comes before the
+        # destination is opened.
+        first = next(chunks)
+        _emit_series(itertools.chain((first,), chunks), args.out)
         return EXIT_OK
     except PipelineStageError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -3,7 +3,9 @@
 Every draw is a pure function of (seed, counter): the generator hashes a
 64-bit counter through the splitmix64 finalizer, so identical seeds reproduce
 identical sequences on any platform and any number of draws can be produced in
-one vectorized call without carrying mutable state.
+one vectorized call without carrying mutable state. Draw t of a seed depends on
+t alone, so a stream can be made a slice at a time (``_normals_at``) with the
+same bits as one call.
 """
 from __future__ import annotations
 
@@ -28,19 +30,29 @@ def _splitmix64(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def uniforms(seed: int, count: int) -> np.ndarray:
-    """``count`` doubles in the open interval (0, 1)."""
-    count = _as_index(count, "count")
-    if count < 0:
-        raise InvalidArgumentError(f"count must be non-negative, got {count}")
+def _uniforms_at(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws start, ..., start + count - 1 of ``uniforms(seed, ·)``."""
     mask = 0xFFFFFFFFFFFFFFFF
-    base = ((seed & mask) * int(_GOLDEN)) & mask
-    counters = np.uint64(base) + np.arange(count, dtype=np.uint64) * _MIX1
+    base = ((_as_index(seed, "seed") & mask) * int(_GOLDEN)) & mask
+    counters = np.uint64(base) + np.arange(start, start + count, dtype=np.uint64) * _MIX1
     bits = _splitmix64(counters)
     # Top 53 bits, offset by half a ulp so 0 and 1 are never returned.
     return ((bits >> np.uint64(11)).astype(np.float64) + 0.5) / _TWO_53
 
 
+def uniforms(seed: int, count: int) -> np.ndarray:
+    """``count`` doubles in the open interval (0, 1)."""
+    count = _as_index(count, "count")
+    if count < 0:
+        raise InvalidArgumentError(f"count must be non-negative, got {count}")
+    return _uniforms_at(seed, 0, count)
+
+
 def normals(seed: int, count: int) -> np.ndarray:
     """``count`` standard normal variates via the inverse-CDF transform."""
     return _acklam(uniforms(seed, count))
+
+
+def _normals_at(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws start, ..., start + count - 1 of ``normals(seed, ·)``."""
+    return _acklam(_uniforms_at(seed, start, count))

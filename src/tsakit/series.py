@@ -43,6 +43,13 @@ def _month_index(text: str) -> int:
     return int(m.group(1)) * 12 + month - 1
 
 
+def _check_finite(values: np.ndarray) -> None:
+    """Raise unless every value is finite: the check each ``TimeSeries`` makes,
+    and the one each streamed chunk of a simulation makes."""
+    if not np.all(np.isfinite(values)):
+        raise InvalidArgumentError("TimeSeries values must all be finite")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Ordered, finite, real-valued observations on a contiguous monthly index.
@@ -61,8 +68,7 @@ class TimeSeries:
             raise InvalidArgumentError("TimeSeries values must be one-dimensional")
         if arr.size < 1:
             raise InvalidArgumentError("TimeSeries must contain at least one value")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidArgumentError("TimeSeries values must all be finite")
+        _check_finite(arr)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)

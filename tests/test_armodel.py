@@ -563,6 +563,13 @@ def _simulate_ar_loop(model: ArModel, n: int, seed: int, burn_in=None) -> np.nda
     return buf[p + burn_in:] + model.mean
 
 
+def _random_walk_whole(spec: RandomWalkSpec, n: int, seed: int) -> np.ndarray:
+    """The random walk from one draw of all n steps and one cumsum over them:
+    the bit-for-bit reference for simulate_random_walk's chunks."""
+    steps = math.sqrt(spec.innovation_sigma2) * rng.normals(seed, n)
+    return spec.y0 + spec.drift * np.arange(1, n + 1, dtype=float) + np.cumsum(steps)
+
+
 def _ar_with_conjugate_roots(pairs: int, seed: int) -> tuple[float, ...]:
     """phi of an AR(2 * pairs) whose roots have moduli 1.1-2 and random angles,
     well away from the unit circle at any order."""
@@ -580,6 +587,14 @@ _ORACLE_MODELS = {
     "p11_mean": ArModel(phi=tuple(-_stable_ar_polynomial(11, seed=4)[1:]),
                         sigma2=0.3, mean=1.0e4),
     "p30": ArModel(phi=_ar_with_conjugate_roots(15, seed=30), sigma2=1.0),
+}
+
+
+_STREAMED_MODELS = {
+    "p0": _ORACLE_MODELS["p0"],
+    "p1": _ORACLE_MODELS["p1"],
+    "p11_mean": _ORACLE_MODELS["p11_mean"],
+    "p36": ArModel(phi=_ar_with_conjugate_roots(18, seed=36), sigma2=0.5, mean=-2.0),
 }
 
 
@@ -643,6 +658,38 @@ class TestSimulateAr:
                         sigma2=0.7, mean=-1.5)
         got = simulate_ar(model, n, seed=p, burn_in=burn_in).values
         assert got.tobytes() == _simulate_ar_loop(model, n, p, burn_in).tobytes()
+
+    # The chunks are made _CHUNK samples at a time; joined, they must give
+    # the bits of one unchunked recursion whatever the chunk size, with an n
+    # that is no multiple of it and a burn-in longer than a 4096 chunk.
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("name, n, burn_in", [
+        ("p0", 10_007, 5_000), ("p1", 4_101, None), ("p11_mean", 4_097, 4_100),
+        ("p36", 5_003, 5_000), ("p36", 1, 0)])
+    def test_streamed_equals_whole(self, monkeypatch, chunk, name, n, burn_in):
+        model = _STREAMED_MODELS[name]
+        want = _simulate_ar_loop(model, n, 5, burn_in).tobytes()
+        monkeypatch.setattr(armodel, "_CHUNK", chunk)
+        assert simulate_ar(model, n, seed=5, burn_in=burn_in).values.tobytes() == want
+
+    def test_chunks_start_after_the_burn_in(self, monkeypatch):
+        monkeypatch.setattr(armodel, "_CHUNK", 7)
+        model = ArModel(phi=(0.5,), sigma2=1.0)
+        chunks = list(armodel._ar_chunks(model, 10, 2, 20))
+        assert [len(c) for c in chunks] == [7, 3]
+        assert np.concatenate(chunks).tobytes() == _simulate_ar_loop(model, 10, 2, 20).tobytes()
+
+    # The seed is checked once the first chunk is asked for.
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(InvalidArgumentError) as info:
+            simulate_ar(ArModel(phi=(0.5,), sigma2=1.0), 10, seed)
+        assert str(info.value) == f"seed must be an integer, got {seed!r}"
+
+    def test_numpy_integer_seed_gives_the_same_bits(self):
+        model = _ORACLE_MODELS["p2_mean"]
+        assert simulate_ar(model, 300, np.int64(12)).values.tobytes() == \
+            simulate_ar(model, 300, 12).values.tobytes()
 
     def test_leaves_no_garbage_for_the_cycle_collector(self):
         # A function exec'd into the dict that is also its globals is in a
@@ -840,6 +887,27 @@ class TestRandomWalk:
         spec = RandomWalkSpec(drift=0.5, innovation_sigma2=2.0, y0=1.0)
         assert simulate_random_walk(spec, np.int64(150), 8).values.tobytes() == \
             simulate_random_walk(spec, 150, 8).values.tobytes()
+
+    @pytest.mark.parametrize("seed", [1.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(InvalidArgumentError) as info:
+            simulate_random_walk(RandomWalkSpec(), 10, seed)
+        assert str(info.value) == f"seed must be an integer, got {seed!r}"
+
+    def test_numpy_integer_seed_gives_the_same_bits(self):
+        spec = RandomWalkSpec(drift=0.5, innovation_sigma2=2.0, y0=1.0)
+        assert simulate_random_walk(spec, 150, np.int64(8)).values.tobytes() == \
+            simulate_random_walk(spec, 150, 8).values.tobytes()
+
+    # Each chunk after the first starts its cumsum from the carried running
+    # sum, which must give the bits of one cumsum over all n steps.
+    @pytest.mark.parametrize("chunk", [1, 7, 4096])
+    @pytest.mark.parametrize("n", [1, 100, 4096, 10_007])
+    def test_streamed_equals_whole(self, monkeypatch, chunk, n):
+        spec = RandomWalkSpec(drift=-0.3, innovation_sigma2=2.5, y0=4.0)
+        want = _random_walk_whole(spec, n, 21).tobytes()
+        monkeypatch.setattr(armodel, "_CHUNK", chunk)
+        assert simulate_random_walk(spec, n, 21).values.tobytes() == want
 
     def test_ensemble_variance(self, random_walk_ensemble):
         var_100 = float(random_walk_ensemble[:, 99].var())

@@ -85,6 +85,18 @@ class TestTheoreticalArAcf:
         with pytest.raises(NonStationaryModelError):
             theoretical_ar_acf(ArModel(phi=(1.0,), sigma2=1.0), 5)
 
+    # A float max_lag used to run the whole recursion, then fail on the slice.
+    @pytest.mark.parametrize("max_lag", [2.5, 3.0, True])
+    def test_max_lag_must_be_an_integer(self, max_lag):
+        with pytest.raises(InvalidArgumentError) as info:
+            theoretical_ar_acf(ArModel(phi=(0.5, 0.3), sigma2=1.0), max_lag)
+        assert str(info.value) == f"max_lag must be an integer, got {max_lag!r}"
+
+    def test_numpy_integer_max_lag_gives_the_same_acf(self):
+        model = ArModel(phi=(0.5, 0.3), sigma2=1.0)
+        assert theoretical_ar_acf(model, np.int64(7)).tobytes() == \
+            theoretical_ar_acf(model, 7).tobytes()
+
     def test_fitted_model_acf_matches_generator(self):
         # Median over 50 simulations of the worst deviation at lags 1..5.
         truth = ArModel(phi=(0.5, 0.3), sigma2=1.0)

@@ -86,8 +86,11 @@ def _dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
 
 
 # Public functions that only the acceptance suite calls: the paper's random
-# walk moments, its theoretical AR ACF and the inverse of differencing.
-ACCEPTANCE_API = frozenset({"integrate", "random_walk_moments", "theoretical_ar_acf"})
+# walk moments, its theoretical AR ACF and the inverse of differencing; and
+# the whole-array simulators and normal draws, whose private chunked forms the
+# CLI streams through.
+ACCEPTANCE_API = frozenset({"integrate", "normals", "random_walk_moments", "simulate_ar",
+                            "simulate_random_walk", "theoretical_ar_acf"})
 
 
 def _uncalled_public_names(trees: dict[str, ast.Module]) -> list[str]:
@@ -287,10 +290,11 @@ def _one_value_parameters(trees: dict[str, ast.Module]) -> list[str]:
 # bench worker and the tests pass argv. ``polynomial_roots(max_iter)``: the
 # oracle tests cap it at 1 and 5 to reach the iteration-cap and rounding-bound
 # paths. ``difference(d)``: the acceptance suite calls difference(x, d) for
-# d = 1..3.
+# d = 1..3. ``simulate_ar(burn_in)``: nothing in the package calls the
+# whole-array simulator (see ACCEPTANCE_API); the tests set its burn-in.
 ONE_VALUE_PARAMETER_EXEMPT = frozenset({
     "cli.py: main(argv)", "_linalg.py: polynomial_roots(max_iter)",
-    "series.py: difference(d)"})
+    "series.py: difference(d)", "armodel.py: simulate_ar(burn_in)"})
 
 
 def test_no_one_value_parameter():

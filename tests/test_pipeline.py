@@ -10,6 +10,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1113,6 +1114,85 @@ class TestCli:
         assert cli_main(args + ["--out", "-"]) == 0
         assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
         assert list(tmp_path.iterdir()) == [out]
+
+    def test_simulate_stdout_matches_reference_digest(self, capsys):
+        # The same seed-0 bytes as the file test above, streamed to stdout.
+        model = json.loads((BENCH_REFERENCE / "paper" / "report.json").read_text())[
+            "difference"]["selected_model"]
+        expected = (BENCH_REFERENCE / "simulate_seed0.sha256").read_text().split()[0]
+        code = cli_main(["simulate", "ar",
+                         "--phi=" + ",".join(repr(v) for v in model["phi"]),
+                         "--sigma2", repr(model["sigma2"]), "--n", "100000",
+                         "--seed", "0", "--out", "-"])
+        assert code == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        assert hashlib.sha256(out).hexdigest() == expected
+
+    def test_simulate_memory_does_not_grow_with_n(self, tmp_path):
+        # The series is made and written a chunk at a time, so the traced
+        # peak at n = 200000 is that of n = 20000 (a whole-array writer
+        # held about 9 MiB at n = 200000).
+        def peak(n):
+            tracemalloc.start()
+            try:
+                assert cli_main(["simulate", "ar", "--phi", "0.5,-0.2", "--seed", "1",
+                                 "--n", str(n), "--out", str(tmp_path / "sim.csv")]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # the parser is built once per process
+        small, large = peak(20_000), peak(200_000)
+        assert large < 2 * 2**20
+        assert large - small < 0.5 * 2**20
+
+    # A check that fails on the first chunk fails before any byte is written.
+    @pytest.mark.parametrize("args, message", [
+        (["ar", "--phi", "1.0", "--n", "10"],
+         "simulate_ar requires a stationary model; integrate a stationary "
+         "simulation instead for unit-root processes"),
+        (["ar", "--phi", "0.5", "--n", "0"], "n must be >= 1, got 0"),
+        (["ar", "--phi", "0.5", "--n", "10", "--burn-in", "-1"], "burn_in must be >= 0, got -1"),
+        (["random-walk", "--n", "0"], "n must be >= 1, got 0"),
+    ])
+    def test_simulate_argument_error_writes_nothing(self, capsys, args, message):
+        assert cli_main(["simulate", *args, "--out", "-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    # An overflowing walk prints numpy's overflow RuntimeWarning, which
+    # pytest would raise, so these cases run in a child process.
+    @staticmethod
+    def _simulate_in_child(*args):
+        return subprocess.run(
+            [sys.executable, "-m", "tsakit.cli", "simulate", "random-walk", *args],
+            capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), timeout=60)
+
+    def test_simulate_walk_overflowing_in_first_chunk_writes_nothing(self):
+        proc = self._simulate_in_child("--drift", "1e308", "--n", "10", "--out", "-")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.endswith(b"\nerror: TimeSeries values must all be finite\n")
+
+    def test_simulate_walk_overflowing_in_later_chunk(self, tmp_path, capsys):
+        # drift * t first overflows at t = 4495, in the second chunk: stdout
+        # keeps the first chunk's rows, while a FILE is left as it was.
+        args = ("--drift", "4e304", "--n", "5000")
+        proc = self._simulate_in_child(*args, "--out", "-")
+        assert proc.returncode == 2
+        assert proc.stderr.endswith(b"\nerror: TimeSeries values must all be finite\n")
+        assert cli_main(["simulate", "random-walk", "--drift", "4e304", "--n", "4096"]) == 0
+        assert proc.stdout == capsys.readouterr().out.encode("utf-8")
+        assert proc.stdout.count(b"\n") == 1 + 4096
+
+        out = tmp_path / "walk.csv"
+        out.write_text("earlier output\n")
+        proc = self._simulate_in_child(*args, "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_text() == "earlier output\n"
 
     def test_simulate_failed_write_keeps_existing_file(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "sim.csv"

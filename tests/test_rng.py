@@ -49,6 +49,30 @@ class TestUniforms:
     def test_negative_seed_allowed(self):
         assert np.array_equal(rng.uniforms(-3, 8), rng.uniforms(-3, 8))
 
+    # A float seed used to fail in numpy, a bool to read as 0 or 1, and a
+    # numpy integer to overflow a C long.
+    @pytest.mark.parametrize("draw", [rng.uniforms, rng.normals])
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True])
+    def test_seed_must_be_an_integer(self, draw, seed):
+        with pytest.raises(InvalidArgumentError) as info:
+            draw(seed, 2)
+        assert str(info.value) == f"seed must be an integer, got {seed!r}"
+
+    @pytest.mark.parametrize("draw", [rng.uniforms, rng.normals])
+    @pytest.mark.parametrize("seed", [5, -3, 2**63 + 7])
+    def test_numpy_integer_seed_gives_the_same_draws(self, draw, seed):
+        as_numpy = np.uint64(seed) if seed >= 2**63 else np.int64(seed)
+        assert draw(as_numpy, 37).tobytes() == draw(seed, 37).tobytes()
+
+    # Every chunk of a streamed simulation draws its slice of one sequence.
+    @pytest.mark.parametrize("start, count", [(0, 0), (0, 5), (3, 1), (17, 40), (4096, 7)])
+    def test_draws_at_an_offset_are_a_slice_of_one_call(self, start, count):
+        whole = rng.normals(11, 4200)
+        assert rng._normals_at(11, start, count).tobytes() == \
+            whole[start:start + count].tobytes()
+        assert rng._uniforms_at(11, start, count).tobytes() == \
+            rng.uniforms(11, 4200)[start:start + count].tobytes()
+
 
 class TestNormals:
     def test_moments(self):

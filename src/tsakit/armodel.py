@@ -140,8 +140,7 @@ def levinson_durbin(gamma: Sequence[float], order: int) -> tuple[list[np.ndarray
     the vectors and variances of orders 0..k-1, which the recursion had
     completed. A negative order raises ``InvalidArgumentError``.
     """
-    if order < 0:
-        raise InvalidArgumentError(f"order must be >= 0, got {order}")
+    order = _as_index(order, "order", 0)
     gamma = np.asarray(gamma, dtype=float)
     if gamma.size < order + 1:
         raise InvalidArgumentError("need autocovariances up to the requested order")
@@ -169,8 +168,7 @@ def fit_ar_least_squares(x: Sequence[float], p: int) -> ArModel:
     """Conditional least squares with intercept, regressing x_t on its p lags."""
     arr = np.asarray(x, dtype=float)
     n = arr.size
-    if p < 1:
-        raise InvalidArgumentError(f"order must be >= 1, got {p}")
+    p = _as_index(p, "order", 1)
     if p >= n - 1:
         raise InvalidArgumentError(f"order p={p} must be below N-1 with N={n}")
     if n - p < p + 1:
@@ -252,8 +250,7 @@ def select_order_aic(x: Sequence[float], max_order: int,
     """
     arr = np.asarray(x, dtype=float)
     n = arr.size
-    if max_order < 1:
-        raise InvalidArgumentError(f"max_order must be >= 1, got {max_order}")
+    max_order = _as_index(max_order, "max_order", 1)
     if max_order >= n / 2:
         raise InvalidArgumentError(
             f"max_order K={max_order} must be below N/2 with N={n}")
@@ -276,8 +273,7 @@ def select_order_aic(x: Sequence[float], max_order: int,
         rows += [AicRow(order=k, sigma2=None, aic=None, error=error)
                  for k in range(len(variances), max_order + 1)]
     else:
-        centered = arr - arr.mean()
-        sigma2_0 = float((centered ** 2).mean())
+        sigma2_0 = float(autocovariance(arr, 0)[0])
         rows = [_aic_row(0, sigma2_0, n) if sigma2_0 > 0.0 else
                 AicRow(order=0, sigma2=None, aic=None, error="zero variance")]
         ls_rows, fits = _least_squares_rows(arr, max_order)
@@ -421,9 +417,7 @@ def theoretical_ar_acf(model: ArModel, max_lag: int) -> np.ndarray:
     sum_j phi_{k-1,j} rho_{k-j} with v_0 = 1 and v_k = v_{k-1} (1 - kappa_k^2),
     for k = 1..p. Lags past p follow the recursion rho_h = sum_j phi_j rho_{h-j}.
     """
-    max_lag = _as_index(max_lag, "max_lag")
-    if max_lag < 1:
-        raise InvalidArgumentError(f"max_lag must be >= 1, got {max_lag}")
+    max_lag = _as_index(max_lag, "max_lag", 1)
     orders = _step_down(model.phi)
     if orders is None:
         raise NonStationaryModelError(
@@ -495,17 +489,15 @@ def _ar_chunks(model: ArModel, n: int, seed: int,
     when the first chunk is asked for.
 
     The burn-in is drawn, recursed and dropped in chunks of its own, so the
-    first chunk yielded starts at t = 1. Innovation t is draw burn_in + t - 1
-    of ``rng.normals(seed, ·)``, whichever chunk it falls in.
+    first chunk yielded starts at t = 1. An AR(0) model has no lag to carry
+    the burn-in into the series, so its burn-in is not drawn at all.
+    Innovation t is draw burn_in + t - 1 of ``rng.normals(seed, ·)``,
+    whichever chunk it falls in.
     """
-    n = _as_index(n, "n")
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    n = _as_index(n, "n", 1)
     if burn_in is None:
         burn_in = default_burn_in(model.order)
-    burn_in = _as_index(burn_in, "burn_in")
-    if burn_in < 0:
-        raise InvalidArgumentError(f"burn_in must be >= 0, got {burn_in}")
+    burn_in = _as_index(burn_in, "burn_in", 0)
     if not is_stationary(model):
         raise NonStationaryModelError(
             "simulate_ar requires a stationary model; integrate a stationary "
@@ -515,7 +507,8 @@ def _ar_chunks(model: ArModel, n: int, seed: int,
     lags = (0.0,) * p  # the recursion warm-starts at zero
     scale = math.sqrt(model.sigma2)
     end = burn_in + n
-    bounds = itertools.chain(range(0, burn_in, _CHUNK), range(burn_in, end, _CHUNK), (end,))
+    bounds = itertools.chain(range(0, burn_in if p else 0, _CHUNK),
+                             range(burn_in, end, _CHUNK), (end,))
     for start, stop in itertools.pairwise(bounds):
         values = scale * rng._normals_at(seed, start, stop - start)
         if p:
@@ -558,9 +551,7 @@ def _random_walk_chunks(spec: RandomWalkSpec, n: int, seed: int) -> Iterator[np.
     as the first term of its ``np.cumsum``, which adds left to right, so every
     sum is the one a cumsum over all n steps gives.
     """
-    n = _as_index(n, "n")
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    n = _as_index(n, "n", 1)
     scale = math.sqrt(spec.innovation_sigma2)
     carried = np.empty(0)  # the running sum so far, once a chunk has been made
     for start in range(0, n, _CHUNK):
@@ -583,8 +574,8 @@ def simulate_random_walk(spec: RandomWalkSpec, n: int, seed: int) -> TimeSeries:
 
 def random_walk_moments(spec: RandomWalkSpec, t: int, k: int) -> RandomWalkMoments:
     """Closed-form mean, variance, lag-k autocovariance and ACF at time t."""
-    if t < 1:
-        raise InvalidArgumentError(f"t must be >= 1, got {t}")
+    t = _as_index(t, "t", 1)
+    k = _as_index(k, "k")
     if k < 0 or k > t:
         raise InvalidArgumentError(f"lag k must satisfy 0 <= k <= t, got {k}")
     s2 = spec.innovation_sigma2

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError, ZeroVarianceError
+from .errors import InvalidArgumentError, ZeroVarianceError, _as_index
 
 WHITE_NOISE_BAND_Z = 1.96
 
@@ -24,8 +24,7 @@ def autocovariance(x: Sequence[float], max_lag: int) -> np.ndarray:
     """gamma_hat_h for h = 0..max_lag with the positive semi-definite divisor N."""
     arr = np.asarray(x, dtype=float)
     n = arr.size
-    if max_lag < 0:
-        raise InvalidArgumentError(f"max_lag must be >= 0, got {max_lag}")
+    max_lag = _as_index(max_lag, "max_lag", 0)
     if max_lag >= n:
         raise InvalidArgumentError(
             f"max_lag={max_lag} must be smaller than the sample size N={n}")
@@ -38,8 +37,7 @@ def autocovariance(x: Sequence[float], max_lag: int) -> np.ndarray:
 
 def sample_acf(x: Sequence[float], max_lag: int) -> AcfEstimate:
     """Sample ACF; requires a non-constant input and max_lag < N."""
-    if max_lag < 1:
-        raise InvalidArgumentError(f"max_lag must be >= 1, got {max_lag}")
+    max_lag = _as_index(max_lag, "max_lag", 1)
     gamma = autocovariance(x, max_lag)
     if gamma[0] <= 0.0:
         raise ZeroVarianceError("sample ACF is undefined for a constant series")

@@ -1,6 +1,7 @@
-"""Exception hierarchy shared by all toolkit modules, and the integer check
-that settings go through."""
+"""Exception hierarchy shared by all toolkit modules, and the integer check,
+with its lower bound, that integer parameters go through (``_as_index``)."""
 import operator
+from typing import Optional
 
 
 class TsaError(Exception):
@@ -11,13 +12,20 @@ class InvalidArgumentError(TsaError, ValueError):
     """An argument violates a documented precondition."""
 
 
-def _as_index(value, name: str) -> int:
-    """``value`` as a Python int (numpy integers included; floats and bools not)."""
+def _as_index(value, name: str, minimum: Optional[int] = None) -> int:
+    """``value`` as a Python int (numpy integers included; floats and bools
+    not), at least ``minimum`` when one is given. Either failure raises
+    ``InvalidArgumentError`` naming ``name``: "<name> must be an integer, got
+    <value!r>" or "<name> must be >= <minimum>, got <value>"."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            index = operator.index(value)
         except TypeError:
             pass
+        else:
+            if minimum is not None and index < minimum:
+                raise InvalidArgumentError(f"{name} must be >= {minimum}, got {index}")
+            return index
     raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
 
 

@@ -81,10 +81,8 @@ class PipelineConfig:
     kpss_lag: Union[int, str] = "auto"
 
     def __post_init__(self):
-        truncate_head = _as_index(self.truncate_head, "truncate_head")
-        if truncate_head < 0:
-            raise InvalidArgumentError(f"truncate_head must be >= 0, got {truncate_head}")
-        object.__setattr__(self, "truncate_head", truncate_head)
+        object.__setattr__(self, "truncate_head",
+                           _as_index(self.truncate_head, "truncate_head", 0))
 
 
 def ingest_csv(path: Union[str, Path], config: PipelineConfig, *,

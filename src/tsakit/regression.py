@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidArgumentError
+from .errors import InsufficientDataError, InvalidArgumentError, _as_index
 from .series import TimeSeries
 from .special import _reflects, betainc_reg
 
@@ -93,8 +93,7 @@ def t_distribution_sf(t: float, dof: int) -> float:
     This is I_x(dof/2, 1/2) at x = dof/(dof + t^2). Where betainc_reg would
     reflect, it is reflected here on the exact complement t^2/(dof + t^2),
     since 1 - x carries x's rounding error, which swamps it near p = 1."""
-    if dof < 1:
-        raise InvalidArgumentError(f"dof must be >= 1, got {dof}")
+    dof = _as_index(dof, "dof", 1)
     if not math.isfinite(t):
         raise InvalidArgumentError(f"t statistic must be finite, got {t}")
     t2 = t * t

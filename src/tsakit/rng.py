@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgumentError, _as_index
+from .errors import _as_index
 from .special import _acklam
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -42,10 +42,7 @@ def _uniforms_at(seed: int, start: int, count: int) -> np.ndarray:
 
 def uniforms(seed: int, count: int) -> np.ndarray:
     """``count`` doubles in the open interval (0, 1)."""
-    count = _as_index(count, "count")
-    if count < 0:
-        raise InvalidArgumentError(f"count must be non-negative, got {count}")
-    return _uniforms_at(seed, 0, count)
+    return _uniforms_at(seed, 0, _as_index(count, "count", 0))
 
 
 def normals(seed: int, count: int) -> np.ndarray:

@@ -8,7 +8,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _as_index
 
 _PERIOD_RE = re.compile(r"^(\d{4})-(\d{2})$")  # four-digit years: 9999-12 is the last month
 
@@ -89,8 +89,7 @@ class TimeSeries:
 
 def difference(x: TimeSeries, d: int) -> TimeSeries:
     """Apply the first-difference operator ``d`` times; output length is N - d."""
-    if d < 0:
-        raise InvalidArgumentError(f"difference order must be >= 0, got {d}")
+    d = _as_index(d, "difference order", 0)
     n = len(x)
     if d >= n:
         raise InvalidArgumentError(
@@ -107,8 +106,7 @@ def integrate(y: TimeSeries, d: int, initial_values: Sequence[float]) -> TimeSer
     ``initial_values[k]`` seeds level k of the reconstruction, so
     ``difference(integrate(y, d, iv), d)`` reproduces ``y`` exactly.
     """
-    if d < 1:
-        raise InvalidArgumentError(f"integration order must be >= 1, got {d}")
+    d = _as_index(d, "integration order", 1)
     iv = [float(v) for v in initial_values]
     if len(iv) != d:
         raise InvalidArgumentError(

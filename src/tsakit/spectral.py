@@ -147,8 +147,7 @@ def daniell_smooth(spectrum: SpectrumEstimate,
 
 def ar_psd(model: ArModel, grid_size: int) -> SpectrumEstimate:
     """Parametric PSD sigma2 / |phi(e^{-2 pi i f})|^2 on [0, 0.5]."""
-    if grid_size < 2:
-        raise InvalidArgumentError(f"grid_size must be >= 2, got {grid_size}")
+    grid_size = _as_index(grid_size, "grid_size", 2)
     if not is_stationary(model):
         raise NonStationaryModelError("ar_psd requires a stationary model")
     freqs = np.linspace(0.0, 0.5, grid_size)

@@ -679,6 +679,24 @@ class TestSimulateAr:
         assert [len(c) for c in chunks] == [7, 3]
         assert np.concatenate(chunks).tobytes() == _simulate_ar_loop(model, 10, 2, 20).tobytes()
 
+    # No lag carries an AR(0) burn-in into the series, so it is not drawn;
+    # at p >= 1 every burn-in chunk is drawn as before.
+    @pytest.mark.parametrize("phi", [(), (0.5,), (0.6, -0.2)])
+    def test_burn_in_draws_only_when_a_lag_carries_it(self, monkeypatch, phi):
+        draws = []
+        normals_at = rng._normals_at
+
+        def recording(seed, start, count):
+            draws.append((start, count))
+            return normals_at(seed, start, count)
+
+        monkeypatch.setattr(rng, "_normals_at", recording)
+        model = ArModel(phi=phi, sigma2=1.0, mean=0.5)
+        got = simulate_ar(model, 5_000, seed=4, burn_in=9_000).values
+        assert got.tobytes() == _simulate_ar_loop(model, 5_000, 4, 9_000).tobytes()
+        burn_in_draws = [(0, 4096), (4096, 4096), (8192, 808)] if phi else []
+        assert draws == [*burn_in_draws, (9_000, 4096), (13_096, 904)]
+
     # The seed is checked once the first chunk is asked for.
     @pytest.mark.parametrize("seed", [1.5, True])
     def test_seed_must_be_an_integer(self, seed):

@@ -16,8 +16,10 @@ into place only once it is complete, unless FILE is a symlink, a FIFO or a
 device, which are written directly; ``--out -`` writes to stdout.
 ``simulate`` makes and writes its series one chunk of samples at a time
 (``armodel._CHUNK``), so its memory does not grow with ``--n`` or
-``--burn-in``. Every check that can fail on the first chunk runs before any
-byte is written. A later chunk that overflows (a random walk with a large
+``--burn-in``. Each row is ``t,repr(value)``: a chunk's values are formatted
+in one ``_floattext._float_words`` call, with ``repr``'s bytes and no
+``repr`` call per value. Every check that can fail on the first chunk runs
+before any byte is written. A later chunk that overflows (a random walk with a large
 drift) ends the run with exit 2 after the rows before it: on stdout those
 rows stay written, while ``--out FILE`` leaves FILE as it was.
 """
@@ -30,7 +32,10 @@ import itertools
 import os
 import sys
 
+import numpy as np
+
 from ._fileio import staged_files
+from ._floattext import _float_words, _int_words, _lines
 from .armodel import ArModel, RandomWalkSpec, _ar_chunks, _random_walk_chunks
 from .errors import (IngestionError, InsufficientDataError,
                      InvalidArgumentError, PipelineStageError, TsaError)
@@ -51,6 +56,17 @@ def _auto_or_int(text: str):
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer or 'auto', got {text!r}") from None
+
+
+def _parse_aic_max_order(text: str):
+    """argparse type of ``--aic-max-order``: ``auto`` or an integer that
+    ``PipelineConfig`` accepts (at least 1)."""
+    value = _auto_or_int(text)
+    try:
+        PipelineConfig(input_path="", aic_max_order=value)
+    except InvalidArgumentError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def _parse_spans(text: str) -> tuple[int, ...]:
@@ -94,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--output", required=True, help="output directory")
     analyze.add_argument("--date-column")
     analyze.add_argument("--value-column")
-    analyze.add_argument("--aic-max-order", type=_auto_or_int,
+    analyze.add_argument("--aic-max-order", type=_parse_aic_max_order,
                          help="maximum AR order for AIC, or auto = floor(10 log10 N)")
     analyze.add_argument("--ar-estimator", choices=["yule_walker", "least_squares"])
     analyze.add_argument("--daniell-spans", type=_parse_spans,
@@ -133,13 +149,19 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _row_text(values: np.ndarray, start: int) -> str:
+    """One ``t,repr(value)`` row per value, t counting from ``start``."""
+    t = np.arange(values.size, dtype=np.uint64) + start  # --n has no bound
+    return _lines([_int_words(t), _float_words(values)], b"\n")
+
+
 def _write_rows(fh, chunks) -> None:
     """``t,value`` header, then one ``t,repr(value)`` row per sample, written
     one chunk of the series at a time as each arrives, with the header in the
     first chunk's write. Neither the series nor its text is ever held whole."""
     head, start = "t,value\n", 1
     for chunk in chunks:
-        fh.write(head + "".join([f"{t},{v!r}\n" for t, v in enumerate(chunk.tolist(), start)]))
+        fh.write(head + _row_text(chunk, start))
         head, start = "", start + len(chunk)
 
 

@@ -13,13 +13,16 @@ estimation on the result.
 The AR model is fitted once, by the AIC scan that identifies its order
 (``select_order_aic``); the estimation stage only solves its roots, once, for
 the report's root list. The report is a versioned JSON document and each
-figure's plot data goes to its own CSV. Each column is rendered once, the
-figure's text is joined from those columns in the bytes a cell-by-cell
-``csv.writer`` gave, and each file is written with one ``write`` call; files
-are only written after every stage has succeeded. The trend's residuals are
-rendered once for two figures: fig_residuals wraps each text as numpy's repr,
-and fig_qq's sample column is the same texts in the QQ plot's stable sort
-order (``qq_plot_data``).
+figure's plot data goes to its own CSV. A float is written as ``repr``
+writes it, or as numpy's repr of a float64 scalar where the cell held one:
+every float of every figure is formatted in one ``_floattext._float_words``
+call, with ``repr``'s bytes and no ``repr`` call per value. Each column is
+rendered once, the figure's text is joined from those columns in the bytes a
+cell-by-cell ``csv.writer`` gave, and each file is written with one
+``write`` call; files are only written after every stage has succeeded. The
+trend's residuals are rendered once for two figures: fig_residuals wraps each
+text as numpy's repr, and fig_qq's sample column is the same texts in the QQ
+plot's stable sort order (``qq_plot_data``).
 """
 from __future__ import annotations
 
@@ -31,7 +34,7 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -39,6 +42,7 @@ import numpy as np
 
 from . import __version__ as _toolkit_version
 from ._fileio import staged_files
+from ._floattext import _float_words, _int_words, _lines, _str_words
 from .armodel import (UNIT_ROOT_TOL, ArModel, characteristic_roots,
                       is_stationary, select_order_aic)
 from .correlation import sample_acf
@@ -83,6 +87,9 @@ class PipelineConfig:
     def __post_init__(self):
         object.__setattr__(self, "truncate_head",
                            _as_index(self.truncate_head, "truncate_head", 0))
+        if self.aic_max_order != "auto":
+            object.__setattr__(self, "aic_max_order",
+                               _as_index(self.aic_max_order, "aic_max_order", 1))
 
 
 def ingest_csv(path: Union[str, Path], config: PipelineConfig, *,
@@ -362,7 +369,7 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
             max_order = max(1, min(int(10.0 * math.log10(n_diff)),
                                    (n_diff - 1) // 2))
         else:
-            max_order = _as_index(config.aic_max_order, "aic_max_order")
+            max_order = config.aic_max_order
         aic = select_order_aic(centered.values, max_order, config.ar_estimator)
 
     with _stage("estimation"):
@@ -429,76 +436,53 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
 
 def _figure_rows(x, fit, centered, acf, hist, qq, raw_spec, smooth_spec,
                  ar_spec) -> dict:
-    # Each column is rendered once, as csv.writer would write its cells:
-    # ints as str(), Python floats as repr(), numpy scalars as numpy's repr().
-    # The texts are in FIGURE_FILES' order.
-    # A residual's text is rendered once: numpy's repr in fig_residuals, the
-    # float's repr (the text inside it) in fig_qq, in the QQ plot's order.
-    n, m = len(x), len(centered)
-    t = list(map(str, range(1, n + 1)))
-    fitted = _np_reprs(fit.fitted.values)
-    residuals = _reprs(fit.residuals.values)
-    edges = _np_reprs(hist.bin_edges)
-    return dict(zip(FIGURE_FILES, (
-        _csv_text(
-            "period,t,observed,fitted",
-            (x.periods(), t, _np_reprs(x.values), fitted)),
-        _csv_text(
-            "t,fitted,residual", (t, fitted, _np_wrapped(residuals))),
-        _csv_text(
-            "theoretical_quantile,sample_quantile",
-            (_reprs(qq.theoretical), map(residuals.__getitem__, qq.order.tolist()))),
-        _csv_text(
-            "panel,x,y,band",
-            (repeat("series"), t[:m], _np_reprs(centered.values), repeat("")),
-            (repeat("sacf"), map(str, acf.lags.tolist()),
-             _reprs(acf.autocorrelation),
-             repeat(_np_reprs(np.atleast_1d(acf.band))[0]))),
-        _csv_text(
-            "panel,x,x2,y",
-            (repeat("bar"), edges, edges[1:], map(str, hist.counts.tolist())),
-            (repeat("normal_density"), _reprs(hist.overlay_x), repeat(""),
-             _reprs(hist.overlay_density))),
-        _csv_text(
-            "frequency,raw_power,smoothed_power",
-            (_reprs(raw_spec.frequencies), _reprs(raw_spec.power),
-             _reprs(smooth_spec.power))),
-        _csv_text(
-            "frequency,power",
-            (_reprs(ar_spec.frequencies), _reprs(ar_spec.power))),
-    ), strict=True))
+    # Each cell is written as csv.writer would write it: an int as str(), a
+    # Python float as repr() and a numpy scalar as numpy's repr, which is the
+    # float's repr inside _NP_PREFIX and _NP_SUFFIX. No cell needs quoting
+    # (no delimiter, quote or line break, and no row of one empty cell), and
+    # every line ends with "\r\n". Every float of every figure is rendered in
+    # one _float_words call. A residual's text is rendered once: in
+    # fig_residuals as a numpy scalar, in fig_qq in the QQ plot's order.
+    n, m, bins = len(x), len(centered), len(hist.counts)
+    floats = (x.values, fit.fitted.values, fit.residuals.values, qq.theoretical,
+              centered.values, acf.autocorrelation, np.atleast_1d(acf.band),
+              hist.bin_edges, hist.overlay_x, hist.overlay_density,
+              raw_spec.frequencies, raw_spec.power, smooth_spec.power,
+              ar_spec.frequencies, ar_spec.power)
+    words = _float_words(np.concatenate(floats))
+    ends = np.cumsum([f.size for f in floats]).tolist()
+    (observed, fitted, residuals, quantiles, diffs, autocorrelation, band, edges,
+     density_x, density, frequencies, raw, smoothed, ar_frequencies, ar_power) = (
+        [w[start:end] for w in words] for start, end in zip([0] + ends, ends))
+    t = _int_words(np.arange(1, n + 1))
+    figures = (  # in FIGURE_FILES' order: the header, then each block's columns
+        ("period,t,observed,fitted",
+         [(_str_words(x.periods()), t, _np_scalar(observed), _np_scalar(fitted))]),
+        ("t,fitted,residual", [(t, _np_scalar(fitted), _np_scalar(residuals))]),
+        ("theoretical_quantile,sample_quantile",
+         [(quantiles, [w[qq.order] for w in residuals])]),
+        ("panel,x,y,band",
+         [(b"series", [w[:m] for w in t], _np_scalar(diffs), b""),
+          (b"sacf", _int_words(acf.lags), autocorrelation, _np_scalar(band))]),
+        ("panel,x,x2,y",
+         [(b"bar", _np_scalar([w[:bins] for w in edges]),
+           _np_scalar([w[1:] for w in edges]), _int_words(hist.counts)),
+          (b"normal_density", density_x, b"", density)]),
+        ("frequency,raw_power,smoothed_power", [(frequencies, raw, smoothed)]),
+        ("frequency,power", [(ar_frequencies, ar_power)]),
+    )
+    return {name: "".join([header, "\r\n", *(_lines(columns, b"\r\n") for columns in blocks)])
+            for name, (header, blocks) in zip(FIGURE_FILES, figures, strict=True)}
 
 
 # numpy's repr of a float64 scalar is the float's repr inside this wrapper:
-# "np.float64(" and ")" under numpy 2, empty strings under numpy 1.
-_NP_PREFIX, _NP_SUFFIX = repr(np.float64(0.5)).split("0.5")
+# b"np.float64(" and b")" under numpy 2, empty under numpy 1.
+_NP_PREFIX, _NP_SUFFIX = (t.encode() for t in repr(np.float64(0.5)).split("0.5"))
 
 
-def _np_reprs(values: np.ndarray) -> list[str]:
-    """numpy's repr of each element as a float64 scalar."""
-    return _np_wrapped(map(repr, values.tolist()))
-
-
-def _np_wrapped(reprs) -> list[str]:
-    """Each float's repr as numpy writes that float as a float64 scalar."""
-    return [_NP_PREFIX + r + _NP_SUFFIX for r in reprs]
-
-
-def _reprs(values: np.ndarray) -> list[str]:
-    """repr of each element as a Python float."""
-    return list(map(repr, values.tolist()))
-
-
-def _csv_text(header: str, *blocks) -> str:
-    """The header, then a line per row of each block of str columns, every
-    line ended with "\\r\\n": csv.writer's bytes for cells that need no
-    quoting (no delimiter, quote or line break, and no row of one empty cell).
-    """
-    lines = [header]
-    for columns in blocks:
-        lines += map(",".join, zip(*columns))
-    lines.append("")
-    return "\r\n".join(lines)
+def _np_scalar(column: list) -> list:
+    """A column of float texts as numpy writes each float as a float64 scalar."""
+    return [_NP_PREFIX, *column, _NP_SUFFIX]
 
 
 def write_outputs(report: AnalysisReport, output_dir: Union[str, Path]) -> list[Path]:

@@ -72,6 +72,8 @@ class TimeSeries:
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
+        if self.start_month is not None:
+            object.__setattr__(self, "start_month", _as_index(self.start_month, "start_month"))
 
     def __len__(self) -> int:
         return int(self.values.size)

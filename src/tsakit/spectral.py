@@ -79,6 +79,7 @@ def dft(x: Sequence[float], pad_to: Optional[int] = None) -> np.ndarray:
 
 
 def next_power_of_two(n: int) -> int:
+    n = _as_index(n, "n")
     return 1 if n <= 1 else 2 ** (n - 1).bit_length()
 
 
@@ -104,6 +105,7 @@ def periodogram(x: Sequence[float]) -> SpectrumEstimate:
 
 def modified_daniell_kernel(span: int) -> np.ndarray:
     """Weights of one modified Daniell pass: flat with half-weight endpoints."""
+    span = _as_index(span, "span")
     if span < 3 or span % 2 == 0:
         raise InvalidArgumentError(f"span must be an odd integer >= 3, got {span}")
     weights = np.ones(span)

@@ -17,7 +17,7 @@ from tsakit.errors import InvalidArgumentError, _as_index
 from tsakit.pipeline import PipelineConfig
 from tsakit.regression import t_distribution_sf
 from tsakit.series import TimeSeries, difference, integrate
-from tsakit.spectral import ar_psd
+from tsakit.spectral import ar_psd, modified_daniell_kernel, next_power_of_two
 
 _X = rng.normals(11, 60)
 _SERIES = TimeSeries(_X, 24000)
@@ -49,6 +49,11 @@ INTEGER_PARAMETERS = {
     "rng.normals(count)": ("count", 0, 2, lambda v: rng.normals(4, v)),
     "PipelineConfig(truncate_head)": (
         "truncate_head", 0, 2, lambda v: PipelineConfig("in.csv", truncate_head=v)),
+    "PipelineConfig(aic_max_order)": (
+        "aic_max_order", 1, 2, lambda v: PipelineConfig("in.csv", aic_max_order=v)),
+    "modified_daniell_kernel(span)": ("span", None, 3, lambda v: modified_daniell_kernel(v)),
+    "next_power_of_two(n)": ("n", None, 5, lambda v: next_power_of_two(v)),
+    "TimeSeries(start_month)": ("start_month", None, 240, lambda v: TimeSeries(_X, v)),
 }
 _CASES = pytest.mark.parametrize("case", sorted(INTEGER_PARAMETERS))
 

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from tsakit import _linalg, armodel, cli, pipeline, rng
+from tsakit._floattext import _float_words, _lines
 from tsakit._linalg import polynomial_roots
 from tsakit.cli import main as cli_main
 from tsakit.errors import (ConvergenceError, DegenerateFitError,
@@ -540,18 +541,17 @@ class TestRunPipeline:
                 config_for(dataset_path, truncate_head=value)
 
     def test_non_integer_aic_max_order_rejected(self, dataset_path):
-        # Resolved in the identification stage, so the error names it.
-        for value in (12.9, "x"):
-            with pytest.raises(PipelineStageError,
-                               match="aic_max_order must be an integer") as info:
-                run_pipeline(config_for(dataset_path, aic_max_order=value))
-            assert info.value.stage == "identification"
-            assert isinstance(info.value.cause, InvalidArgumentError)
+        # Refused by name when the config is made, before any stage runs.
+        for value in (12.9, "x", True):
+            with pytest.raises(InvalidArgumentError,
+                               match=f"aic_max_order must be an integer, got {value!r}"):
+                config_for(dataset_path, aic_max_order=value)
+        with pytest.raises(InvalidArgumentError, match="aic_max_order must be >= 1, got 0"):
+            config_for(dataset_path, aic_max_order=0)
 
     @pytest.mark.parametrize("setting, value, stage, message", [
         ("kpss_lag", 3.5, "stationarity-test", "truncation_lag must be an integer"),
         ("daniell_spans", (3.9, 3.2), "spectral", "span must be an integer"),
-        ("aic_max_order", True, "identification", "aic_max_order must be an integer, got True"),
         ("kpss_lag", True, "stationarity-test", "truncation_lag must be an integer, got True"),
         ("daniell_spans", (True, 3), "spectral", "span must be an integer, got True"),
     ])
@@ -950,9 +950,10 @@ class TestFigureWriter:
         self._assert_same_bytes(cfg, tmp_path, monkeypatch)
 
 
-def test_np_reprs_equal_numpy_scalar_repr():
-    """The figure columns written as numpy scalars are rendered from the
-    float's repr; they must read as numpy's own repr of each scalar."""
+def test_np_scalar_text_equals_numpy_scalar_repr():
+    """The figure columns written as numpy scalars are the float text
+    kernel's repr inside numpy's wrapper; they must read as numpy's own repr
+    of each scalar."""
     draws = np.frombuffer(np.random.default_rng(7).bytes(8 * 101_000), dtype=np.float64)
     finite = draws[np.isfinite(draws)]
     assert finite.size >= 100_000
@@ -966,7 +967,8 @@ def test_np_reprs_equal_numpy_scalar_repr():
                 edges += [v, -v]
                 v = np.nextafter(v, toward)
     values = np.concatenate([finite, np.array(edges)])
-    assert pipeline._np_reprs(values) == [repr(v) for v in values]
+    text = _lines([pipeline._np_scalar(_float_words(values))], b"\n")
+    assert text.split("\n")[:-1] == [repr(v) for v in values]
 
 
 class TestCli:
@@ -1379,4 +1381,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: tsakit analyze")
         assert err.endswith(f"error: argument --daniell-spans: {message}\n")
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_aic_max_order_below_one_fails_before_any_stage(self, dataset_path, tmp_path,
+                                                            capsys, monkeypatch, order):
+        import tsakit.cli
+
+        def no_stage(config):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(tsakit.cli, "run_pipeline", no_stage)
+        with pytest.raises(SystemExit) as info:
+            cli_main(["analyze", "--input", str(dataset_path),
+                      "--output", str(tmp_path / "bad"), f"--aic-max-order={order}"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tsakit analyze")
+        assert err.endswith("error: argument --aic-max-order: "
+                            f"aic_max_order must be >= 1, got {order}\n")
         assert not (tmp_path / "bad").exists()

@@ -273,13 +273,6 @@ def _float_block(x: np.ndarray) -> list[np.ndarray]:
     return [head, *rest, exponent]
 
 
-def _str_words(texts) -> list[np.ndarray]:
-    """Each of the ASCII strings in words."""
-    width = max(1, -(-max(map(len, texts), default=0) // 8))
-    words = np.array(texts, dtype=f"S{8 * width}").view("<u8").astype(np.uint64)
-    return list(words.reshape(len(texts), width).T)
-
-
 def _lines(columns, end: bytes) -> str:
     """One line per text: its cells in ``columns`` joined by "," and ended
     by ``end``, without the NULs. A column is bytes that every line repeats,

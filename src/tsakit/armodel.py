@@ -38,6 +38,7 @@ from .errors import (DegenerateFitError, InvalidArgumentError,
 from .series import TimeSeries, _check_finite
 
 UNIT_ROOT_TOL = 1e-8
+_ESTIMATORS = ("yule_walker", "least_squares")  # select_order_aic's methods
 
 
 @dataclass(frozen=True)
@@ -254,7 +255,7 @@ def select_order_aic(x: Sequence[float], max_order: int,
     if max_order >= n / 2:
         raise InvalidArgumentError(
             f"max_order K={max_order} must be below N/2 with N={n}")
-    if method not in ("yule_walker", "least_squares"):
+    if method not in _ESTIMATORS:
         raise InvalidArgumentError(f"unknown estimator {method!r}")
 
     if method == "yule_walker":

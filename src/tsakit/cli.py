@@ -8,9 +8,9 @@ directory given as ``analyze --input`` or ``simulate --out``, an
 ``analyze --output`` below a file, and a write that fails (a full disk).
 A reader that closes stdout early (``tsakit simulate ... | head``) ends the
 run quietly with exit 0.
-A malformed flag value, such as ``--kpss-lag 2.5`` or ``--daniell-spans 4``,
-is an argparse error that names the flag: usage on stderr and exit 2, before
-any stage runs.
+A flag value that ``PipelineConfig`` refuses, such as ``--kpss-lag -1`` or
+``--daniell-spans 4``, is an argparse error that names the flag: usage on
+stderr and exit 2, before any stage runs.
 ``simulate --out FILE`` writes a temporary file beside FILE and renames it
 into place only once it is complete, unless FILE is a symlink, a FIFO or a
 device, which are written directly; ``--out -`` writes to stdout.
@@ -36,11 +36,11 @@ import numpy as np
 
 from ._fileio import staged_files
 from ._floattext import _float_words, _int_words, _lines
-from .armodel import ArModel, RandomWalkSpec, _ar_chunks, _random_walk_chunks
+from .armodel import (_ESTIMATORS, ArModel, RandomWalkSpec, _ar_chunks,
+                      _random_walk_chunks)
 from .errors import (IngestionError, InsufficientDataError,
                      InvalidArgumentError, PipelineStageError, TsaError)
 from .pipeline import PipelineConfig, run_pipeline, write_outputs
-from .spectral import modified_daniell_kernel
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -58,33 +58,27 @@ def _auto_or_int(text: str):
             f"expected an integer or 'auto', got {text!r}") from None
 
 
-def _parse_aic_max_order(text: str):
-    """argparse type of ``--aic-max-order``: ``auto`` or an integer that
-    ``PipelineConfig`` accepts (at least 1)."""
-    value = _auto_or_int(text)
-    try:
-        PipelineConfig(input_path="", aic_max_order=value)
-    except InvalidArgumentError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return value
-
-
 def _parse_spans(text: str) -> tuple[int, ...]:
-    """argparse type of ``--daniell-spans``: comma-separated spans, each one
-    that ``modified_daniell_kernel`` accepts."""
+    """``--daniell-spans``' text as its comma-separated integers."""
     try:
-        spans = tuple(int(part) for part in text.split(",") if part.strip())
+        return tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"spans must be comma-separated integers, got {text!r}") from None
-    if not spans:
-        raise argparse.ArgumentTypeError("at least one Daniell span is required")
-    try:
-        for span in spans:
-            modified_daniell_kernel(span)
-    except InvalidArgumentError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return spans
+
+
+def _config_checked(field: str, parse):
+    """argparse type of the ``analyze`` flag of ``field``: the value ``parse``
+    reads from the text, if ``PipelineConfig`` accepts it."""
+    @functools.wraps(parse)  # argparse names a ValueError after parse
+    def checked(text: str):
+        value = parse(text)
+        try:
+            PipelineConfig(input_path="", **{field: value})
+        except InvalidArgumentError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+    return checked
 
 
 def _parse_phi(text: str) -> tuple[float, ...]:
@@ -110,14 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--output", required=True, help="output directory")
     analyze.add_argument("--date-column")
     analyze.add_argument("--value-column")
-    analyze.add_argument("--aic-max-order", type=_parse_aic_max_order,
+    analyze.add_argument("--aic-max-order", type=_config_checked("aic_max_order", _auto_or_int),
                          help="maximum AR order for AIC, or auto = floor(10 log10 N)")
-    analyze.add_argument("--ar-estimator", choices=["yule_walker", "least_squares"])
-    analyze.add_argument("--daniell-spans", type=_parse_spans,
+    analyze.add_argument("--ar-estimator", choices=_ESTIMATORS)
+    analyze.add_argument("--daniell-spans", type=_config_checked("daniell_spans", _parse_spans),
                          help="comma-separated odd spans, e.g. 3,3")
-    analyze.add_argument("--kpss-lag", type=_auto_or_int,
+    analyze.add_argument("--kpss-lag", type=_config_checked("kpss_lag", _auto_or_int),
                          help="Bartlett truncation lag, or auto")
-    analyze.add_argument("--truncate-head", type=int,
+    analyze.add_argument("--truncate-head", type=_config_checked("truncate_head", int),
                          help="samples to drop before differencing")
 
     simulate = sub.add_parser("simulate", help="simulate AR or random-walk series")

@@ -2,14 +2,15 @@
 
 Ingestion reads an input in the canonical form (a header of the two columns,
 then "YYYY-MM,count" rows of consecutive months) in one bulk pass: one regex
-match, ``str.split`` and ``float``. Any other input, and every invalid one, is
-read one ``csv.reader`` row at a time; that loop parses every row's month
-label (``series._month_index``), checks that the months are consecutive, and
-is the one source of error texts and line numbers. Stage order is fixed by the
-methodology being reproduced: fit the linear trend on the full series,
-diagnose its residuals, then truncate the head, take the first difference,
-demean, and run the stationarity test, AR identification and spectral
-estimation on the result.
+match, ``str.split`` and ``float``, and one comparison of the labels with
+``series._month_words``, fig_trend's period column. Any other input, and every
+invalid one, is read one ``csv.reader`` row at a time; that loop parses every
+row's month label (``series._month_index``), checks that the months are
+consecutive, and is the one source of error texts and line numbers. Stage
+order is fixed by the methodology being reproduced: fit the linear trend on
+the full series, diagnose its residuals, then truncate the head, take the
+first difference, demean, and run the stationarity test, AR identification
+and spectral estimation on the result.
 The AR model is fitted once, by the AIC scan that identifies its order
 (``select_order_aic``); the estimation stage only solves its roots, once, for
 the report's root list. The report is a versioned JSON document and each
@@ -34,7 +35,6 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -42,8 +42,8 @@ import numpy as np
 
 from . import __version__ as _toolkit_version
 from ._fileio import staged_files
-from ._floattext import _float_words, _int_words, _lines, _str_words
-from .armodel import (UNIT_ROOT_TOL, ArModel, characteristic_roots,
+from ._floattext import _float_words, _int_words, _lines
+from .armodel import (_ESTIMATORS, UNIT_ROOT_TOL, ArModel, characteristic_roots,
                       is_stationary, select_order_aic)
 from .correlation import sample_acf
 from .errors import (DuplicateMonthError, InsufficientDataError,
@@ -51,9 +51,9 @@ from .errors import (DuplicateMonthError, InsufficientDataError,
                      MonthGapError, PipelineStageError, TsaError, _as_index)
 from .regression import (P_VALUE_CENSOR_THRESHOLD, LinearTrendFit,
                          fit_linear_trend)
-from .series import (TimeSeries, _month_index, _month_label, _month_labels,
+from .series import (TimeSeries, _month_index, _month_label, _month_words,
                      demean, difference)
-from .spectral import ar_psd, daniell_smooth, periodogram
+from .spectral import ar_psd, daniell_smooth, modified_daniell_kernel, periodogram
 from .special import norm_ppf
 from .stattests import jarque_bera, kpss_level, shapiro_wilk
 
@@ -85,11 +85,21 @@ class PipelineConfig:
     kpss_lag: Union[int, str] = "auto"
 
     def __post_init__(self):
+        # Checked by name before any stage runs; bounds set by N are the stages'.
         object.__setattr__(self, "truncate_head",
                            _as_index(self.truncate_head, "truncate_head", 0))
         if self.aic_max_order != "auto":
             object.__setattr__(self, "aic_max_order",
                                _as_index(self.aic_max_order, "aic_max_order", 1))
+        if self.kpss_lag != "auto":
+            object.__setattr__(self, "kpss_lag", _as_index(self.kpss_lag, "kpss_lag", 0))
+        if self.ar_estimator not in _ESTIMATORS:
+            raise InvalidArgumentError(
+                f"ar_estimator must be one of {_ESTIMATORS}, got {self.ar_estimator!r}")
+        if len(self.daniell_spans) == 0:
+            raise InvalidArgumentError("at least one Daniell span is required")
+        for span in self.daniell_spans:
+            modified_daniell_kernel(span)
 
 
 def ingest_csv(path: Union[str, Path], config: PipelineConfig, *,
@@ -142,8 +152,9 @@ def _ingest_canonical(data: bytes, config: PipelineConfig) -> Optional[TimeSerie
         start = _month_index(labels[0])
     except InvalidArgumentError:
         return None
-    # A label past 9999-12 has a five-digit year, which no canonical row has.
-    if labels != list(islice(_month_labels(start), len(labels))):
+    # A month past 9999-12 has an eight-byte word, which no label's matches.
+    if not np.array_equal(np.array(labels, dtype="S8").view("<u8"),
+                          _month_words(start, len(labels))):
         return None
     return TimeSeries(np.asarray(list(map(float, cells[1::2]))), start)
 
@@ -457,7 +468,7 @@ def _figure_rows(x, fit, centered, acf, hist, qq, raw_spec, smooth_spec,
     t = _int_words(np.arange(1, n + 1))
     figures = (  # in FIGURE_FILES' order: the header, then each block's columns
         ("period,t,observed,fitted",
-         [(_str_words(x.periods()), t, _np_scalar(observed), _np_scalar(fitted))]),
+         [([_month_words(x.start_month, n)], t, _np_scalar(observed), _np_scalar(fitted))]),
         ("t,fitted,residual", [(t, _np_scalar(fitted), _np_scalar(residuals))]),
         ("theoretical_quantile,sample_quantile",
          [(quantiles, [w[qq.order] for w in residuals])]),

@@ -1,11 +1,13 @@
 """Seeded, counter-based random number generation.
 
 Every draw is a pure function of (seed, counter): the generator hashes a
-64-bit counter through the splitmix64 finalizer, so identical seeds reproduce
-identical sequences on any platform and any number of draws can be produced in
+64-bit counter through the splitmix64 finalizer, so identical seeds give
+identical uniforms on any platform, and any number of draws can be produced in
 one vectorized call without carrying mutable state. Draw t of a seed depends on
 t alone, so a stream can be made a slice at a time (``_normals_at``) with the
-same bits as one call.
+same bits as one call. Normals are the same bits only on the same numpy build
+and CPU path: ``special._acklam``'s tail calls ``np.log``, whose SIMD loop
+numpy picks by CPU (ROADMAP item 3).
 """
 from __future__ import annotations
 

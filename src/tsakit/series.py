@@ -1,10 +1,11 @@
-"""Time-series container and the deterministic transforms used by the pipeline."""
+"""Time-series container and the deterministic transforms used by the pipeline.
+``_month_words`` is the one form of a run of month labels: the bulk ingest's
+label check and fig_trend's period column both use it."""
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -18,18 +19,20 @@ def _month_label(index: int) -> str:
     return f"{index // 12:04d}-{index % 12 + 1:02d}"
 
 
-_MONTH_SUFFIXES = tuple(f"-{month:02d}" for month in range(1, 13))
-
-
-def _month_labels(start: int) -> Iterator[str]:
-    """The labels ``_month_label`` gives month indices start, start + 1, ...,
-    without end; each year is formatted once."""
-    year, month = divmod(start, 12)
-    while True:
-        prefix = f"{year:04d}"
-        for suffix in _MONTH_SUFFIXES[month:]:
-            yield prefix + suffix
-        year, month = year + 1, 0
+def _month_words(start: int, n: int) -> np.ndarray:
+    """Month indices start .. start + n - 1 as uint64 words of their
+    ``_month_label`` bytes, lowest first, then NULs: exact up to year 99999.
+    Past 9999-12 a label has eight bytes or more, so a word's last byte is
+    not NUL and it equals no YYYY-MM label's word."""
+    year, month = np.divmod(np.arange(start, start + n, dtype=np.uint64), 12)
+    month += 1
+    low = year % 10000
+    words = (int.from_bytes(b"0000-00", "little")
+             | low // 1000 | low // 100 % 10 << 8 | low // 10 % 10 << 16 | low % 10 << 24
+             | month // 10 << 40 | month % 10 << 48)
+    wide = year > 9999  # a fifth year digit goes in front
+    words[wide] = words[wide] << 8 | year[wide] // 10000 + ord("0")
+    return words
 
 
 def _month_index(text: str) -> int:
@@ -77,12 +80,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return int(self.values.size)
-
-    def periods(self) -> Optional[list[str]]:
-        start = self.start_month
-        if start is None:
-            return None
-        return list(islice(_month_labels(start), len(self)))
 
     def with_values(self, values: Sequence[float], shift_months: int = 0) -> "TimeSeries":
         start = self.start_month

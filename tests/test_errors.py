@@ -51,6 +51,8 @@ INTEGER_PARAMETERS = {
         "truncate_head", 0, 2, lambda v: PipelineConfig("in.csv", truncate_head=v)),
     "PipelineConfig(aic_max_order)": (
         "aic_max_order", 1, 2, lambda v: PipelineConfig("in.csv", aic_max_order=v)),
+    "PipelineConfig(kpss_lag)": (
+        "kpss_lag", 0, 2, lambda v: PipelineConfig("in.csv", kpss_lag=v)),
     "modified_daniell_kernel(span)": ("span", None, 3, lambda v: modified_daniell_kernel(v)),
     "next_power_of_two(n)": ("n", None, 5, lambda v: next_power_of_two(v)),
     "TimeSeries(start_month)": ("start_month", None, 240, lambda v: TimeSeries(_X, v)),

@@ -47,8 +47,8 @@ class TestIngest:
     def test_bundled_dataset(self, deaths_series):
         assert len(deaths_series) == 67
         assert deaths_series.start_month == 2015 * 12  # month index of 2015-01
-        assert deaths_series.periods()[0] == "2015-01"
-        assert deaths_series.periods()[-1] == "2020-07"
+        assert _month_label(deaths_series.start_month) == "2015-01"
+        assert _month_label(deaths_series.start_month + 66) == "2020-07"
 
     def test_missing_file(self, tmp_path):
         cfg = config_for(tmp_path / "nope.csv")
@@ -155,7 +155,8 @@ class TestIngest:
         if parsed:
             series = ingest_csv(p, config_for(p))
             assert series.start_month == expected[0] - 1
-            assert series.periods() == [before, expected[1]]
+            assert [_month_label(series.start_month + t) for t in range(2)] == \
+                [before, expected[1]]
             assert series.values.tolist() == [5.0, 6.0]
             return
         with pytest.raises(MalformedRowError) as info:
@@ -219,7 +220,7 @@ class TestIngest:
         p = tmp_path / "run.csv"
         write_csv(p, ["2015-02,2", f"{label},3", "2015-04,4", "2015-05,5"])
         series = ingest_csv(p, config_for(p))
-        assert series.periods() == ["2015-02", "2015-03", "2015-04", "2015-05"]
+        assert series.start_month == 2015 * 12 + 1  # 2015-02
         assert series.values.tolist() == [2.0, 3.0, 4.0, 5.0]
 
     def test_no_month_after_9999_12(self, tmp_path):
@@ -319,6 +320,7 @@ CANONICAL_INPUTS = {
                             b"2015-03,999999999999999\n2015-04,123456789012345\n", {}),
     "year-0": (b"period,deaths\n0000-01,1\n0000-02,2\n", {}),
     "ends-at-9999-12": (b"period,deaths\n9999-11,1\n9999-12,2\n", {}),
+    "millennium-wrap": (b"period,deaths\n0999-11,1\n0999-12,2\n1000-01,3\n", {}),
     "custom-columns": (b"month,count\n2015-01,7\n2015-02,8\n",
                        {"date_column": "month", "value_column": "count"}),
 }
@@ -346,14 +348,37 @@ DECLINED_INPUTS = {
     "header-only": b"period,deaths\n",
     "empty": b"",
     "month-13": b"period,deaths\n2015-13,1\n2016-01,2\n",
+    "month-13-later": b"period,deaths\n2015-12,1\n2015-13,2\n",
+    "month-00": b"period,deaths\n2015-00,1\n2015-01,2\n",
+    "month-00-later": b"period,deaths\n2015-01,1\n2015-00,2\n",
+    "0000-00": b"period,deaths\n0000-00,1\n0000-01,2\n",
     "gap": b"period,deaths\n2015-01,1\n2015-03,2\n",
     "repeat": b"period,deaths\n2015-01,1\n2015-01,2\n",
     "decrease": b"period,deaths\n2015-02,1\n2015-01,2\n",
+    "decrease-over-year": b"period,deaths\n2016-01,1\n2015-12,2\n",
     "past-9999-12": b"period,deaths\n9999-12,1\n10000-01,2\n",
     "wrap-after-9999-12": b"period,deaths\n9999-11,3\n9999-12,1\n0000-01,2\n",
     "short-year": b"period,deaths\n2015-01,1\n215-02,2\n",
     "negative-count": b"period,deaths\n2015-01,1\n2015-02,-2\n",
     "bad-utf8": b"period,deaths\n2015-01,1\n2015-02,\xff\n",
+}
+
+# The error of each declined input whose labels are canonical in form but not
+# a run of valid months, as the row-by-row reading reports it.
+LABEL_ERRORS = {
+    "month-13": (MalformedRowError, "line 2: month must be in 1..12, got 13", 2),
+    "month-13-later": (MalformedRowError, "line 3: month must be in 1..12, got 13", 3),
+    "month-00": (MalformedRowError, "line 2: month must be in 1..12, got 0", 2),
+    "month-00-later": (MalformedRowError, "line 3: month must be in 1..12, got 0", 3),
+    "0000-00": (MalformedRowError, "line 2: month must be in 1..12, got 0", 2),
+    "gap": (MonthGapError, "month gap in input: 2015-02 is missing", None),
+    "repeat": (DuplicateMonthError, "duplicate month in input: 2015-01", None),
+    "decrease": (MalformedRowError,
+                 "line 3: periods must be increasing, got 2015-01 after 2015-02", 3),
+    "decrease-over-year": (MalformedRowError,
+                           "line 3: periods must be increasing, got 2015-12 after 2016-01", 3),
+    "wrap-after-9999-12": (MalformedRowError,
+                           "line 4: periods must be increasing, got 0000-01 after 9999-12", 4),
 }
 
 
@@ -401,6 +426,7 @@ class TestBulkIngest:
         bulk, rows, ingested = self._both(tmp_path, DECLINED_INPUTS[name])
         assert bulk is None
         assert ingested == rows
+        assert rows == LABEL_ERRORS.get(name, rows)
 
     def test_wrap_after_9999_12_is_a_decrease(self, tmp_path):
         # Canonical in form, but the month after 9999-12 has a five-digit
@@ -549,18 +575,33 @@ class TestRunPipeline:
         with pytest.raises(InvalidArgumentError, match="aic_max_order must be >= 1, got 0"):
             config_for(dataset_path, aic_max_order=0)
 
-    @pytest.mark.parametrize("setting, value, stage, message", [
-        ("kpss_lag", 3.5, "stationarity-test", "truncation_lag must be an integer"),
-        ("daniell_spans", (3.9, 3.2), "spectral", "span must be an integer"),
-        ("kpss_lag", True, "stationarity-test", "truncation_lag must be an integer, got True"),
-        ("daniell_spans", (True, 3), "spectral", "span must be an integer, got True"),
-    ])
-    def test_non_integer_stage_setting_rejected(self, dataset_path, setting, value,
-                                                stage, message):
-        with pytest.raises(PipelineStageError, match=message) as info:
-            run_pipeline(config_for(dataset_path, **{setting: value}))
-        assert info.value.stage == stage
-        assert isinstance(info.value.cause, InvalidArgumentError)
+    # Refused by name when the config is made, before any stage runs.
+    STAGE_SETTINGS = {
+        "kpss_lag-3.5": ("kpss_lag", 3.5, "kpss_lag must be an integer, got 3.5"),
+        "kpss_lag-True": ("kpss_lag", True, "kpss_lag must be an integer, got True"),
+        "kpss_lag--1": ("kpss_lag", -1, "kpss_lag must be >= 0, got -1"),
+        "daniell_spans-3.9": ("daniell_spans", (3.9, 3.2), "span must be an integer, got 3.9"),
+        "daniell_spans-True": ("daniell_spans", (True, 3), "span must be an integer, got True"),
+        "daniell_spans-4": ("daniell_spans", (4,), "span must be an odd integer >= 3, got 4"),
+        "daniell_spans-none": ("daniell_spans", (), "at least one Daniell span is required"),
+        "ar_estimator-ols": ("ar_estimator", "ols", "ar_estimator must be one of "
+                             "('yule_walker', 'least_squares'), got 'ols'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(STAGE_SETTINGS))
+    def test_setting_refused_at_config(self, dataset_path, case):
+        setting, value, message = self.STAGE_SETTINGS[case]
+        with pytest.raises(InvalidArgumentError) as info:
+            config_for(dataset_path, **{setting: value})
+        assert str(info.value) == message
+
+    def test_kpss_lag_past_the_series_fails_at_its_stage(self, dataset_path):
+        # The bound depends on N, 64 after differencing, so its stage checks it.
+        with pytest.raises(PipelineStageError) as info:
+            run_pipeline(config_for(dataset_path, kpss_lag=64))
+        assert info.value.stage == "stationarity-test"
+        assert str(info.value.cause) == \
+            "truncation lag must satisfy 0 <= lag < N, got 64 with N=64"
 
     def test_numpy_integer_settings_accepted(self, dataset_path):
         settings = dict(truncate_head=2, aic_max_order=18, kpss_lag=3, daniell_spans=(3, 3))
@@ -806,8 +847,9 @@ def _figure_rows_per_cell(x, fit, centered, acf, hist, qq, raw_spec,
     """Figure rows built one cell at a time, numpy scalars left in place."""
     figures = {}
     rows = [("period", "t", "observed", "fitted")]
-    for i, period in enumerate(x.periods()):
-        rows.append((period, i + 1, x.values[i], fit.fitted.values[i]))
+    for i in range(len(x)):
+        rows.append((_month_label(x.start_month + i), i + 1, x.values[i],
+                     fit.fitted.values[i]))
     figures["fig_trend.csv"] = rows
     rows = [("t", "fitted", "residual")]
     for i in range(len(x)):
@@ -1400,4 +1442,25 @@ class TestCli:
         assert err.startswith("usage: tsakit analyze")
         assert err.endswith("error: argument --aic-max-order: "
                             f"aic_max_order must be >= 1, got {order}\n")
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--kpss-lag", "kpss_lag must be >= 0, got -1"),
+        ("--truncate-head", "truncate_head must be >= 0, got -1"),
+    ])
+    def test_negative_flag_fails_before_any_stage(self, dataset_path, tmp_path, capsys,
+                                                  monkeypatch, flag, message):
+        import tsakit.cli
+
+        def no_stage(config):
+            raise AssertionError("the pipeline ran")
+
+        monkeypatch.setattr(tsakit.cli, "run_pipeline", no_stage)
+        with pytest.raises(SystemExit) as info:
+            cli_main(["analyze", "--input", str(dataset_path),
+                      "--output", str(tmp_path / "bad"), flag, "-1"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: tsakit analyze")
+        assert err.endswith(f"error: argument {flag}: {message}\n")
         assert not (tmp_path / "bad").exists()

@@ -3,14 +3,19 @@ import pytest
 
 from tsakit import rng
 from tsakit.errors import InvalidArgumentError
-from tsakit.series import (TimeSeries, _month_index, _month_label, demean,
-                           difference, integrate)
+from tsakit.series import (TimeSeries, _month_index, _month_label, _month_words,
+                           demean, difference, integrate)
 
 _LAST_MONTH = 9999 * 12 + 11  # the month index of 9999-12, the last label a four-digit year gives
 
 
 def ts(values):
     return TimeSeries(np.asarray(values, dtype=float))
+
+
+def word_texts(start, n):
+    """``_month_words(start, n)`` as text, each word's bytes lowest first."""
+    return [w.decode() for w in _month_words(start, n).astype("<u8").view("S8").tolist()]
 
 
 class TestTimeSeries:
@@ -40,13 +45,11 @@ class TestTimeSeries:
             _month_index("2015/01")
 
     def test_periods_listing(self):
-        x = TimeSeries(np.array([1.0, 2.0, 3.0]), start_month=2019 * 12 + 10)
-        assert x.periods() == ["2019-11", "2019-12", "2020-01"]
+        assert word_texts(2019 * 12 + 10, 3) == ["2019-11", "2019-12", "2020-01"]
 
     def test_periods_listing_matches_plus_months(self):
         start = 998 * 12 + 6  # 0998-07
-        x = TimeSeries(np.zeros(40), start_month=start)
-        labels = x.periods()
+        labels = word_texts(start, 40)
         assert labels == [_month_label(start + t) for t in range(40)]
         assert labels[0] == "0998-07"
         assert labels[5:7] == ["0998-12", "0999-01"]
@@ -59,8 +62,20 @@ class TestTimeSeries:
                                        _LAST_MONTH - 29, _LAST_MONTH])
     @pytest.mark.parametrize("n", [1, 2, 12, 13, 30])
     def test_periods_are_month_labels(self, start, n):
-        x = TimeSeries(np.zeros(n), start_month=start)
-        assert x.periods() == [_month_label(i) for i in range(start, start + n)]
+        # fig_trend's period column, and what the bulk ingest compares a
+        # file's labels with: each word's bytes, lowest first, are the
+        # label's, then NUL; a five-digit year's label fills all eight.
+        words = _month_words(start, n)
+        assert words.dtype == np.uint64
+        assert [w.to_bytes(8, "little") for w in words.tolist()] == [
+            (_month_label(i) + "\0").encode()[:8] for i in range(start, start + n)]
+
+    @pytest.mark.parametrize("start", [_LAST_MONTH + 1, 99999 * 12 + 11, 100000 * 12,
+                                       123456 * 12 + 7, 10 ** 7, 2 ** 40])
+    def test_month_past_9999_12_has_no_label_word(self, start):
+        # Such a label has eight bytes or more, so no word of one ends in
+        # NUL as a seven-byte YYYY-MM label's word does.
+        assert ((_month_words(start, 30) >> 56) != 0).all()
 
     def test_last_month_is_9999_12(self):
         assert _month_label(_LAST_MONTH) == "9999-12"
@@ -99,12 +114,11 @@ class TestDifference:
     def test_start_month_shifts(self):
         x = TimeSeries(np.array([1.0, 2.0, 4.0]), start_month=_month_index("2015-01"))
         assert difference(x, 1).start_month == _month_index("2015-02")
-        assert difference(x, 1).periods() == ["2015-02", "2015-03"]
         assert integrate(difference(x, 1), 1, [1.0]).start_month == x.start_month
         # Month index 0 (0000-01) is a month, not a missing start.
         first = TimeSeries(np.array([1.0, 2.0]), start_month=0)
-        assert first.with_values([3.0], shift_months=1).periods() == ["0000-02"]
-        assert ts([1.0, 2.0]).with_values([3.0], shift_months=1).periods() is None
+        assert first.with_values([3.0], shift_months=1).start_month == 1
+        assert ts([1.0, 2.0]).with_values([3.0], shift_months=1).start_month is None
 
 
 class TestIntegrate:

@@ -9,8 +9,7 @@ AIC-selected AR model from its own scan, with no refit.
 __version__ = "0.1.0"
 
 from .armodel import (AicRow, AicTable, ArModel, RandomWalkMoments,
-                      RandomWalkSpec, characteristic_roots,
-                      fit_ar_least_squares, is_stationary,
+                      RandomWalkSpec, characteristic_roots, is_stationary,
                       random_walk_moments, select_order_aic, simulate_ar,
                       simulate_random_walk, theoretical_ar_acf)
 from .correlation import AcfEstimate, sample_acf

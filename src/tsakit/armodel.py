@@ -3,10 +3,10 @@
 Yule-Walker fits run Levinson-Durbin on the biased autocovariances, which keeps
 every fitted model stationary; one recursion to order K gives the fit of every
 order up to K. Conditional least squares is the alternative estimator whose
-stationarity is checked but not enforced. A least-squares fit is one
-Householder factor of its regression (``_factor``) and one back-substitution
-on R's rows (``_back_substitute``); the AIC scan takes the same two steps,
-with row updates between them. Order selection minimizes
+stationarity is checked but not enforced; the AIC scan is its one fitter.
+It takes one Householder factor of the order-K regression (``_factor``),
+derives each lower order's R by row updates, and back-substitutes on the
+selected order's R rows (``_back_substitute``). Order selection minimizes
 AIC(k) = ln(sigma2_k) + 2k/N with ties broken toward the smaller order.
 ``_step_down`` runs the recursion backwards, from a model's coefficients to
 its reflection coefficients; it decides stationarity and gives the model's
@@ -165,22 +165,6 @@ def levinson_durbin(gamma: Sequence[float], order: int) -> tuple[list[np.ndarray
     return phis, variances
 
 
-def fit_ar_least_squares(x: Sequence[float], p: int) -> ArModel:
-    """Conditional least squares with intercept, regressing x_t on its p lags."""
-    arr = np.asarray(x, dtype=float)
-    n = arr.size
-    p = _as_index(p, "order", 1)
-    if p >= n - 1:
-        raise InvalidArgumentError(f"order p={p} must be below N-1 with N={n}")
-    if n - p < p + 1:
-        raise DegenerateFitError(
-            f"least squares needs rows >= columns, got {n - p}x{p + 1}")
-    r, z, sse = _factor(arr, p)
-    if len(r) <= p:
-        raise DegenerateFitError("rank-deficient design matrix")
-    return _least_squares_model(arr, _back_substitute(r, z), sse / (n - p))
-
-
 def _factor(arr: np.ndarray, p: int) -> tuple[list[list[float]], list[float], float]:
     """Triangularize the order-p regression over rows t = p..N-1, and return
     (r, z, sse): r[i] is row i of R from its diagonal on and z the matching
@@ -239,13 +223,11 @@ def select_order_aic(x: Sequence[float], max_order: int,
     Least squares triangularizes the rows all orders share once and derives
     each lower order's SSE from that factorization by dropping a regressor
     and adding one row (``_least_squares_rows``); an order whose regressors
-    are rank-deficient on the shared rows is fitted on its own, so its row,
-    or its error text, is that of ``fit_ar_least_squares``. The selected
-    order's phi and intercept solve R beta = Q^T y on the factor its AIC row
-    was computed from, by the back-substitution ``fit_ar_least_squares``
-    uses, and its sigma2 is that row's, so the model and the table agree
-    exactly (order K gives ``fit_ar_least_squares(x, K)`` itself); an order
-    fitted on its own keeps that fit. Order 0 is the same white-noise model
+    are rank-deficient on the shared rows is factored on its own rows. Each
+    order's fit is then R and Q^T y. The selected order's phi and intercept
+    solve R beta = Q^T y (``_back_substitute``), and its sigma2 is its AIC
+    row's, so the model and the table agree exactly. This scan is the
+    package's one least-squares fitter. Order 0 is the same white-noise model
     under either estimator, labelled Yule-Walker: phi = (), row 0's sigma2
     (the lag-0 autocovariance) and the sample mean.
     """
@@ -289,9 +271,8 @@ def select_order_aic(x: Sequence[float], max_order: int,
                         sigma2=best.sigma2, mean=float(arr.mean()),
                         estimation_method="yule_walker", n_used=n)
     else:
-        model = fits[best.order - 1]
-        if not isinstance(model, ArModel):
-            model = _least_squares_model(arr, _back_substitute(*model), best.sigma2)
+        model = _least_squares_model(arr, _back_substitute(*fits[best.order - 1]),
+                                     best.sigma2)
     return AicTable(rows=tuple(rows), selected_order=best.order, method=method,
                     n=n, model=model)
 
@@ -302,28 +283,27 @@ def _least_squares_rows(arr: np.ndarray, max_order: int) -> tuple[list[AicRow], 
 
     The rows t = K..N-1 appear in every order's regression. ``_factor``
     triangularizes them once, as the order-K design, into R, Q^T y and
-    SSE_K, the same step ``fit_ar_least_squares`` takes for one order. The
-    scan then goes down from order K to
-    order 1, updating (R, Q^T y, SSE) in place (Golub & Van Loan, Matrix
-    Computations, secs. 5.2 and 6.5): order k's regression is order k+1's
+    SSE_K. The scan then goes down from order K to order 1, updating
+    (R, Q^T y, SSE) in place (Golub & Van Loan, Matrix Computations,
+    secs. 5.2 and 6.5): order k's regression is order k+1's
     with its last regressor dropped and row t = k added. Dropping the
     regressor leaves R[:k+1, :k+1] triangular and moves (Q^T y)_{k+1} into
     the residual; the row is added by k+1 Givens rotations, and its rotated
     target joins the residual too. That is one O(N K^2) factorization plus
     O(K^3) plain float operations, instead of one factorization per order.
 
-    An order is fitted on its own with ``fit_ar_least_squares``, which gives
-    the rows (and error texts) of a per-order scan, when the shared rows
-    fail the rank check at one of its regressors or when its SSE is not
-    finite. Adding rows never shrinks |R_jj|, so when the shared rows pass
-    the rank check, each order's own rows pass it too (up to rounding) and
-    no order takes that path.
+    An order whose regressors fail the rank check on the shared rows is
+    factored on its own rows, t = k..N-1, by ``_factor``; if they fail it
+    too, its row has the error "rank-deficient design matrix" and its fit is
+    None. Adding rows never shrinks |R_jj|, so when the shared rows pass the
+    rank check, each order's own rows pass it too (up to rounding) and no
+    order is factored twice. A non-finite SSE is an error row of
+    ``_aic_row``, like any other.
 
-    The fit of order k, the (k-1)th entry of the second list, is the
-    ``ArModel`` of an order fitted on its own (None if that failed), or else
-    a copy of (r, z), order k's R rows from the diagonal on and Q^T y, taken
-    when its row is written. Back-substituting (``_back_substitute``) only
-    the selected order's copy costs far less than solving every order.
+    The fit of order k, the (k-1)th entry of the second list, is a copy of
+    (r, z), order k's R rows from the diagonal on and Q^T y, taken when its
+    row is written. Back-substituting (``_back_substitute``) only the
+    selected order's copy costs far less than solving every order.
     """
     n = arr.size
     # At order k, (r, z, sse) is the fit over rows t >= k of order `top`,
@@ -358,17 +338,17 @@ def _least_squares_rows(arr: np.ndarray, max_order: int) -> tuple[list[AicRow], 
                 z[i] = c * z_i + s * b
                 b = c * b - s * z_i
             sse += b * b
-        if top == k and math.isfinite(sse):
-            rows.append(_aic_row(k, sse / (n - k), n))
-            fits.append(([r_i.copy() for r_i in r], z.copy()))
-            continue
-        try:
-            fit = fit_ar_least_squares(arr, k)
-        except (DegenerateFitError, InvalidArgumentError) as exc:
-            rows.append(AicRow(order=k, sigma2=None, aic=None, error=str(exc)))
-            fit = None
+        if top == k:
+            fit, k_sse = ([r_i.copy() for r_i in r], z.copy()), sse
         else:
-            rows.append(_aic_row(k, fit.sigma2, n))
+            own_r, own_z, k_sse = _factor(arr, k)
+            if len(own_r) <= k:
+                rows.append(AicRow(order=k, sigma2=None, aic=None,
+                                   error="rank-deficient design matrix"))
+                fits.append(None)
+                continue
+            fit = own_r, own_z
+        rows.append(_aic_row(k, k_sse / (n - k), n))
         fits.append(fit)
     return rows[::-1], fits[::-1]
 

@@ -96,9 +96,16 @@ class PipelineConfig:
         if self.ar_estimator not in _ESTIMATORS:
             raise InvalidArgumentError(
                 f"ar_estimator must be one of {_ESTIMATORS}, got {self.ar_estimator!r}")
-        if len(self.daniell_spans) == 0:
+        try:
+            spans = tuple(self.daniell_spans)  # a tuple, so the config hashes
+        except TypeError:
+            raise InvalidArgumentError(
+                f"daniell_spans must be a sequence of spans, got {self.daniell_spans!r}"
+            ) from None
+        object.__setattr__(self, "daniell_spans", spans)
+        if not spans:
             raise InvalidArgumentError("at least one Daniell span is required")
-        for span in self.daniell_spans:
+        for span in spans:
             modified_daniell_kernel(span)
 
 

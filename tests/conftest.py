@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from tsakit import rng
-from tsakit.armodel import (ArModel, levinson_durbin, select_order_aic,
-                            simulate_ar)
+from tsakit.armodel import (ArModel, _back_substitute, _factor,
+                            _least_squares_model, levinson_durbin,
+                            select_order_aic, simulate_ar)
 from tsakit.correlation import autocovariance
+from tsakit.errors import DegenerateFitError
 from tsakit.pipeline import PipelineConfig, ingest_csv
 from tsakit.regression import fit_linear_trend
 from tsakit.stattests import jarque_bera, kpss_level, shapiro_wilk
@@ -27,6 +29,18 @@ def yule_walker_fit(x, p: int) -> ArModel:
     phis, variances = levinson_durbin(autocovariance(arr, p), p)
     return ArModel(phi=tuple(phis[p]), sigma2=variances[p], mean=float(arr.mean()),
                    estimation_method="yule_walker", n_used=arr.size)
+
+
+def least_squares_fit(x, p: int) -> ArModel:
+    """The order-p conditional least-squares fit on its own rows t = p..N-1:
+    ``_factor``, ``_back_substitute`` and ``_least_squares_model``, the
+    reference for the AIC scan's least-squares rows and model. A regressor
+    that fails the rank check raises ``DegenerateFitError``."""
+    arr = np.asarray(x, dtype=float)
+    r, z, sse = _factor(arr, p)
+    if len(r) <= p:
+        raise DegenerateFitError("rank-deficient design matrix")
+    return _least_squares_model(arr, _back_substitute(r, z), sse / (arr.size - p))
 
 
 @pytest.fixture(scope="session")

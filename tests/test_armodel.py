@@ -8,8 +8,9 @@ import pytest
 from tsakit import _linalg, armodel, rng
 from tsakit._linalg import polynomial_roots
 from tsakit.armodel import (AicRow, AicTable, ArModel, RandomWalkSpec, _aic_row,
-                            _step_down, characteristic_roots, default_burn_in,
-                            fit_ar_least_squares, is_stationary, levinson_durbin,
+                            _least_squares_rows, _step_down,
+                            characteristic_roots, default_burn_in,
+                            is_stationary, levinson_durbin,
                             random_walk_moments, select_order_aic,
                             simulate_ar, simulate_random_walk,
                             theoretical_ar_acf)
@@ -22,7 +23,7 @@ from tsakit.pipeline import _model_section
 from tsakit.spectral import ar_psd
 from tsakit.stattests import jarque_bera
 
-from conftest import yule_walker_fit
+from conftest import least_squares_fit, yule_walker_fit
 
 
 class TestYuleWalker:
@@ -82,18 +83,20 @@ class TestYuleWalker:
 
 
 class TestLeastSquares:
+    # The reference fit of one order (``least_squares_fit``) runs the scan's
+    # kernels; the scan's own rows are checked against it below.
     def test_noiseless_recursion(self):
         x = np.empty(50)
         x[0] = 1.0
         for t in range(1, 50):
             x[t] = 0.9 * x[t - 1]
-        model = fit_ar_least_squares(x, 1)
+        model = least_squares_fit(x, 1)
         assert model.phi[0] == pytest.approx(0.9, abs=1e-10)
         assert model.sigma2 == pytest.approx(0.0, abs=1e-20)
 
     def test_order_one_equals_lag_regression(self):
         x = rng.normals(5, 300)
-        model = fit_ar_least_squares(x, 1)
+        model = least_squares_fit(x, 1)
         # Simple regression of x_t on x_{t-1} with intercept, by the textbook
         # formulas.
         y, lag = x[1:], x[:-1]
@@ -102,14 +105,14 @@ class TestLeastSquares:
         assert model.phi[0] == pytest.approx(slope, abs=1e-10)
 
     def test_rank_deficient_design(self):
-        with pytest.raises(DegenerateFitError):
-            fit_ar_least_squares(np.ones(30), 2)
-
-    def test_order_bounds(self):
-        with pytest.raises(InvalidArgumentError):
-            fit_ar_least_squares(rng.normals(6, 10), 9)
-        with pytest.raises(InvalidArgumentError):
-            fit_ar_least_squares(rng.normals(6, 10), 0)
+        with pytest.raises(DegenerateFitError, match="rank-deficient design matrix"):
+            least_squares_fit(np.ones(30), 2)
+        # Every lag of a constant series is the ones regressor again, on the
+        # shared rows and on each order's own rows alike.
+        rows, fits = _least_squares_rows(np.ones(30), 2)
+        assert rows == [AicRow(order=k, sigma2=None, aic=None,
+                               error="rank-deficient design matrix") for k in (1, 2)]
+        assert fits == [None, None]
 
     @pytest.mark.parametrize("n,p", [(n, p) for n in (30, 300, 4000)
                                      for p in (1, 11, 36) if p < n / 2])
@@ -119,10 +122,12 @@ class TestLeastSquares:
         design = np.column_stack([np.ones(n - p)] + [x[p - j:n - j] for j in range(1, p + 1)])
         beta, (sse,), rank, _ = np.linalg.lstsq(design, x[p:], rcond=None)
         assert rank == p + 1
-        model = fit_ar_least_squares(x, p)
+        model = least_squares_fit(x, p)
         phi = np.array(model.phi)
         assert np.linalg.norm(phi - beta[1:]) <= 1e-9 * np.linalg.norm(beta[1:])
         assert model.sigma2 * (n - p) == pytest.approx(sse, rel=1e-12, abs=0.0)
+        # The scan's top order is this factorization, with nothing updated.
+        assert select_order_aic(x, p, "least_squares").rows[p].sigma2 == model.sigma2
 
     @pytest.mark.parametrize("planted", [0, 3, 6])
     def test_triangularize_stops_at_a_planted_dependent_regressor(self, planted):
@@ -148,14 +153,14 @@ def _select_order_aic_ls_loop(x, max_order):
             AicRow(order=0, sigma2=None, aic=None, error="zero variance")]
     for k in range(1, max_order + 1):
         try:
-            rows.append(_aic_row(k, fit_ar_least_squares(arr, k).sigma2, n))
+            rows.append(_aic_row(k, least_squares_fit(arr, k).sigma2, n))
         except (DegenerateFitError, InvalidArgumentError) as exc:
             rows.append(AicRow(order=k, sigma2=None, aic=None, error=str(exc)))
     valid = [r for r in rows if r.error is None and r.aic is not None]
     if not valid:
         raise DegenerateFitError("AIC evaluation failed at every candidate order")
     order = min(valid, key=lambda r: (r.aic, r.order)).order
-    model = fit_ar_least_squares(arr, order) if order else yule_walker_fit(arr, 0)
+    model = least_squares_fit(arr, order) if order else yule_walker_fit(arr, 0)
     return AicTable(rows=tuple(rows), selected_order=order, method="least_squares",
                     n=n, model=model)
 
@@ -225,6 +230,19 @@ _LS_SCAN_CASES = {
     "rank-deficient-shared-rows": lambda: (
         (lambda v: v - v.mean())(np.concatenate(([3.0, -2.0, 0.5], [1.0, -1.0] * 40))), 6),
 }
+
+
+@pytest.fixture
+def factored_shapes(monkeypatch):
+    """The shape of each design the AIC scan triangularizes, in call order."""
+    shapes = []
+
+    def counting_triangularize(a, rhs, scale):
+        shapes.append(a.shape)
+        return _linalg.householder_triangularize(a, rhs, scale)
+
+    monkeypatch.setattr("tsakit.armodel.householder_triangularize", counting_triangularize)
+    return shapes
 
 
 class TestSelectOrderAic:
@@ -354,7 +372,7 @@ class TestSelectOrderAic:
             self, bench_workloads, seed):
         # The series the pipeline fits: truncate 2, first difference, demean,
         # K = floor(10 log10 N). Order K's factor is the one
-        # fit_ar_least_squares(x, K) takes, and both back-substitute it the
+        # least_squares_fit(x, K) takes, and both back-substitute it the
         # same way, so when the scan selects K the models are equal.
         selected_k = 0
         for index in range(8):
@@ -365,16 +383,16 @@ class TestSelectOrderAic:
             table = _assert_scan_model_is_the_fit(x, max_order)
             if table.selected_order == max_order:
                 selected_k += 1
-                assert table.model == fit_ar_least_squares(x, max_order)
+                assert table.model == least_squares_fit(x, max_order)
         assert selected_k >= 4
 
     def test_least_squares_fallback_order_keeps_its_own_fit(self):
-        # Orders 2-4 fail the rank check on the shared rows and are fitted
-        # on their own; the scan selects order 4.
+        # Orders 2-4 fail the rank check on the shared rows and are factored
+        # on their own rows; the scan selects order 4.
         x, max_order = _LS_SCAN_CASES["rank-deficient-shared-rows"]()
         table = _assert_scan_model_is_the_fit(x, max_order)
         assert table.selected_order == 4
-        assert table.model == fit_ar_least_squares(x, 4)
+        assert table.model == least_squares_fit(x, 4)
 
     def test_least_squares_scan_selecting_order_zero_returns_yule_walker(self):
         x = rng.normals(1, 200)
@@ -388,10 +406,11 @@ class TestSelectOrderAic:
         assert table.selected_order == 18
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_least_squares_overflowing_sse_falls_back(self):
-        # Every SSE overflows, so each order is fitted on its own and fails.
-        # Order 0's variance overflows to inf, which is an error row too, so
-        # no order is left to select, in the scan and in its oracle alike.
+    def test_least_squares_overflowing_sse_is_an_error_row(self):
+        # Every SSE overflows, so each order's row is a non-finite-variance
+        # error, with no refit. Order 0's variance overflows to inf, which is
+        # an error row too, so no order is left to select, in the scan and in
+        # its oracle alike.
         x = rng.normals(3, 60)
         x[-1] = 1e200
         with pytest.raises(DegenerateFitError, match="every candidate order"):
@@ -412,30 +431,20 @@ class TestSelectOrderAic:
         assert _aic_row(3, sigma2, 60) == AicRow(
             order=3, sigma2=None, aic=None, error="non-finite innovation variance")
 
-    def test_least_squares_rank_deficient_shared_rows_fall_back(self):
+    def test_least_squares_rank_deficient_shared_rows_fall_back(self, factored_shapes):
         # The shared rows t >= 6 alternate, so they have rank 2; the first
         # three values make orders 2-4 full rank on their own rows.
         x, _ = _LS_SCAN_CASES["rank-deficient-shared-rows"]()
         table = select_order_aic(x, 6, "least_squares")
         assert [r.error is None for r in table.rows] == [True] * 5 + [False] * 2
+        assert [r.error for r in table.rows[5:]] == ["rank-deficient design matrix"] * 2
+        # The shared rows once, then each of orders 6 down to 2 on its own
+        # rows t = k..N-1; order 1's regressors pass on the shared rows.
+        n = x.size
+        assert factored_shapes == [(7, n - 6)] + [(k + 1, n - k) for k in range(6, 1, -1)]
 
-    def test_least_squares_scan_factors_shared_rows_once(self, monkeypatch):
-        x = rng.normals(13, 300)
-        factored_shapes, per_order_fits = [], []
-
-        def counting_triangularize(a, rhs, scale):
-            factored_shapes.append(a.shape)
-            return _linalg.householder_triangularize(a, rhs, scale)
-
-        def counting_fit(arr, p):
-            per_order_fits.append(p)
-            return fit_ar_least_squares(arr, p)
-
-        monkeypatch.setattr("tsakit.armodel.householder_triangularize",
-                            counting_triangularize, raising=False)
-        monkeypatch.setattr("tsakit.armodel.fit_ar_least_squares", counting_fit)
-        select_order_aic(x, 8, "least_squares")
-        assert per_order_fits == []
+    def test_least_squares_scan_factors_shared_rows_once(self, factored_shapes):
+        select_order_aic(rng.normals(13, 300), 8, "least_squares")
         # One factorization of the 292 shared rows (regressor-major, so
         # K + 1 regressor rows by 292 observation columns); every lower
         # order comes from row updates, with no factorization of its own.

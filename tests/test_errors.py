@@ -1,23 +1,33 @@
 """Every integer parameter goes through ``errors._as_index``: a float or bool
 is refused with "<name> must be an integer, got <value!r>", a numpy integer
 gives the bits a Python int gives, and a value below the parameter's minimum
-is refused with "<name> must be >= <minimum>, got <value>"."""
+is refused with "<name> must be >= <minimum>, got <value>".
+
+The raises that no run of the bundled pipeline reaches are pinned here too,
+each by its error class and message."""
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from tsakit import rng
-from tsakit.armodel import (ArModel, RandomWalkSpec, fit_ar_least_squares,
+from tsakit._linalg import polynomial_roots
+from tsakit.armodel import (AicRow, ArModel, RandomWalkSpec, _aic_row,
                             levinson_durbin, random_walk_moments,
                             select_order_aic, simulate_ar,
                             simulate_random_walk, theoretical_ar_acf)
+from tsakit.cli import main as cli_main
 from tsakit.correlation import autocovariance, sample_acf
-from tsakit.errors import InvalidArgumentError, _as_index
+from tsakit.errors import (DegenerateFitError, InvalidArgumentError,
+                           ZeroVarianceError, _as_index)
 from tsakit.pipeline import PipelineConfig
 from tsakit.regression import t_distribution_sf
 from tsakit.series import TimeSeries, difference, integrate
-from tsakit.spectral import ar_psd, modified_daniell_kernel, next_power_of_two
+from tsakit.spectral import (ar_psd, daniell_smooth, dft,
+                             modified_daniell_kernel, next_power_of_two,
+                             periodogram)
+from tsakit.stattests import kpss_level
 
 _X = rng.normals(11, 60)
 _SERIES = TimeSeries(_X, 24000)
@@ -28,7 +38,6 @@ _WALK = RandomWalkSpec(drift=0.25, innovation_sigma2=2.0, y0=1.0)
 INTEGER_PARAMETERS = {
     "levinson_durbin(order)": (
         "order", 0, 2, lambda v: levinson_durbin(autocovariance(_X, 3), v)),
-    "fit_ar_least_squares(p)": ("order", 1, 2, lambda v: fit_ar_least_squares(_X, v)),
     "select_order_aic(max_order), Yule-Walker": (
         "max_order", 1, 2, lambda v: select_order_aic(_X, v)),
     "select_order_aic(max_order), least squares": (
@@ -111,3 +120,60 @@ def test_the_bound_names_the_value_as_an_int():
     with pytest.raises(InvalidArgumentError) as info:
         _as_index(np.int16(-7), "x", -6)
     assert str(info.value) == "x must be >= -6, got -7"
+
+
+# (call, error class, message) of raises that no bundled run reaches.
+ERROR_PATHS = {
+    "select_order_aic of a constant series": (
+        lambda: select_order_aic(np.ones(40), 3), ZeroVarianceError,
+        "AIC scan requires a non-constant series"),
+    "levinson_durbin at zero variance": (
+        lambda: levinson_durbin([0.0, 0.0], 1), ZeroVarianceError,
+        "lag-zero autocovariance must be positive"),
+    "ArModel with a NaN coefficient": (
+        lambda: ArModel(phi=(math.nan,), sigma2=1.0), InvalidArgumentError,
+        "AR coefficients must be finite"),
+    "dft of nothing": (lambda: dft([]), InvalidArgumentError, "dft input must be non-empty"),
+    "daniell_smooth with no span": (
+        lambda: daniell_smooth(periodogram(_X), ()), InvalidArgumentError,
+        "at least one span is required"),
+    "kpss_level of a constant series": (
+        lambda: kpss_level(np.zeros(20)), ZeroVarianceError,
+        "KPSS long-run variance is not positive"),
+    "TimeSeries of a matrix": (
+        lambda: TimeSeries(np.ones((2, 2))), InvalidArgumentError,
+        "TimeSeries values must be one-dimensional"),
+    "polynomial_roots with a zero leading coefficient": (
+        lambda: polynomial_roots(np.array([1.0, 0.0])), DegenerateFitError,
+        "leading polynomial coefficient must be non-zero"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_PATHS))
+def test_error_path_raises_its_class_and_message(case):
+    call, error, message = ERROR_PATHS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_zero_variance_is_an_aic_error_row():
+    assert _aic_row(2, 0.0, 50) == AicRow(
+        order=2, sigma2=0.0, aic=None, error="non-positive innovation variance")
+
+
+def test_composite_kernel_wider_than_the_bundled_spectrum(diff64):
+    # The bound depends on N, so the smoother reports it, not the config.
+    with pytest.raises(InvalidArgumentError) as info:
+        daniell_smooth(periodogram(diff64), (41, 41))
+    assert str(info.value) == \
+        "composite kernel half-width 40 is too wide for 33 spectral ordinates"
+
+
+def test_row_with_too_few_columns_exits_2(tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text("period,deaths\n2015-01,5\n2015-02\n")
+    assert cli_main(["analyze", "--input", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == \
+        "error: stage 'ingest' failed: line 3: row has too few columns\n"

@@ -584,6 +584,7 @@ class TestRunPipeline:
         "daniell_spans-True": ("daniell_spans", (True, 3), "span must be an integer, got True"),
         "daniell_spans-4": ("daniell_spans", (4,), "span must be an odd integer >= 3, got 4"),
         "daniell_spans-none": ("daniell_spans", (), "at least one Daniell span is required"),
+        "daniell_spans-int": ("daniell_spans", 3, "daniell_spans must be a sequence of spans, got 3"),
         "ar_estimator-ols": ("ar_estimator", "ols", "ar_estimator must be one of "
                              "('yule_walker', 'least_squares'), got 'ols'"),
     }
@@ -594,6 +595,12 @@ class TestRunPipeline:
         with pytest.raises(InvalidArgumentError) as info:
             config_for(dataset_path, **{setting: value})
         assert str(info.value) == message
+
+    def test_daniell_spans_list_is_stored_as_a_tuple(self, dataset_path):
+        as_list = config_for(dataset_path, daniell_spans=[5, 3])
+        as_tuple = config_for(dataset_path, daniell_spans=(5, 3))
+        assert as_list.daniell_spans == (5, 3)
+        assert as_list == as_tuple and hash(as_list) == hash(as_tuple)
 
     def test_kpss_lag_past_the_series_fails_at_its_stage(self, dataset_path):
         # The bound depends on N, 64 after differencing, so its stage checks it.
@@ -675,7 +682,6 @@ class TestRunPipeline:
 
         for module in (armodel, _linalg):
             count(module, "householder_triangularize")
-        count(armodel, "fit_ar_least_squares")
         report = run_pipeline(config_for(p, ar_estimator="least_squares"))
         assert calls == ["householder_triangularize"]
         model = report.body["difference"]["selected_model"]

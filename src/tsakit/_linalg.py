@@ -8,7 +8,7 @@ step is one contiguous matrix-vector product and one rank-1 update.
 ``householder_triangularize`` reduces such a design in place, leaving R
 transposed in its first n columns, applies the same reflections to the
 right-hand side (giving Q^T y), and reports the first regressor that fails
-the rank check against a scale the caller passes. ``armodel._factor`` is its
+the rank check against that regressor's own norm. ``armodel._factor`` is its
 one caller: it builds each least-squares design, and ``armodel`` solves the
 triangular system.
 
@@ -27,7 +27,7 @@ from .special import _horner
 _STEP_TOL = 1e-13
 
 
-def householder_triangularize(a: np.ndarray, rhs: np.ndarray, scale: float) -> int:
+def householder_triangularize(a: np.ndarray, rhs: np.ndarray) -> int:
     """Reduce the regressor-major n x m float array ``a`` (n regressors as
     rows, m >= n observations as columns) in place by Householder
     reflections, applying each reflection to the length-m float vector
@@ -35,18 +35,18 @@ def householder_triangularize(a: np.ndarray, rhs: np.ndarray, scale: float) -> i
     R[i, j] = a[j, i] for i <= j.
 
     Regressor k fails the rank check when the norm of ``a[k, k:]`` at its step
-    is below ``1e-12 * scale``. Returns n when every regressor passes;
-    otherwise stops at the first failing regressor k and returns k. Rows
-    0..k-1 of R and the reflections applied to ``rhs`` are then complete.
-    Entries above the diagonal of ``a[:, :n]`` are left as rounding residue
-    rather than zeroed.
+    is at most 1e-12 times the norm of ``a[k]``, which the reflections keep as
+    the regressor's own: a scale-free check. Returns n when all pass; otherwise
+    stops at the first failing regressor k and returns k. Rows 0..k-1 of R and
+    the reflections applied to ``rhs`` are then complete. Entries above the
+    diagonal of ``a[:, :n]`` are left as rounding residue rather than zeroed.
     """
     n = a.shape[0]
     outer = np.empty(a.shape)  # each step's rank-1 update, in its corner
     for k in range(n):
         v = a[k, k:].copy()
         norm = float(np.sqrt((v ** 2).sum()))
-        if norm < 1e-12 * scale:
+        if norm <= 1e-12 * float(np.sqrt(a[k, :k] @ a[k, :k] + norm * norm)):
             return k
         if v[0] >= 0:
             v[0] += norm

@@ -170,13 +170,11 @@ def _factor(arr: np.ndarray, p: int) -> tuple[list[list[float]], list[float], fl
     (r, z, sse): r[i] is row i of R from its diagonal on and z the matching
     entries of Q^T y, for the regressors before the first that fails the rank
     check (all p + 1 when none fails), and sse the residual sum of squares on
-    those regressors.
+    those regressors. The check judges each regressor against its own norm,
+    so the same regressors pass at any scale of x.
 
     The design is regressor-major: row 0 is the ones regressor and row j is
-    x_{t-j} over those t. The rank check's scale is its largest |entry|. That
-    is the same for every order p >= 1, since each order-p design holds the
-    ones regressor and all of x[:N-1], so a scan that derives lower orders
-    from order K's factor judges each order's rank as its own fit would.
+    x_{t-j} over those t.
     """
     n = arr.size
     design = np.empty((p + 1, n - p))
@@ -184,7 +182,7 @@ def _factor(arr: np.ndarray, p: int) -> tuple[list[list[float]], list[float], fl
     for j in range(1, p + 1):
         design[j] = arr[p - j: n - j]
     qty = arr[p:].copy()
-    rank = householder_triangularize(design, qty, float(np.abs(design).max()))
+    rank = householder_triangularize(design, qty)
     r = [design[i:rank, i].tolist() for i in range(rank)]
     return r, qty[:rank].tolist(), float((qty[rank:] ** 2).sum())
 
@@ -222,14 +220,13 @@ def select_order_aic(x: Sequence[float], max_order: int,
     order-k fit, so the selected model is that step's vector and variance.
     Least squares triangularizes the rows all orders share once and derives
     each lower order's SSE from that factorization by dropping a regressor
-    and adding one row (``_least_squares_rows``); an order whose regressors
-    are rank-deficient on the shared rows is factored on its own rows. Each
-    order's fit is then R and Q^T y. The selected order's phi and intercept
-    solve R beta = Q^T y (``_back_substitute``), and its sigma2 is its AIC
-    row's, so the model and the table agree exactly. This scan is the
-    package's one least-squares fitter. Order 0 is the same white-noise model
-    under either estimator, labelled Yule-Walker: phi = (), row 0's sigma2
-    (the lag-0 autocovariance) and the sample mean.
+    and adding one row (``_least_squares_rows``); each order's fit is its R
+    and Q^T y. The selected order's phi and intercept solve R beta = Q^T y
+    (``_back_substitute``), and its sigma2 is its AIC row's, so the model
+    and the table agree exactly. This scan is the package's one
+    least-squares fitter. Order 0 is the same white-noise model under either
+    estimator, labelled Yule-Walker: phi = (), row 0's sigma2 (the lag-0
+    autocovariance) and the sample mean.
     """
     arr = np.asarray(x, dtype=float)
     n = arr.size
@@ -295,9 +292,12 @@ def _least_squares_rows(arr: np.ndarray, max_order: int) -> tuple[list[AicRow], 
     An order whose regressors fail the rank check on the shared rows is
     factored on its own rows, t = k..N-1, by ``_factor``; if they fail it
     too, its row has the error "rank-deficient design matrix" and its fit is
-    None. Adding rows never shrinks |R_jj|, so when the shared rows pass the
-    rank check, each order's own rows pass it too (up to rounding) and no
-    order is factored twice. A non-finite SSE is an error row of
+    None. Regressor j's verdict involves regressors 0..j alone, alike in
+    every order's design. Order k's own rows never shrink |R_jj| and grow
+    the norm the check measures it against by some factor g, so they pass
+    whenever the shared rows do, unless |R_jj| is within g of its bound:
+    dependent to working precision either way, and the shared verdict
+    stands. No order is factored twice. A non-finite SSE is an error row of
     ``_aic_row``, like any other.
 
     The fit of order k, the (k-1)th entry of the second list, is a copy of

@@ -270,8 +270,7 @@ def histogram_data(x: Sequence[float]) -> HistogramData:
     n_bins = int(math.ceil(math.log2(n))) + 1
     lo, hi = float(arr.min()), float(arr.max())
     # A range below a few float spacings cannot support equal-width binning.
-    degenerate = (hi - lo) <= 4.0 * float(np.spacing(max(abs(lo), abs(hi), 1.0)))
-    if degenerate:
+    if (hi - lo) <= 4.0 * float(np.spacing(max(abs(lo), abs(hi)))):
         edges = np.array([lo - 0.5, lo + 0.5])
         counts = np.array([n])
     else:

@@ -136,10 +136,22 @@ class TestLeastSquares:
         # combination: zero), so the rank check fails exactly there.
         a = rng.normals(21, 7 * 40).reshape(7, 40)
         full = a.copy()
-        assert _linalg.householder_triangularize(full, rng.normals(22, 40), 1.0) == 7
+        assert _linalg.householder_triangularize(full, rng.normals(22, 40)) == 7
         a[planted] = rng.normals(23, planted) @ a[:planted]
-        scale = float(np.abs(a).max())
-        assert _linalg.householder_triangularize(a, rng.normals(22, 40), scale) == planted
+        assert _linalg.householder_triangularize(a, rng.normals(22, 40)) == planted
+
+    @pytest.mark.parametrize("planted", [0, 1, 3, 6])
+    def test_triangularize_stops_at_a_planted_regressor_across_scales(self, planted):
+        # As above, with the regressors' scales spread over 1e13: the rank
+        # check judges each regressor against its own norm, so neither a tiny
+        # regressor beside a huge one nor the reverse fails unless planted.
+        scales = 10.0 ** np.array([-6.5, 6.5, -2.0, 4.0, -6.5, 6.5, 0.0])[:, None]
+        a = rng.normals(21, 7 * 40).reshape(7, 40)
+        full = a * scales
+        assert _linalg.householder_triangularize(full, rng.normals(22, 40)) == 7
+        a[planted] = rng.normals(23, planted) @ a[:planted]
+        a *= scales
+        assert _linalg.householder_triangularize(a, rng.normals(22, 40)) == planted
 
 
 def _select_order_aic_ls_loop(x, max_order):
@@ -229,6 +241,9 @@ _LS_SCAN_CASES = {
     "alternation": lambda: (np.array([1.0, -1.0] * 20), 3),
     "rank-deficient-shared-rows": lambda: (
         (lambda v: v - v.mean())(np.concatenate(([3.0, -2.0, 0.5], [1.0, -1.0] * 40))), 6),
+    # The rank check is scale-free, so the scan matches at either extreme.
+    "n300-k12-x1e-14": lambda: (_seeded_ar(300, 5) * 1e-14, 12),
+    "n300-k12-x1e13": lambda: (_seeded_ar(300, 5) * 1e13, 12),
 }
 
 
@@ -237,9 +252,9 @@ def factored_shapes(monkeypatch):
     """The shape of each design the AIC scan triangularizes, in call order."""
     shapes = []
 
-    def counting_triangularize(a, rhs, scale):
+    def counting_triangularize(a, rhs):
         shapes.append(a.shape)
-        return _linalg.householder_triangularize(a, rhs, scale)
+        return _linalg.householder_triangularize(a, rhs)
 
     monkeypatch.setattr("tsakit.armodel.householder_triangularize", counting_triangularize)
     return shapes
@@ -399,6 +414,28 @@ class TestSelectOrderAic:
         table = _assert_scan_model_is_the_fit(x, 4)
         assert table.selected_order == 0
         assert table.model == yule_walker_fit(x, 0)
+
+    @pytest.mark.parametrize("scale", [1e-20, 1e-14, 1e-13, 1e12, 1e13, 1e20])
+    def test_least_squares_scan_selects_the_same_order_at_any_scale(self, scale):
+        # Each regressor is judged against its own norm, not against an
+        # absolute floor, so scaling the series changes no rank decision.
+        x = rng.normals(3, 60)
+        want = select_order_aic(x, 4, "least_squares").selected_order
+        table = select_order_aic(x * scale, 4, "least_squares")
+        assert table.selected_order == want
+        assert all(row.error is None for row in table.rows)
+
+    @pytest.mark.parametrize("name, scale", [("n300-k12-x1e-14", 1e-14),
+                                             ("n300-k12-x1e13", 1e13)])
+    def test_scaled_scan_case_is_the_unscaled_one_scaled(self, name, scale):
+        # The per-order reference shares the scan's rank check, so it cannot
+        # tell a wrong verdict at the extremes; the unscaled case can.
+        want = select_order_aic(*_LS_SCAN_CASES["n300-k12"](), "least_squares")
+        got = select_order_aic(*_LS_SCAN_CASES[name](), "least_squares")
+        assert got.selected_order == want.selected_order
+        for g, w in zip(got.rows, want.rows):
+            assert g.error is None
+            assert g.sigma2 == pytest.approx(w.sigma2 * scale ** 2, rel=1e-9, abs=0.0)
 
     def test_least_squares_scan_matches_per_order_fits_on_bundled_series(self, diff64):
         table = select_order_aic(diff64, 18, "least_squares")

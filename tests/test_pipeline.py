@@ -535,6 +535,18 @@ class TestHistogramData:
         assert hist.bin_edges.tolist() == [2.5, 3.5]
         assert hist.counts.tolist() == [3]
 
+    def test_tiny_magnitude_range_is_binned(self):
+        # The degenerate-range test is relative to the data's own magnitude,
+        # so a spread of 4e-17 is binned like any other.
+        hist = histogram_data([1e-17, 2e-17, 3e-17, 5e-17])
+        assert hist.counts.tolist() == [2, 1, 1]
+        assert hist.bin_edges.tolist() == np.linspace(1e-17, 5e-17, 4).tolist()
+        assert hist.overlay_density.max() > 0.0
+        for value in (0.0, 7.0):
+            hist = histogram_data([value] * 4)
+            assert hist.bin_edges.tolist() == [value - 0.5, value + 0.5]
+            assert hist.counts.tolist() == [4]
+
     def test_overlay_uses_sample_moments(self):
         x = rng.normals(53, 400) * 2.0 + 7.0
         hist = histogram_data(x)

@@ -1,4 +1,5 @@
-"""Output files that are replaced only once they are complete."""
+"""Output files that are replaced only once they are complete, opened in
+binary mode: each holds exactly the bytes written to it, on every OS."""
 from __future__ import annotations
 
 import contextlib
@@ -8,8 +9,7 @@ import stat
 
 @contextlib.contextmanager
 def staged_files():
-    """Yield ``open_staged(path, **open_kwargs)``, which opens a UTF-8 text
-    file for writing.
+    """Yield ``open_staged(path)``, which opens a file for writing bytes.
 
     A path that does not exist or is a regular file is written as
     ``.<name>.<pid>.tmp`` in its directory, with the mode of the file it will
@@ -21,17 +21,17 @@ def staged_files():
     """
     staged: list[tuple[str, str]] = []  # (temporary, final)
 
-    def open_staged(path, **kwargs):
+    def open_staged(path):
         path = os.fspath(path)
         try:
             mode = os.lstat(path).st_mode
         except FileNotFoundError:
             mode = None
         if mode is not None and not stat.S_ISREG(mode):
-            return open(path, "w", encoding="utf-8", **kwargs)
+            return open(path, "wb")
         directory, name = os.path.split(os.path.abspath(path))
         temporary = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
-        fh = open(temporary, "w", encoding="utf-8", **kwargs)
+        fh = open(temporary, "wb")
         staged.append((temporary, path))
         if mode is not None:
             os.chmod(temporary, stat.S_IMODE(mode))

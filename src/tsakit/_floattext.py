@@ -273,11 +273,11 @@ def _float_block(x: np.ndarray) -> list[np.ndarray]:
     return [head, *rest, exponent]
 
 
-def _lines(columns, end: bytes) -> str:
-    """One line per text: its cells in ``columns`` joined by "," and ended
-    by ``end``, without the NULs. A column is bytes that every line repeats,
-    or a list of words, each an array (one word of each text, or one for
-    all) or bytes. A one-byte "," or ``end`` goes in the last byte of the
+def _lines(columns, end: bytes) -> bytes:
+    """The bytes of one line per text: its cells in ``columns`` joined by ","
+    and ended by ``end``, without the NULs. A column is bytes that every line
+    repeats, or a list of words, each an array (one word of each text, or one
+    for all) or bytes. A one-byte "," or ``end`` goes in the last byte of the
     word before it when no text uses that byte."""
     parts = [b","] * (2 * len(columns))
     parts[0::2] = columns
@@ -300,4 +300,4 @@ def _lines(columns, end: bytes) -> str:
         rows[:, k] = w
         if last:
             rows[:, k] |= last
-    return buffer.translate(None, b"\0").decode("ascii")
+    return bytes(buffer.translate(None, b"\0"))

@@ -491,7 +491,7 @@ def _ar_chunks(model: ArModel, n: int, seed: int,
     bounds = itertools.chain(range(0, burn_in if p else 0, _CHUNK),
                              range(burn_in, end, _CHUNK), (end,))
     for start, stop in itertools.pairwise(bounds):
-        values = scale * rng._normals_at(seed, start, stop - start)
+        values = scale * rng.normals(seed, stop - start, start)
         if p:
             y = values.tolist()  # overwritten in place by the series
             lags = run(y, *model.phi, *lags)
@@ -537,11 +537,13 @@ def _random_walk_chunks(spec: RandomWalkSpec, n: int, seed: int) -> Iterator[np.
     carried = np.empty(0)  # the running sum so far, once a chunk has been made
     for start in range(0, n, _CHUNK):
         stop = min(start + _CHUNK, n)
-        steps = scale * rng._normals_at(seed, start, stop - start)
+        steps = scale * rng.normals(seed, stop - start, start)
         sums = np.cumsum(np.concatenate((carried, steps)))[carried.size:]
         carried = sums[-1:]
         t = np.arange(start + 1, stop + 1, dtype=float)
-        values = spec.y0 + spec.drift * t + sums
+        # A value past the float range is reported by _check_finite alone.
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = spec.y0 + spec.drift * t + sums
         _check_finite(values)
         yield values
 

@@ -11,9 +11,13 @@ run quietly with exit 0.
 A flag value that ``PipelineConfig`` refuses, such as ``--kpss-lag -1`` or
 ``--daniell-spans 4``, is an argparse error that names the flag: usage on
 stderr and exit 2, before any stage runs.
+``analyze`` prints the written paths on stdout. When AIC selects the scan's
+bound K itself, it adds one stderr line, ``note: AIC selected the scan's
+bound K=<K>; --aic-max-order raises it``: the order may be a bound rather
+than a minimum. report.json does not change.
 ``simulate --out FILE`` writes a temporary file beside FILE and renames it
 into place only once it is complete, unless FILE is a symlink, a FIFO or a
-device, which are written directly; ``--out -`` writes to stdout.
+device, which are written directly; ``--out -`` writes to stdout's buffer.
 ``simulate`` makes and writes its series one chunk of samples at a time
 (``armodel._CHUNK``), so its memory does not grow with ``--n`` or
 ``--burn-in``. Each row is ``t,repr(value)``: a chunk's values are formatted
@@ -143,7 +147,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _row_text(values: np.ndarray, start: int) -> str:
+def _row_text(values: np.ndarray, start: int) -> bytes:
     """One ``t,repr(value)`` row per value, t counting from ``start``."""
     t = np.arange(values.size, dtype=np.uint64) + start  # --n has no bound
     return _lines([_int_words(t), _float_words(values)], b"\n")
@@ -153,16 +157,16 @@ def _write_rows(fh, chunks) -> None:
     """``t,value`` header, then one ``t,repr(value)`` row per sample, written
     one chunk of the series at a time as each arrives, with the header in the
     first chunk's write. Neither the series nor its text is ever held whole."""
-    head, start = "t,value\n", 1
+    head, start = b"t,value\n", 1
     for chunk in chunks:
         fh.write(head + _row_text(chunk, start))
-        head, start = "", start + len(chunk)
+        head, start = b"", start + len(chunk)
 
 
 def _emit_series(chunks, destination: str) -> None:
     if destination == "-":
-        _write_rows(sys.stdout, chunks)
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        _write_rows(sys.stdout.buffer, chunks)
+        sys.stdout.buffer.flush()  # a closed pipe raises here, not at interpreter exit
         return
     with staged_files() as open_staged, open_staged(destination) as fh:
         _write_rows(fh, chunks)
@@ -179,6 +183,10 @@ def main(argv=None) -> int:
             written = write_outputs(report, args.output)
             sys.stdout.write("\n".join(str(p) for p in written) + "\n")
             sys.stdout.flush()
+            bound = report.body["decisions"]["aic_max_order"]
+            if report.body["difference"]["aic"]["selected_order"] == bound:
+                sys.stderr.write(f"note: AIC selected the scan's bound K={bound}; "
+                                 "--aic-max-order raises it\n")
             return EXIT_OK
         # The subcommand is required, so anything else is "simulate".
         if args.model == "ar":

@@ -18,8 +18,8 @@ figure's plot data goes to its own CSV. A float is written as ``repr``
 writes it, or as numpy's repr of a float64 scalar where the cell held one:
 every float of every figure is formatted in one ``_floattext._float_words``
 call, with ``repr``'s bytes and no ``repr`` call per value. Each column is
-rendered once, the figure's text is joined from those columns in the bytes a
-cell-by-cell ``csv.writer`` gave, and each file is written with one
+rendered once, the figure's bytes are joined from those columns in the bytes
+a cell-by-cell ``csv.writer`` gave, and each file is written with one
 ``write`` call; files are only written after every stage has succeeded. The
 trend's residuals are rendered once for two figures: fig_residuals wraps each
 text as numpy's repr, and fig_qq's sample column is the same texts in the QQ
@@ -294,7 +294,7 @@ class AnalysisReport:
     """Everything the pipeline computed, as a JSON-serializable tree."""
 
     body: dict
-    figures: dict  # file name -> the figure's CSV text, header line first
+    figures: dict  # file name -> the figure's CSV bytes, header line first
 
     def to_json(self) -> str:
         return json.dumps(self.body, indent=2, sort_keys=True) + "\n"
@@ -473,22 +473,22 @@ def _figure_rows(x, fit, centered, acf, hist, qq, raw_spec, smooth_spec,
         [w[start:end] for w in words] for start, end in zip([0] + ends, ends))
     t = _int_words(np.arange(1, n + 1))
     figures = (  # in FIGURE_FILES' order: the header, then each block's columns
-        ("period,t,observed,fitted",
+        (b"period,t,observed,fitted",
          [([_month_words(x.start_month, n)], t, _np_scalar(observed), _np_scalar(fitted))]),
-        ("t,fitted,residual", [(t, _np_scalar(fitted), _np_scalar(residuals))]),
-        ("theoretical_quantile,sample_quantile",
+        (b"t,fitted,residual", [(t, _np_scalar(fitted), _np_scalar(residuals))]),
+        (b"theoretical_quantile,sample_quantile",
          [(quantiles, [w[qq.order] for w in residuals])]),
-        ("panel,x,y,band",
+        (b"panel,x,y,band",
          [(b"series", [w[:m] for w in t], _np_scalar(diffs), b""),
           (b"sacf", _int_words(acf.lags), autocorrelation, _np_scalar(band))]),
-        ("panel,x,x2,y",
+        (b"panel,x,x2,y",
          [(b"bar", _np_scalar([w[:bins] for w in edges]),
            _np_scalar([w[1:] for w in edges]), _int_words(hist.counts)),
           (b"normal_density", density_x, b"", density)]),
-        ("frequency,raw_power,smoothed_power", [(frequencies, raw, smoothed)]),
-        ("frequency,power", [(ar_frequencies, ar_power)]),
+        (b"frequency,raw_power,smoothed_power", [(frequencies, raw, smoothed)]),
+        (b"frequency,power", [(ar_frequencies, ar_power)]),
     )
-    return {name: "".join([header, "\r\n", *(_lines(columns, b"\r\n") for columns in blocks)])
+    return {name: b"".join([header, b"\r\n", *(_lines(columns, b"\r\n") for columns in blocks)])
             for name, (header, blocks) in zip(FIGURE_FILES, figures, strict=True)}
 
 
@@ -503,7 +503,8 @@ def _np_scalar(column: list) -> list:
 
 
 def write_outputs(report: AnalysisReport, output_dir: Union[str, Path]) -> list[Path]:
-    """Write report.json and every figure CSV; returns the written paths.
+    """Write report.json and every figure CSV, each as the bytes it was built
+    from; returns the written paths.
 
     Every file is first written under a temporary name in ``output_dir`` and
     renamed into place only once all of them are complete, so a failed write
@@ -513,11 +514,10 @@ def write_outputs(report: AnalysisReport, output_dir: Union[str, Path]) -> list[
     """
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = [out / "report.json"] + [out / name for name in report.figures]
+    files = {"report.json": report.to_json().encode(), **report.figures}
+    written = [out / name for name in files]
     with staged_files() as open_staged:
-        with open_staged(written[0]) as fh:
-            fh.write(report.to_json())
-        for path, text in zip(written[1:], report.figures.values()):
-            with open_staged(path, newline="") as fh:
-                fh.write(text)
+        for path, data in zip(written, files.values()):
+            with open_staged(path) as fh:
+                fh.write(data)
     return written

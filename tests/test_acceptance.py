@@ -91,11 +91,11 @@ class TestSection32Reproduction:
                        "same cell of a 6-cell partition of [0, 0.5]"):
             report = run_pipeline(default_config)
             np_rows = list(csv.reader(
-                report.figures["fig_spectrum_np.csv"].splitlines()))[1:]
+                report.figures["fig_spectrum_np.csv"].decode().splitlines()))[1:]
             freqs = np.array([float(r[0]) for r in np_rows])
             smoothed = np.array([float(r[2]) for r in np_rows])
             ar_rows = list(csv.reader(
-                report.figures["fig_spectrum_ar.csv"].splitlines()))[1:]
+                report.figures["fig_spectrum_ar.csv"].decode().splitlines()))[1:]
             ar_freqs = np.array([float(r[0]) for r in ar_rows])
             ar_power = np.array([float(r[1]) for r in ar_rows])
             cell_np = six_cell(float(freqs[int(np.argmax(smoothed))]))

@@ -729,17 +729,18 @@ class TestSimulateAr:
     # at p >= 1 every burn-in chunk is drawn as before.
     @pytest.mark.parametrize("phi", [(), (0.5,), (0.6, -0.2)])
     def test_burn_in_draws_only_when_a_lag_carries_it(self, monkeypatch, phi):
-        draws = []
-        normals_at = rng._normals_at
-
-        def recording(seed, start, count):
-            draws.append((start, count))
-            return normals_at(seed, start, count)
-
-        monkeypatch.setattr(rng, "_normals_at", recording)
         model = ArModel(phi=phi, sigma2=1.0, mean=0.5)
+        want = _simulate_ar_loop(model, 5_000, 4, 9_000)
+        draws = []
+        normals = rng.normals
+
+        def recording(seed, count, start):
+            draws.append((start, count))
+            return normals(seed, count, start)
+
+        monkeypatch.setattr(rng, "normals", recording)
         got = simulate_ar(model, 5_000, seed=4, burn_in=9_000).values
-        assert got.tobytes() == _simulate_ar_loop(model, 5_000, 4, 9_000).tobytes()
+        assert got.tobytes() == want.tobytes()
         burn_in_draws = [(0, 4096), (4096, 4096), (8192, 808)] if phi else []
         assert draws == [*burn_in_draws, (9_000, 4096), (13_096, 904)]
 

@@ -56,6 +56,8 @@ INTEGER_PARAMETERS = {
     "t_distribution_sf(dof)": ("dof", 1, 2, lambda v: t_distribution_sf(1.5, v)),
     "rng.uniforms(count)": ("count", 0, 2, lambda v: rng.uniforms(4, v)),
     "rng.normals(count)": ("count", 0, 2, lambda v: rng.normals(4, v)),
+    "rng.uniforms(start)": ("start", 0, 2, lambda v: rng.uniforms(4, 3, v)),
+    "rng.normals(start)": ("start", 0, 2, lambda v: rng.normals(4, 3, v)),
     "PipelineConfig(truncate_head)": (
         "truncate_head", 0, 2, lambda v: PipelineConfig("in.csv", truncate_head=v)),
     "PipelineConfig(aic_max_order)": (

@@ -22,9 +22,9 @@ def _assert_reprs(values) -> None:
     for start in range(0, values.size, _BLOCK):
         block = values[start:start + _BLOCK].tolist()
         got = _lines([_float_words(block)], b", ")
-        want = repr(block)[1:-1] + ", "  # one C loop of float repr
+        want = (repr(block)[1:-1] + ", ").encode()  # one C loop of float repr
         if got != want:
-            pairs = zip(got.split(", "), want.split(", "), block)
+            pairs = zip(got.split(b", "), want.split(b", "), block)
             bad = next((g, w, v) for g, w, v in pairs if g != w)
             pytest.fail(f"{bad[2].hex()}: got {bad[0]!r}, repr gives {bad[1]!r}")
 
@@ -55,7 +55,7 @@ def test_subnormals_and_special_values():
              info.max, -info.max, info.tiny, np.nextafter(info.tiny, 0.0)]
     _assert_reprs(np.concatenate([subnormals, -subnormals, edges]))
     text = _lines([_float_words(edges[:5])], b" ")
-    assert text == "0.0 -0.0 inf -inf nan "
+    assert text == b"0.0 -0.0 inf -inf nan "
 
 
 def test_integers_and_notation_switches():
@@ -90,7 +90,7 @@ def test_integer_text():
     values = np.array([0, 1, 9, 10, 99, 100, 12345, 2 ** 32 - 1, 2 ** 32,
                        10 ** 19, 2 ** 64 - 1], dtype=np.uint64)
     text = _lines([_int_words(values)], b"\n")
-    assert text == "".join(f"{v}\n" for v in values.tolist())
+    assert text == "".join(f"{v}\n" for v in values.tolist()).encode()
 
 
 def _per_row(values, start=1) -> str:
@@ -114,4 +114,4 @@ def test_streamed_rows_equal_per_row_text(n, capsys):
 @pytest.mark.parametrize("start", [8, 99_998, 2 ** 32 - 3, 2 ** 63 - 2])
 def test_row_text_across_digit_counts(start):
     values = np.random.default_rng(start % 1000).standard_normal(5)
-    assert cli._row_text(values, start) == _per_row(values, start)
+    assert cli._row_text(values, start) == _per_row(values, start).encode()

@@ -87,9 +87,9 @@ def _dead_private_names(trees: dict[str, ast.Module]) -> list[str]:
 
 # Public functions that only the acceptance suite calls: the paper's random
 # walk moments, its theoretical AR ACF and the inverse of differencing; and
-# the whole-array simulators and normal draws, whose private chunked forms the
-# CLI streams through.
-ACCEPTANCE_API = frozenset({"integrate", "normals", "random_walk_moments", "simulate_ar",
+# the whole-array simulators, whose private chunked forms the CLI streams
+# through.
+ACCEPTANCE_API = frozenset({"integrate", "random_walk_moments", "simulate_ar",
                             "simulate_random_walk", "theoretical_ar_acf"})
 
 

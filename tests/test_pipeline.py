@@ -724,7 +724,7 @@ class TestRunPipeline:
         report = run_pipeline(cfg)
         assert report.body["difference"]["length"] == n - 3 - 1
         series_rows = [r for r in csv.reader(
-                           report.figures["fig_diff_sacf.csv"].splitlines())
+                           report.figures["fig_diff_sacf.csv"].decode().splitlines())
                        if r[0] == "series"]
         assert len(series_rows) == n - 3 - 1
 
@@ -845,8 +845,8 @@ class TestRunPipeline:
         @contextlib.contextmanager
         def failing_staged_files():
             with real_staged_files() as open_staged:
-                def open_failing(path, **kwargs):
-                    fh = open_staged(path, **kwargs)
+                def open_failing(path):
+                    fh = open_staged(path)
                     staged.append(path.name)
                     if len(staged) == 6:  # report.json, then the fifth figure CSV
                         fh.write = failing_write
@@ -942,7 +942,7 @@ class TestFigureWriter:
         for name in pipeline.FIGURE_FILES:
             assert got[name] == want[name], name
             # csv.writer quotes no cell of its own parse: none needed quoting.
-            text = report.figures[name]
+            text = report.figures[name].decode()
             rewritten = io.StringIO()
             csv.writer(rewritten).writerows(csv.reader(io.StringIO(text, newline="")))
             assert rewritten.getvalue() == text, name
@@ -1028,7 +1028,7 @@ def test_np_scalar_text_equals_numpy_scalar_repr():
                 v = np.nextafter(v, toward)
     values = np.concatenate([finite, np.array(edges)])
     text = _lines([pipeline._np_scalar(_float_words(values))], b"\n")
-    assert text.split("\n")[:-1] == [repr(v) for v in values]
+    assert text.split(b"\n")[:-1] == [repr(v).encode() for v in values]
 
 
 class TestCli:
@@ -1037,6 +1037,31 @@ class TestCli:
                          "--output", str(tmp_path / "out")])
         assert code == 0
         assert (tmp_path / "out" / "report.json").exists()
+
+    # On the bundled data Yule-Walker selects AR(11) inside the scan at
+    # K = 18 and 12 and at its bound K = 11; least squares selects AR(4)
+    # inside the scan at K = 5 and at its bound K = 4. A run at its bound
+    # adds one stderr note; stdout is the written paths either way.
+    @pytest.mark.parametrize("flags, note", [
+        ([], ""),
+        (["--aic-max-order", "12"], ""),
+        (["--aic-max-order", "11"], "note: AIC selected the scan's bound K=11; "
+                                    "--aic-max-order raises it\n"),
+        (["--ar-estimator", "least_squares", "--aic-max-order", "5"], ""),
+        (["--ar-estimator", "least_squares", "--aic-max-order", "4"],
+         "note: AIC selected the scan's bound K=4; --aic-max-order raises it\n"),
+    ], ids=["default", "below-bound", "at-bound", "least-squares-below-bound",
+            "least-squares-at-bound"])
+    def test_aic_at_the_scan_bound_prints_one_note(self, dataset_path, tmp_path, capsys,
+                                                   flags, note):
+        out = tmp_path / "out"
+        assert cli_main(["analyze", "--input", str(dataset_path), "--output", str(out),
+                         *flags]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert (report["difference"]["aic"]["selected_order"] ==
+                report["decisions"]["aic_max_order"]) == bool(note)
+        written = [out / name for name in ("report.json", *pipeline.FIGURE_FILES)]
+        assert capsys.readouterr() == ("".join(f"{p}\n" for p in written), note)
 
     def test_missing_input_exit_2(self, tmp_path):
         code = cli_main(["analyze", "--input", str(tmp_path / "nope.csv"),
@@ -1092,7 +1117,9 @@ class TestCli:
                  "analyze", "--input", str(p), "--output", str(out_dir),
                  "--ar-estimator", "least_squares"],
                 capture_output=True, env=env, timeout=120)
-            assert (proc.returncode, proc.stderr) == (0, b"")
+            # AIC selects the scan's bound, K = 36, on this input.
+            assert (proc.returncode, proc.stderr) == (
+                0, b"note: AIC selected the scan's bound K=36; --aic-max-order raises it\n")
             reports.append((out_dir / "report.json").read_bytes())
         assert reports[0] == reports[1]
 
@@ -1223,36 +1250,36 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
-    # An overflowing walk prints numpy's overflow RuntimeWarning, which
-    # pytest would raise, so these cases run in a child process.
-    @staticmethod
-    def _simulate_in_child(*args):
-        return subprocess.run(
-            [sys.executable, "-m", "tsakit.cli", "simulate", "random-walk", *args],
-            capture_output=True, env=dict(os.environ, PYTHONPATH=str(SRC_DIR)), timeout=60)
+    # An overflowing walk is reported by one error line and no numpy warning
+    # (which the suite would raise).
+    def test_simulate_walk_overflowing_in_first_chunk_writes_nothing(self, capsys):
+        code = cli_main(["simulate", "random-walk", "--drift", "1e308", "--n", "10",
+                         "--out", "-"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: TimeSeries values must all be finite\n")
 
-    def test_simulate_walk_overflowing_in_first_chunk_writes_nothing(self):
-        proc = self._simulate_in_child("--drift", "1e308", "--n", "10", "--out", "-")
-        assert proc.returncode == 2
-        assert proc.stdout == b""
-        assert proc.stderr.endswith(b"\nerror: TimeSeries values must all be finite\n")
+    def test_simulate_walk_overflowing_sum_is_one_error_line(self, capsys):
+        # y0 + drift overflows in the addition, drift * t from t = 2 in the product.
+        code = cli_main(["simulate", "random-walk", "--drift", "1e308", "--y0", "1.7e308",
+                         "--n", "3"])
+        assert code == 2
+        assert capsys.readouterr() == ("", "error: TimeSeries values must all be finite\n")
 
     def test_simulate_walk_overflowing_in_later_chunk(self, tmp_path, capsys):
         # drift * t first overflows at t = 4495, in the second chunk: stdout
         # keeps the first chunk's rows, while a FILE is left as it was.
-        args = ("--drift", "4e304", "--n", "5000")
-        proc = self._simulate_in_child(*args, "--out", "-")
-        assert proc.returncode == 2
-        assert proc.stderr.endswith(b"\nerror: TimeSeries values must all be finite\n")
-        assert cli_main(["simulate", "random-walk", "--drift", "4e304", "--n", "4096"]) == 0
-        assert proc.stdout == capsys.readouterr().out.encode("utf-8")
-        assert proc.stdout.count(b"\n") == 1 + 4096
+        walk = ["simulate", "random-walk", "--drift", "4e304"]
+        assert cli_main([*walk, "--n", "4096"]) == 0
+        first_chunk = capsys.readouterr().out
+        assert first_chunk.count("\n") == 1 + 4096
+        assert cli_main([*walk, "--n", "5000", "--out", "-"]) == 2
+        assert capsys.readouterr() == (
+            first_chunk, "error: TimeSeries values must all be finite\n")
 
         out = tmp_path / "walk.csv"
         out.write_text("earlier output\n")
-        proc = self._simulate_in_child(*args, "--out", str(out))
-        assert proc.returncode == 2
-        assert proc.stdout == b""
+        assert cli_main([*walk, "--n", "5000", "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", "error: TimeSeries values must all be finite\n")
         assert list(tmp_path.iterdir()) == [out]
         assert out.read_text() == "earlier output\n"
 
@@ -1261,7 +1288,7 @@ class TestCli:
         out.write_text("earlier output\n")
 
         def failing_rows(fh, values):
-            fh.write("t,value\n1,0.5\n")
+            fh.write(b"t,value\n1,0.5\n")
             raise OSError("no space left on device")
 
         monkeypatch.setattr("tsakit.cli._write_rows", failing_rows)
@@ -1358,7 +1385,15 @@ class TestCli:
         # A left-out flag stays unset, so PipelineConfig's field defaults are
         # the only copy of each analyze default; a given flag reaches its field.
         captured = []
-        monkeypatch.setattr(cli, "run_pipeline", captured.append)
+        report = AnalysisReport(body={"decisions": {"aic_max_order": 2},
+                                      "difference": {"aic": {"selected_order": 1}}},
+                                figures={})
+
+        def run(config):
+            captured.append(config)
+            return report
+
+        monkeypatch.setattr(cli, "run_pipeline", run)
         monkeypatch.setattr(cli, "write_outputs", lambda report, out: [])
         required = ["analyze", "--input", "in.csv", "--output", "out"]
         assert cli_main(required) == 0

@@ -67,11 +67,26 @@ class TestUniforms:
     # Every chunk of a streamed simulation draws its slice of one sequence.
     @pytest.mark.parametrize("start, count", [(0, 0), (0, 5), (3, 1), (17, 40), (4096, 7)])
     def test_draws_at_an_offset_are_a_slice_of_one_call(self, start, count):
-        whole = rng.normals(11, 4200)
-        assert rng._normals_at(11, start, count).tobytes() == \
-            whole[start:start + count].tobytes()
-        assert rng._uniforms_at(11, start, count).tobytes() == \
+        assert rng.normals(11, count, start=start).tobytes() == \
+            rng.normals(11, 4200)[start:start + count].tobytes()
+        assert rng.uniforms(11, count, start=start).tobytes() == \
             rng.uniforms(11, 4200)[start:start + count].tobytes()
+
+    # The counter arithmetic in Python ints: draws past 2**32 and 2**63, and a
+    # start whose counters wrap past 2**64 (the stream's period).
+    @pytest.mark.parametrize("seed", [0, -3, 2**64 + 7])
+    @pytest.mark.parametrize("start", [0, 5, 2**32 - 2, 2**63 - 1, 2**64 - 2, 2**64 + 5])
+    def test_draws_match_the_counter_hash(self, seed, start):
+        mask = (1 << 64) - 1
+
+        def draw(t):
+            v = (seed * 0x9E3779B97F4A7C15 + t * 0xBF58476D1CE4E5B9
+                 + 0x9E3779B97F4A7C15) & mask
+            v = ((v ^ v >> 30) * 0xBF58476D1CE4E5B9) & mask
+            v = ((v ^ v >> 27) * 0x94D049BB133111EB) & mask
+            return (((v ^ v >> 31) >> 11) + 0.5) / 2.0**53
+
+        assert rng.uniforms(seed, 4, start).tolist() == [draw(start + i) for i in range(4)]
 
 
 class TestNormals:

@@ -80,23 +80,11 @@ class AicRow:
 
 @dataclass(frozen=True)
 class AicTable:
-    """The AIC rows of orders 0..K, the selected order, and its fitted model
-    (not part of ``to_dict``)."""
+    """The AIC rows of orders 0..K, the selected order, and its fitted model."""
 
     rows: tuple[AicRow, ...]
     selected_order: int
-    method: str
-    n: int
     model: ArModel
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "n": self.n,
-            "selected_order": self.selected_order,
-            "rows": [{"order": r.order, "sigma2": r.sigma2, "aic": r.aic,
-                      "error": r.error} for r in self.rows],
-        }
 
 
 @dataclass(frozen=True)
@@ -270,8 +258,7 @@ def select_order_aic(x: Sequence[float], max_order: int,
     else:
         model = _least_squares_model(arr, _back_substitute(*fits[best.order - 1]),
                                      best.sigma2)
-    return AicTable(rows=tuple(rows), selected_order=best.order, method=method,
-                    n=n, model=model)
+    return AicTable(rows=tuple(rows), selected_order=best.order, model=model)
 
 
 def _least_squares_rows(arr: np.ndarray, max_order: int) -> tuple[list[AicRow], list]:

@@ -109,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--date-column")
     analyze.add_argument("--value-column")
     analyze.add_argument("--aic-max-order", type=_config_checked("aic_max_order", _auto_or_int),
-                         help="maximum AR order for AIC, or auto = floor(10 log10 N)")
+                         help="maximum AR order for AIC, or auto = max(1, min(floor(10 "
+                              "log10 N), (N - 1) // 2)), N = rows - truncate_head - 1, "
+                              "the differenced length")
     analyze.add_argument("--ar-estimator", choices=_ESTIMATORS)
     analyze.add_argument("--daniell-spans", type=_config_checked("daniell_spans", _parse_spans),
                          help="comma-separated odd spans, e.g. 3,3")

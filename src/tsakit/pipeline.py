@@ -13,17 +13,22 @@ first difference, demean, and run the stationarity test, AR identification
 and spectral estimation on the result.
 The AR model is fitted once, by the AIC scan that identifies its order
 (``select_order_aic``); the estimation stage only solves its roots, once, for
-the report's root list. The report is a versioned JSON document and each
-figure's plot data goes to its own CSV. A float is written as ``repr``
-writes it, or as numpy's repr of a float64 scalar where the cell held one:
-every float of every figure is formatted in one ``_floattext._float_words``
-call, with ``repr``'s bytes and no ``repr`` call per value. Each column is
-rendered once, the figure's bytes are joined from those columns in the bytes
-a cell-by-cell ``csv.writer`` gave, and each file is written with one
-``write`` call; files are only written after every stage has succeeded. The
-trend's residuals are rendered once for two figures: fig_residuals wraps each
-text as numpy's repr, and fig_qq's sample column is the same texts in the QQ
-plot's stable sort order (``qq_plot_data``).
+the report's root list. Every stage runs with numpy's overflow, invalid and
+divide raising (``_stage``), so an inf or NaN fails the stage that made it; a
+local ``errstate``, as in the root finder, takes precedence. The report is a
+versioned JSON document, and this module alone names its keys and writes its
+texts (``_p_value``, ``_test_section``), from the numerics modules' records
+of numbers, the config and the run's lengths. Each figure's plot data goes to
+its own CSV. A float is written as ``repr`` writes it, or as numpy's repr of
+a float64 scalar where the cell held one: every float of every figure is
+formatted in one ``_floattext._float_words`` call, with ``repr``'s bytes and
+no ``repr`` call per value. Each column is rendered once, the figure's bytes
+are joined from those columns in the bytes a cell-by-cell ``csv.writer``
+gave, and each file is written with one ``write`` call; files are only
+written after every stage has succeeded. The trend's residuals are rendered
+once for two figures: fig_residuals wraps each text as numpy's repr, and
+fig_qq's sample column is the same texts in the QQ plot's stable sort order
+(``qq_plot_data``).
 """
 from __future__ import annotations
 
@@ -49,13 +54,14 @@ from .correlation import sample_acf
 from .errors import (DuplicateMonthError, InsufficientDataError,
                      InvalidArgumentError, MalformedRowError, MissingInputError,
                      MonthGapError, PipelineStageError, TsaError, _as_index)
-from .regression import (P_VALUE_CENSOR_THRESHOLD, LinearTrendFit,
-                         fit_linear_trend)
+from .regression import (P_VALUE_CENSOR_THRESHOLD, Censoring, LinearTrendFit,
+                         PValue, fit_linear_trend)
 from .series import (TimeSeries, _month_index, _month_label, _month_words,
                      demean, difference)
-from .spectral import ar_psd, daniell_smooth, modified_daniell_kernel, periodogram
+from .spectral import (ar_psd, daniell_smooth, modified_daniell_kernel,
+                       next_power_of_two, periodogram)
 from .special import norm_ppf
-from .stattests import jarque_bera, kpss_level, shapiro_wilk
+from .stattests import HypothesisTestResult, jarque_bera, kpss_level, shapiro_wilk
 
 REPORT_FORMAT_VERSION = "1"
 AR_PSD_GRID = 257
@@ -102,11 +108,13 @@ class PipelineConfig:
             raise InvalidArgumentError(
                 f"daniell_spans must be a sequence of spans, got {self.daniell_spans!r}"
             ) from None
-        object.__setattr__(self, "daniell_spans", spans)
         if not spans:
             raise InvalidArgumentError("at least one Daniell span is required")
         for span in spans:
             modified_daniell_kernel(span)
+        # Python ints, so that the report can write them as JSON.
+        object.__setattr__(self, "daniell_spans",
+                           tuple(_as_index(span, "span") for span in spans))
 
 
 def ingest_csv(path: Union[str, Path], config: PipelineConfig, *,
@@ -311,6 +319,33 @@ def _fingerprint(data: bytes, x: TimeSeries) -> dict:
     }
 
 
+def _p_value(p: PValue) -> dict:
+    """A p-value's report entry: its value, its censoring, the text it is
+    displayed as and, when one is set, its threshold."""
+    if p.censored is Censoring.BELOW_THRESHOLD:
+        display = f"< {p.threshold:g}"
+    elif p.censored is Censoring.ABOVE_THRESHOLD:
+        display = f">= {p.threshold:g}"
+    else:
+        display = f"{p.value:.6g}"
+    entry = {"value": p.value, "censored": p.censored.value, "display": display}
+    if p.threshold is not None:
+        entry["threshold"] = p.threshold
+    return entry
+
+
+def _test_section(test: str, result: HypothesisTestResult, null_hypothesis: str,
+                  sample_size: int) -> dict:
+    return {
+        "test": test,
+        "statistic": result.statistic,
+        "p_value": _p_value(result.p_value),
+        "null_hypothesis": null_hypothesis,
+        "sample_size": sample_size,
+        "nuisance": dict(result.nuisance),
+    }
+
+
 def _trend_section(fit: LinearTrendFit) -> dict:
     return {
         "beta0": fit.beta0,
@@ -319,11 +354,11 @@ def _trend_section(fit: LinearTrendFit) -> dict:
         "se_beta1": fit.se_beta1,
         "t_beta0": fit.t_beta0,
         "t_beta1": fit.t_beta1,
-        "p_beta0": fit.p_beta0.to_dict(),
-        "p_beta1": fit.p_beta1.to_dict(),
+        "p_beta0": _p_value(fit.p_beta0),
+        "p_beta1": _p_value(fit.p_beta1),
         "r_squared": fit.r_squared,
         "f_statistic": fit.f_statistic,
-        "model_p_value": fit.model_p_value.to_dict(),
+        "model_p_value": _p_value(fit.model_p_value),
         "n": fit.n,
         "dof": fit.dof,
     }
@@ -347,10 +382,13 @@ def _model_section(model: ArModel) -> dict:
 
 @contextmanager
 def _stage(name: str):
-    """Re-raise a TsaError from the block as PipelineStageError(name, exc)."""
+    """Run the block with numpy's overflow, invalid and divide raising, and
+    re-raise a TsaError or FloatingPointError from it as
+    PipelineStageError(name, exc)."""
     try:
-        yield
-    except TsaError as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except (TsaError, FloatingPointError) as exc:
         raise PipelineStageError(name, exc) from exc
 
 
@@ -405,36 +443,49 @@ def run_pipeline(config: PipelineConfig) -> AnalysisReport:
         qq = qq_plot_data(residuals)
         hist = histogram_data(centered.values)
 
+    normal = "sample is normally distributed"
+    # periodogram demeans its input and zero-pads it to the next power of two.
+    raw_parameters = {"original_length": n_diff,
+                      "padded_length": next_power_of_two(n_diff), "demeaned": True}
     body = {
         "report_format_version": REPORT_FORMAT_VERSION,
         "toolkit_version": _toolkit_version,
         "dataset": _fingerprint(data, x),
         "trend": _trend_section(fit),
         "residual_diagnostics": {
-            "jarque_bera": jb.to_dict(),
-            "shapiro_wilk": sw.to_dict(),
+            "jarque_bera": _test_section("jarque_bera", jb, normal, len(residuals)),
+            "shapiro_wilk": _test_section("shapiro_wilk", sw, normal, len(residuals)),
         },
         "difference": {
             "truncate_head": config.truncate_head,
             "difference_order": 1,
             "length": n_diff,
             "mean_removed": removed_mean,
-            "kpss": kpss.to_dict(),
-            "aic": aic.to_dict(),
+            "kpss": _test_section("kpss_level", kpss, "series is level stationary",
+                                  n_diff),
+            "aic": {
+                "method": config.ar_estimator,
+                "n": n_diff,
+                "selected_order": aic.selected_order,
+                "rows": [{"order": r.order, "sigma2": r.sigma2, "aic": r.aic,
+                          "error": r.error} for r in aic.rows],
+            },
             "selected_model": model_section,
         },
         "spectra": {
             "raw_periodogram": {"file": _SPECTRUM_NP_FILE,
-                                "parameters": raw_spec.parameters},
+                                "parameters": raw_parameters},
             "smoothed": {"file": _SPECTRUM_NP_FILE,
-                         "parameters": smooth_spec.parameters},
+                         "parameters": {**raw_parameters,
+                                        "spans": list(config.daniell_spans)}},
             "ar_parametric": {"file": _SPECTRUM_AR_FILE,
-                              "parameters": ar_spec.parameters},
+                              "parameters": {"order": model.order,
+                                             "grid_size": AR_PSD_GRID}},
         },
         "decisions": {
             "ar_estimator": config.ar_estimator,
             "aic_max_order": max_order,
-            "daniell_spans": list(smooth_spec.parameters["spans"]),
+            "daniell_spans": list(config.daniell_spans),
             "kpss_lag": kpss.nuisance["truncation_lag"],
             "kpss_lag_rule": ("floor(4*(N/100)^0.25)"
                               if config.kpss_lag == "auto" else "explicit"),

@@ -50,20 +50,6 @@ class PValue:
             return cls(p, Censoring.BELOW_THRESHOLD, P_VALUE_CENSOR_THRESHOLD)
         return cls(p)
 
-    def formatted(self) -> str:
-        if self.censored is Censoring.BELOW_THRESHOLD:
-            return f"< {self.threshold:g}"
-        if self.censored is Censoring.ABOVE_THRESHOLD:
-            return f">= {self.threshold:g}"
-        return f"{self.value:.6g}"
-
-    def to_dict(self) -> dict:
-        out = {"value": self.value, "censored": self.censored.value,
-               "display": self.formatted()}
-        if self.threshold is not None:
-            out["threshold"] = self.threshold
-        return out
-
 
 @dataclass(frozen=True)
 class LinearTrendFit:

@@ -7,10 +7,13 @@ input and zero-pads it to the next power of two N; its ordinates are
 modified Daniell kernel (half-weight endpoints); successive spans are convolved
 into one composite kernel which is applied with reflection at both ends of the
 half-spectrum. The parametric estimate evaluates the AR transfer function.
+An estimate carries its frequencies, its power and its kind only; the
+report's parameters for each spectrum are the pipeline's, from the lengths,
+spans and order it passed in.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -31,8 +34,7 @@ class EstimatorKind(Enum):
 class SpectrumEstimate:
     frequencies: np.ndarray
     power: np.ndarray
-    estimator: EstimatorKind
-    parameters: dict = field(default_factory=dict)
+    estimator: EstimatorKind  # daniell_smooth takes only a raw periodogram
 
 
 def _fft_radix2(x: np.ndarray) -> np.ndarray:
@@ -95,12 +97,8 @@ def periodogram(x: Sequence[float]) -> SpectrumEstimate:
     half = n // 2
     power = np.abs(transform[: half + 1]) ** 2 / n
     freqs = np.arange(half + 1, dtype=float) / n
-    return SpectrumEstimate(
-        frequencies=freqs,
-        power=power,
-        estimator=EstimatorKind.RAW_PERIODOGRAM,
-        parameters={"original_length": m, "padded_length": n, "demeaned": True},
-    )
+    return SpectrumEstimate(frequencies=freqs, power=power,
+                            estimator=EstimatorKind.RAW_PERIODOGRAM)
 
 
 def modified_daniell_kernel(span: int) -> np.ndarray:
@@ -139,12 +137,9 @@ def daniell_smooth(spectrum: SpectrumEstimate,
     padded = np.concatenate((power[half_width:0:-1], power,
                              power[-2: -half_width - 2: -1]))
     smoothed = np.convolve(padded, kernel, mode="valid")
-    return SpectrumEstimate(
-        frequencies=spectrum.frequencies.copy(),
-        power=np.maximum(smoothed, 0.0),
-        estimator=EstimatorKind.DANIELL,
-        parameters={**spectrum.parameters, "spans": tuple(spans)},
-    )
+    return SpectrumEstimate(frequencies=spectrum.frequencies.copy(),
+                            power=np.maximum(smoothed, 0.0),
+                            estimator=EstimatorKind.DANIELL)
 
 
 def ar_psd(model: ArModel, grid_size: int) -> SpectrumEstimate:
@@ -157,9 +152,5 @@ def ar_psd(model: ArModel, grid_size: int) -> SpectrumEstimate:
     for j, phi_j in enumerate(model.phi, start=1):
         response -= phi_j * np.exp(-2j * np.pi * freqs * j)
     power = model.sigma2 / np.abs(response) ** 2
-    return SpectrumEstimate(
-        frequencies=freqs,
-        power=power,
-        estimator=EstimatorKind.AR_PARAMETRIC,
-        parameters={"order": model.order, "grid_size": grid_size},
-    )
+    return SpectrumEstimate(frequencies=freqs, power=power,
+                            estimator=EstimatorKind.AR_PARAMETRIC)

@@ -6,6 +6,8 @@ Shapiro-Wilk follows Royston's AS R94 approximation (normal-scores weights with
 polynomial corrections and a normalizing transform of W). The KPSS level test
 builds the Bartlett-window long-run variance and interpolates its p-value in
 the published critical-value table, censoring outside [0.01, 0.1].
+Each test returns its statistic, p-value and nuisance values only; the
+report's test names, null hypotheses and sample sizes are the pipeline's.
 """
 from __future__ import annotations
 
@@ -24,22 +26,9 @@ from .special import _acklam, _horner, normal_sf
 
 @dataclass(frozen=True)
 class HypothesisTestResult:
-    test_name: str
     statistic: float
     p_value: PValue
-    null_hypothesis: str
-    sample_size: int
     nuisance: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "test": self.test_name,
-            "statistic": self.statistic,
-            "p_value": self.p_value.to_dict(),
-            "null_hypothesis": self.null_hypothesis,
-            "sample_size": self.sample_size,
-            "nuisance": dict(self.nuisance),
-        }
 
 
 def jarque_bera(x: Sequence[float]) -> HypothesisTestResult:
@@ -58,11 +47,8 @@ def jarque_bera(x: Sequence[float]) -> HypothesisTestResult:
     kurt = m4 / m2 ** 2
     jb = n / 6.0 * (skew ** 2 + (kurt - 3.0) ** 2 / 4.0)
     return HypothesisTestResult(
-        test_name="jarque_bera",
         statistic=jb,
         p_value=PValue.exact_or_censored(math.exp(-jb / 2.0)),
-        null_hypothesis="sample is normally distributed",
-        sample_size=n,
         nuisance={"skewness": skew, "kurtosis": kurt},
     )
 
@@ -142,13 +128,7 @@ def shapiro_wilk(x: Sequence[float]) -> HypothesisTestResult:
         sigma = math.exp(_horner(_SW_C6, ln_n))
         p = normal_sf((y - mu) / sigma)
 
-    return HypothesisTestResult(
-        test_name="shapiro_wilk",
-        statistic=w,
-        p_value=PValue.exact_or_censored(p),
-        null_hypothesis="sample is normally distributed",
-        sample_size=n,
-    )
+    return HypothesisTestResult(statistic=w, p_value=PValue.exact_or_censored(p))
 
 
 # Level-case critical values from the published KPSS table.
@@ -189,14 +169,8 @@ def kpss_level(x: Sequence[float],
         p = _interpolate_kpss_p(eta)
         p_value = PValue(p)
 
-    return HypothesisTestResult(
-        test_name="kpss_level",
-        statistic=eta,
-        p_value=p_value,
-        null_hypothesis="series is level stationary",
-        sample_size=n,
-        nuisance={"truncation_lag": lag},
-    )
+    return HypothesisTestResult(statistic=eta, p_value=p_value,
+                                nuisance={"truncation_lag": lag})
 
 
 def _interpolate_kpss_p(eta: float) -> float:

@@ -173,8 +173,7 @@ def _select_order_aic_ls_loop(x, max_order):
         raise DegenerateFitError("AIC evaluation failed at every candidate order")
     order = min(valid, key=lambda r: (r.aic, r.order)).order
     model = least_squares_fit(arr, order) if order else yule_walker_fit(arr, 0)
-    return AicTable(rows=tuple(rows), selected_order=order, method="least_squares",
-                    n=n, model=model)
+    return AicTable(rows=tuple(rows), selected_order=order, model=model)
 
 
 def _assert_same_aic(got, want):
@@ -263,7 +262,6 @@ def factored_shapes(monkeypatch):
 class TestSelectOrderAic:
     def test_bundled_series_selects_eleven(self, aic_table_64):
         assert aic_table_64.selected_order == 11
-        assert aic_table_64.method == "yule_walker"
 
     def test_yule_walker_model_is_the_selected_fit(self, aic_table_64, fitted_ar11):
         assert aic_table_64.model == fitted_ar11

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsakit import _linalg, armodel, cli, pipeline, rng
+from tsakit import _linalg, armodel, cli, pipeline, regression, rng
 from tsakit._floattext import _float_words, _lines
 from tsakit._linalg import polynomial_roots
 from tsakit.cli import main as cli_main
@@ -28,6 +28,7 @@ from tsakit.errors import (ConvergenceError, DegenerateFitError,
 from tsakit.pipeline import (AnalysisReport, PipelineConfig, histogram_data,
                              ingest_csv, qq_plot_data, run_pipeline,
                              write_outputs)
+from tsakit.regression import Censoring, PValue
 from tsakit.series import _month_label
 from tsakit.special import norm_ppf
 
@@ -566,6 +567,8 @@ class TestRunPipeline:
         assert body["trend"]["beta0"] == pytest.approx(68036.6, abs=0.5)
         assert body["difference"]["length"] == 64
         assert body["difference"]["aic"]["selected_order"] == 11
+        assert body["difference"]["aic"]["method"] == "yule_walker"
+        assert body["difference"]["aic"]["n"] == 64
         assert body["difference"]["selected_model"]["stationary"] is True
         assert body["decisions"]["ar_estimator"] == "yule_walker"
         assert body["decisions"]["aic_max_order"] == 18
@@ -627,8 +630,50 @@ class TestRunPipeline:
         report = run_pipeline(config_for(dataset_path, **settings))
         numpy_settings = {key: (tuple(map(np.int64, value)) if isinstance(value, tuple)
                                 else np.int64(value)) for key, value in settings.items()}
-        assert run_pipeline(config_for(dataset_path, **numpy_settings)).to_json() == report.to_json()
+        numpy_config = config_for(dataset_path, **numpy_settings)
+        # Stored as Python ints: the report writes the spans as JSON.
+        assert all(type(s) is int for s in numpy_config.daniell_spans)
+        assert run_pipeline(numpy_config).to_json() == report.to_json()
         assert report.body["decisions"]["daniell_spans"] == [3, 3]
+        spectra = report.body["spectra"]
+        assert spectra["smoothed"]["parameters"]["spans"] == [3, 3]
+
+    @pytest.mark.parametrize("p, entry", [
+        (PValue.exact_or_censored(1e-20),
+         {"value": 1e-20, "censored": "below_threshold", "display": "< 2.2e-16",
+          "threshold": 2.2e-16}),
+        (PValue(0.01, Censoring.BELOW_THRESHOLD, 0.01),
+         {"value": 0.01, "censored": "below_threshold", "display": "< 0.01",
+          "threshold": 0.01}),
+        (PValue(0.1, Censoring.ABOVE_THRESHOLD, 0.1),
+         {"value": 0.1, "censored": "above_threshold", "display": ">= 0.1",
+          "threshold": 0.1}),
+        (PValue.exact_or_censored(0.37),
+         {"value": 0.37, "censored": "exact", "display": "0.37"}),
+        (PValue(0.9382292739538016),
+         {"value": 0.9382292739538016, "censored": "exact", "display": "0.938229"}),
+    ], ids=["trend-censored", "kpss-below-table", "kpss-above-table", "exact",
+            "exact-six-digits"])
+    def test_p_value_report_entry(self, p, entry):
+        assert pipeline._p_value(p) == entry
+
+    def test_bundled_run_evaluates_two_t_tails_and_one_recursion(self, default_config,
+                                                                 monkeypatch):
+        # The trend's two t tests each evaluate one incomplete-beta tail; the
+        # F test's p-value is the slope's. The Yule-Walker AIC scan's one
+        # Levinson-Durbin recursion gives every order's fit, the selected
+        # model's included, so a second call would be a refit.
+        calls = []
+        for module, name in ((regression, "betainc_reg"), (armodel, "levinson_durbin")):
+            real = getattr(module, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        run_pipeline(default_config)
+        assert calls == ["betainc_reg", "betainc_reg", "levinson_durbin"]
 
     def test_roots_solved_once_per_run(self, default_config, monkeypatch):
         import tsakit.armodel
@@ -696,6 +741,7 @@ class TestRunPipeline:
             count(module, "householder_triangularize")
         report = run_pipeline(config_for(p, ar_estimator="least_squares"))
         assert calls == ["householder_triangularize"]
+        assert report.body["difference"]["aic"]["method"] == "least_squares"
         model = report.body["difference"]["selected_model"]
         assert model["estimation_method"] == "least_squares"
         assert model["order"] == 36
@@ -1122,6 +1168,21 @@ class TestCli:
                 0, b"note: AIC selected the scan's bound K=36; --aic-max-order raises it\n")
             reports.append((out_dir / "report.json").read_bytes())
         assert reports[0] == reports[1]
+
+    def test_overflowing_stage_exit_3_with_one_line(self, tmp_path, capsys):
+        # A 201-digit count is a valid float, but its square is not: the
+        # trend's sum of squares overflows. The stage fails on the overflow
+        # itself, with one error line and no RuntimeWarning, instead of
+        # carrying inf and NaN on to a later stage.
+        p = tmp_path / "overflow.csv"
+        write_csv(p, [f"{2015 + k // 12}-{k % 12 + 1:02d},{'9' * 201 if k == 4 else 100 + 3 * k}"
+                      for k in range(24)])
+        out_dir = tmp_path / "out"
+        code = cli_main(["analyze", "--input", str(p), "--output", str(out_dir)])
+        assert code == 3
+        assert capsys.readouterr() == (
+            "", "error: stage 'trend-regression' failed: overflow encountered in square\n")
+        assert not out_dir.exists()
 
     def test_oversized_truncation_exit_2(self, tmp_path):
         p = tmp_path / "tiny.csv"

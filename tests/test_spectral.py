@@ -175,8 +175,6 @@ class TestDaniellSmooth:
         with pytest.raises(InvalidArgumentError, match="span must be an integer"):
             daniell_smooth(raw, (3.9, 3.2))
         smooth = daniell_smooth(raw, (np.int64(3), np.int32(5)))
-        assert smooth.parameters["spans"] == (3, 5)
-        assert all(type(s) is int for s in smooth.parameters["spans"])
         assert smooth.power.tolist() == daniell_smooth(raw, (3, 5)).power.tolist()
 
     def test_output_non_negative(self):

@@ -17,9 +17,10 @@ output is a pure function of (model, n, seed). They run in chunks of
 its slice of the innovations, carries the AR lags or the walk's running sum
 over from the chunk before, and is checked finite, so memory does not grow
 with n or the burn-in and every bit is the one a whole-array run gives. The
-CLI writes each chunk as it comes; ``simulate_ar`` and
-``simulate_random_walk`` join the chunks into one series. The AR recursion is
-a loop that ``_ar_recursion`` compiles for the model's order.
+CLI writes each chunk as it comes, as one float-text pass: ``_CHUNK`` is
+``_floattext._BLOCK``. ``simulate_ar`` and ``simulate_random_walk`` join the
+chunks into one series. The AR recursion is a loop that ``_ar_recursion``
+compiles for the model's order.
 """
 from __future__ import annotations
 
@@ -31,6 +32,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import rng
+from ._floattext import _BLOCK
 from ._linalg import householder_triangularize, polynomial_roots
 from .correlation import autocovariance
 from .errors import (DegenerateFitError, InvalidArgumentError,
@@ -416,7 +418,7 @@ def default_burn_in(order: int) -> int:
     return 10 * order + 50
 
 
-_CHUNK = 4096  # samples a simulator draws, recurses and yields at a time
+_CHUNK = _BLOCK  # samples a simulator draws, recurses and yields at a time
 
 
 def _ar_recursion(p: int):
@@ -483,6 +485,7 @@ def _ar_chunks(model: ArModel, n: int, seed: int,
             y = values.tolist()  # overwritten in place by the series
             lags = run(y, *model.phi, *lags)
             values = np.array(y)
+            del y  # not held while the chunk is written
         if start >= burn_in:
             values += model.mean
             _check_finite(values)

@@ -19,10 +19,12 @@ than a minimum. report.json does not change.
 into place only once it is complete, unless FILE is a symlink, a FIFO or a
 device, which are written directly; ``--out -`` writes to stdout's buffer.
 ``simulate`` makes and writes its series one chunk of samples at a time
-(``armodel._CHUNK``), so its memory does not grow with ``--n`` or
-``--burn-in``. Each row is ``t,repr(value)``: a chunk's values are formatted
-in one ``_floattext._float_words`` call, with ``repr``'s bytes and no
-``repr`` call per value. Every check that can fail on the first chunk runs
+(``armodel._CHUNK``, the float-text pass ``_floattext._BLOCK``), so its
+memory does not grow with ``--n`` or ``--burn-in``. Each row is
+``t,repr(value)``: a chunk's values are formatted in one
+``_floattext._float_words`` pass, with ``repr``'s bytes and no ``repr`` call
+per value, and written as ``_lines`` builds them, with no further copy.
+Every check that can fail on the first chunk runs
 before any byte is written. A later chunk that overflows (a random walk with a large
 drift) ends the run with exit 2 after the rows before it: on stdout those
 rows stay written, while ``--out FILE`` leaves FILE as it was.
@@ -149,7 +151,7 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _row_text(values: np.ndarray, start: int) -> bytes:
+def _row_text(values: np.ndarray, start: int) -> bytearray:
     """One ``t,repr(value)`` row per value, t counting from ``start``."""
     t = np.arange(values.size, dtype=np.uint64) + start  # --n has no bound
     return _lines([_int_words(t), _float_words(values)], b"\n")
@@ -157,12 +159,13 @@ def _row_text(values: np.ndarray, start: int) -> bytes:
 
 def _write_rows(fh, chunks) -> None:
     """``t,value`` header, then one ``t,repr(value)`` row per sample, written
-    one chunk of the series at a time as each arrives, with the header in the
-    first chunk's write. Neither the series nor its text is ever held whole."""
-    head, start = b"t,value\n", 1
+    one chunk of the series at a time as each arrives. Neither the series nor
+    its text is ever held whole."""
+    fh.write(b"t,value\n")
+    start = 1
     for chunk in chunks:
-        fh.write(head + _row_text(chunk, start))
-        head, start = b"", start + len(chunk)
+        fh.write(_row_text(chunk, start))
+        start += len(chunk)
 
 
 def _emit_series(chunks, destination: str) -> None:

@@ -727,6 +727,7 @@ class TestSimulateAr:
     # at p >= 1 every burn-in chunk is drawn as before.
     @pytest.mark.parametrize("phi", [(), (0.5,), (0.6, -0.2)])
     def test_burn_in_draws_only_when_a_lag_carries_it(self, monkeypatch, phi):
+        monkeypatch.setattr(armodel, "_CHUNK", 4096)  # the draws below are its slices
         model = ArModel(phi=phi, sigma2=1.0, mean=0.5)
         want = _simulate_ar_loop(model, 5_000, 4, 9_000)
         draws = []

@@ -1,15 +1,16 @@
-"""The bulk float text against ``repr``, byte for byte, and the streamed
-``simulate`` rows against one ``repr`` per row.
+"""The bulk float text against ``repr``, byte for byte, the streamed
+``simulate`` rows against one ``repr`` per row, and one pass's working set.
 
 The kernel's uint64 arithmetic depends on numpy's integer promotion rules,
 which NEP 50 changed in numpy 2, so CI also runs this file under numpy 1.x.
 """
+import tracemalloc
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from tsakit import cli
+from tsakit import _floattext, cli
 from tsakit._floattext import _float_words, _int_words, _lines
 from tsakit.armodel import (ArModel, RandomWalkSpec, simulate_ar,
                             simulate_random_walk)
@@ -97,7 +98,7 @@ def _per_row(values, start=1) -> str:
     return "".join([f"{t},{v!r}\n" for t, v in enumerate(values.tolist(), start)])
 
 
-@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 100_000])
+@pytest.mark.parametrize("n", [1, 4095, 4096, 4097, 8191, 8192, 8193, 100_000])
 def test_streamed_rows_equal_per_row_text(n, capsys):
     # n = 100000 crosses t = 9 -> 10 and t = 99999 -> 100000.
     assert cli.main(["simulate", "ar", "--phi", "0.5,-0.2", "--mean", "3.5",
@@ -115,3 +116,19 @@ def test_streamed_rows_equal_per_row_text(n, capsys):
 def test_row_text_across_digit_counts(start):
     values = np.random.default_rng(start % 1000).standard_normal(5)
     assert cli._row_text(values, start) == _per_row(values, start).encode()
+
+
+def test_one_pass_working_set():
+    # One pass of _BLOCK values, from the bits to the four words, peaks at
+    # 122.3 bytes a value under tracemalloc (248 at 4096 values a pass with
+    # the six-word layout). The bound leaves 5.7 bytes a value, so one more
+    # uint64 array held through the pass (8 bytes a value) fails it.
+    values = np.random.default_rng(7).standard_normal(_floattext._BLOCK) * 3.7
+    _float_words(values)  # the tables are built once per process
+    tracemalloc.start()
+    try:
+        _float_words(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / values.size < 128

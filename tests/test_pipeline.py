@@ -1326,9 +1326,11 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr() == ("", "error: TimeSeries values must all be finite\n")
 
-    def test_simulate_walk_overflowing_in_later_chunk(self, tmp_path, capsys):
-        # drift * t first overflows at t = 4495, in the second chunk: stdout
-        # keeps the first chunk's rows, while a FILE is left as it was.
+    def test_simulate_walk_overflowing_in_later_chunk(self, tmp_path, capsys, monkeypatch):
+        # drift * t first overflows at t = 4495, in the second 4096-sample
+        # chunk: stdout keeps the first chunk's rows, while a FILE is left as
+        # it was.
+        monkeypatch.setattr(armodel, "_CHUNK", 4096)
         walk = ["simulate", "random-walk", "--drift", "4e304"]
         assert cli_main([*walk, "--n", "4096"]) == 0
         first_chunk = capsys.readouterr().out
